@@ -2,7 +2,7 @@
 //!
 //! Every failure a sweep can encounter is classified into one of four
 //! domains, so the [`SweepRunner`](crate::experiments::SweepRunner) can
-//! decide what to do with it (retry, record, quarantine) instead of
+//! decide what to do with it (retry, record, skip) instead of
 //! aborting a multi-hour run:
 //!
 //! * [`ConfigError`] — a [`SystemConfig`](crate::SystemConfig) that could
@@ -15,9 +15,10 @@
 //!   (a `panic!`/`assert!` inside the engine), captured by the runner's
 //!   per-cell isolation with a panic-site summary. Retried once, then
 //!   recorded as a failed cell.
-//! * [`CacheIoError`] — the persisted cell cache (`cells.json`) was
-//!   unreadable, corrupt, or version-mismatched. Never fatal: the file is
-//!   quarantined and rebuilt.
+//! * [`CacheIoError`] — the journal could not be opened, or a
+//!   `cells.json` snapshot could not be written or, when a caller reads
+//!   one, was unreadable, corrupt, or version-mismatched. Reading is
+//!   never fatal: runs resume from the journal, not the snapshot.
 
 use rampage_trace::io::TraceIoError;
 use std::fmt;

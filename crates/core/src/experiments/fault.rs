@@ -2,11 +2,12 @@
 //! `fault` feature — test builds only).
 //!
 //! The robustness suite uses these hooks to prove the runner's isolation
-//! guarantees without depending on real bugs: a cell can be made to
-//! panic a fixed number of times (exercising catch-and-retry and the
-//! [`FailedCell`](crate::experiments::FailedCell) path), and a cache
-//! save can be torn mid-write (exercising quarantine-and-rebuild on the
-//! next load).
+//! and crash-safety guarantees without depending on real bugs: a cell
+//! can be made to panic a fixed number of times (exercising
+//! catch-and-retry and the [`FailedCell`](crate::experiments::FailedCell)
+//! path) or to hang until the watchdog cancels it, and a journaled run
+//! can be made to die after a claim or mid-append (exercising resume
+//! from the journal, the only store a run reads back).
 //!
 //! Injection state is process-global. Tests must hold an
 //! [`InjectionScope`] while armed: the scope serializes tests against
@@ -24,8 +25,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 pub const INJECTED_CRASH_EXIT: i32 = 137;
 
 /// Exclusive, self-cleaning access to the process-global injection
-/// state (this module's cell panics and torn saves, plus the trace
-/// crate's corrupt-record hook, which the `fault` feature enables
+/// state (this module's cell panics, hangs, and crash points, plus the
+/// trace crate's corrupt-record hook, which the `fault` feature enables
 /// together).
 ///
 /// Acquiring blocks until no other scope is alive, then disarms
@@ -64,10 +65,6 @@ fn cell_panics() -> MutexGuard<'static, HashMap<u64, u32>> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-/// How many upcoming cache saves should be torn (written truncated, as
-/// if the process died mid-write).
-static TORN_SAVES: AtomicU32 = AtomicU32::new(0);
-
 /// Arm the next `times` executions of the cell with this fingerprint to
 /// panic at the start of simulation. With `times = 1` the retry
 /// succeeds; with `times >= 2` the cell is recorded as failed.
@@ -91,20 +88,6 @@ pub(crate) fn cell_panic_point(fp: u64) {
         // lint: allow(panic-doc) — the injected fault IS the deliberate panic; the runner's catch_unwind boundary records it
         panic!("injected fault: cell {fp:#018x}");
     }
-}
-
-/// Arm the next `times` calls to `CellCache::save_file` to write a
-/// truncated file directly to the destination path — the on-disk state a
-/// crash between write and rename would leave with a non-atomic writer.
-pub fn arm_torn_save(times: u32) {
-    TORN_SAVES.store(times, Ordering::SeqCst);
-}
-
-/// Consume one armed torn save, if any.
-pub(crate) fn take_torn_save() -> bool {
-    TORN_SAVES
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
 }
 
 /// Countdown crash points for the journaled runner: each counter is
@@ -177,7 +160,6 @@ pub(crate) fn hang_cell_point(fp: u64, cancel: &AtomicBool) {
 /// Disarm every injection point.
 pub fn reset() {
     cell_panics().clear();
-    TORN_SAVES.store(0, Ordering::SeqCst);
     DIE_AFTER_CLAIM.store(0, Ordering::SeqCst);
     DIE_MID_APPEND.store(0, Ordering::SeqCst);
     HANG_CELLS.store(0, Ordering::SeqCst);

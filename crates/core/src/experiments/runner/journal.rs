@@ -30,19 +30,10 @@
 use crate::error::CacheIoError;
 use crate::experiments::common::Cell;
 use rampage_json::{obj, Json, ToJson};
+use rampage_trace::corpus::fnv1a;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// 64-bit FNV-1a (same function the cell cache uses for its checksums).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Milliseconds since the Unix epoch — lease freshness timestamps.
 /// Wall-clock is legitimate here: the journal lives in the runner's

@@ -124,10 +124,11 @@ fn read_varint_wide(buf: &[u8], pos: &mut usize, start: usize) -> Option<u128> {
     }
 }
 
-/// 64-bit FNV-1a over a whole byte slice; the reference the tests
-/// check the streaming [`Fnv1a`] whole-file checksum against.
-#[cfg(test)]
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a whole byte slice: the workspace's one byte-wise
+/// hash. It fingerprints sweep jobs, checksums persisted cells and
+/// journal lines, and is the reference the tests check the streaming
+/// [`Fnv1a`] whole-file checksum against.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -41,7 +41,7 @@
 //! A block whose checksum or encoding fails to verify is **quarantined
 //! and skipped**: the reader records a [`CorpusWarning`] and resumes at
 //! the next block's index offset instead of aborting the replay (the
-//! same recover-don't-abort policy the persisted cell cache uses).
+//! same recover-don't-abort policy the sweep journal uses).
 //!
 //! # Reading, writing, verifying
 //!
@@ -60,6 +60,7 @@ mod reader;
 mod verify;
 mod writer;
 
+pub use block::fnv1a;
 pub use manifest::{Manifest, ProfileExpect, ShardMeta, ShardStats};
 pub use reader::{CorpusReader, CorpusWarning};
 pub use verify::{verify_dir, verify_dir_strict, ShardReport, VerifyReport};

@@ -221,7 +221,10 @@ impl Profile {
     }
 }
 
-/// Tiny deterministic string hash for seeding (FNV-1a).
+/// Tiny deterministic string hash for seeding. FNV-1a-shaped, but its
+/// multiplier is not the FNV prime, so it is not
+/// [`corpus::fnv1a`](crate::corpus::fnv1a): every workload's seeds derive
+/// from it, and switching hashes would change every simulated cell.
 fn fxhash(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {

@@ -20,12 +20,23 @@ use rampage_trace::corpus::{
 };
 use rampage_trace::{profiles, Interleaver, ScheduleEvent, TraceRecord, TraceSource};
 use std::path::PathBuf;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Quick-workload parameters (kept in sync with [`Workload::quick`] by
 /// an assertion in the sweep test).
 const QUICK_SCALE: u64 = 20_000;
 const QUICK_SEED: u64 = 0x7a9e;
 const QUICK_NBENCH: usize = 4;
+
+/// The armed corpus-block fault (`--features fault`) is process-global,
+/// so every shard reader in this binary would see it. Tests that read
+/// shards hold this lock shared; the one test that arms the fault holds
+/// it exclusively.
+static SHARD_READERS: RwLock<()> = RwLock::new(());
+
+fn reading_shards() -> RwLockReadGuard<'static, ()> {
+    SHARD_READERS.read().unwrap_or_else(|p| p.into_inner())
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rampage-corpus-it-{tag}-{}", std::process::id()))
@@ -41,6 +52,7 @@ fn drain<S: TraceSource>(source: &mut S) -> Vec<TraceRecord> {
 
 #[test]
 fn record_then_replay_is_bit_identical_and_3x_smaller() {
+    let _shards = reading_shards();
     let dir = tmp_dir("roundtrip");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..QUICK_NBENCH];
@@ -76,6 +88,7 @@ fn record_then_replay_is_bit_identical_and_3x_smaller() {
 /// that forces process switches inside (and across) storage blocks.
 #[test]
 fn interleaver_quantum_boundaries_match_synthesis() {
+    let _shards = reading_shards();
     let dir = tmp_dir("interleave");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..QUICK_NBENCH];
@@ -121,6 +134,7 @@ fn interleaver_quantum_boundaries_match_synthesis() {
 /// this binary that touches `set_trace_dir` or `Workload::sources`.
 #[test]
 fn sweep_through_trace_dir_is_bit_identical() {
+    let _shards = reading_shards();
     let dir = tmp_dir("sweep");
     std::fs::remove_dir_all(&dir).ok();
     let w = Workload::quick();
@@ -186,6 +200,7 @@ fn sweep_through_trace_dir_is_bit_identical() {
 /// `verify_dir`, while the rest of the corpus stays usable.
 #[test]
 fn corrupt_block_on_disk_is_quarantined_and_flagged() {
+    let _shards = reading_shards();
     let dir = tmp_dir("corrupt");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..2];
@@ -229,6 +244,7 @@ fn corrupt_block_on_disk_is_quarantined_and_flagged() {
 /// must fail verification.
 #[test]
 fn profile_fidelity_is_checked_against_table2() {
+    let _shards = reading_shards();
     let dir = tmp_dir("fidelity");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..3];
@@ -272,6 +288,7 @@ fn profile_fidelity_is_checked_against_table2() {
 /// profiles on every platform.
 #[test]
 fn sample_fixture_verifies_and_replays() {
+    let _shards = reading_shards();
     const FIXTURE_SCALE: u64 = 20_000;
     const FIXTURE_SEED: u64 = 0x0f1d;
     let dir = fixture_dir();
@@ -325,6 +342,7 @@ fn sample_fixture_verifies_and_replays() {
 /// number must continue exactly where a full replay would be.
 #[test]
 fn seek_resume_matches_full_replay() {
+    let _shards = reading_shards();
     let dir = tmp_dir("seek");
     std::fs::remove_dir_all(&dir).ok();
     let p = &profiles::TABLE2[0];
@@ -364,6 +382,7 @@ fn seek_resume_matches_full_replay() {
 fn armed_block_fault_is_quarantined() {
     use rampage_trace::fault;
 
+    let _exclusive = SHARD_READERS.write().unwrap_or_else(|p| p.into_inner());
     let dir = tmp_dir("fault");
     std::fs::remove_dir_all(&dir).ok();
     let p = &profiles::TABLE2[0];

@@ -7,28 +7,15 @@
 
 #![cfg(feature = "fault")]
 
-use rampage_core::experiments::{fault, CellCache, Job, SweepRunner, Workload};
+use rampage_core::experiments::{fault, Job, SweepRunner, Workload};
 use rampage_core::{IssueRate, SystemConfig};
 use rampage_trace::io::{BinReader, BinWriter, TraceIoError};
 use rampage_trace::{TraceRecord, TraceSource};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Every test opens with this: exclusive, disarmed injection state that
 /// re-disarms when the guard drops, even if the test fails.
 fn armed_section() -> fault::InjectionScope {
     fault::InjectionScope::acquire()
-}
-
-fn scratch(name: &str) -> PathBuf {
-    static N: AtomicU32 = AtomicU32::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "rampage-fault-injection-{}-{name}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 #[test]
@@ -42,7 +29,6 @@ fn scope_isolates_armed_state_between_tests() {
         // Armed but never fired: a test that bails here must not leak
         // the armed panic into whoever acquires the scope next.
         fault::arm_cell_panic(job.fingerprint(), u32::MAX);
-        fault::arm_torn_save(u32::MAX);
     }
     let _g = armed_section();
     let runner = SweepRunner::serial();
@@ -87,39 +73,6 @@ fn persistent_panic_becomes_failed_cell_while_siblings_complete() {
         failures[0].error
     );
     assert_eq!(runner.cache().len(), 1, "failed cells are never cached");
-}
-
-#[test]
-fn torn_save_is_quarantined_on_the_next_load() {
-    let _g = armed_section();
-    let dir = scratch("torn");
-    let path = dir.join("cells.json");
-    let runner = SweepRunner::serial();
-    runner.run_one(
-        &SystemConfig::baseline(IssueRate::GHZ1, 256),
-        &Workload::quick(),
-    );
-
-    fault::arm_torn_save(1);
-    runner
-        .cache()
-        .save_file(&path)
-        .expect("the torn save itself reports success");
-    let half = std::fs::metadata(&path).expect("file exists").len();
-
-    let cache = CellCache::new();
-    let load = cache.load_file(&path);
-    assert!(!load.is_clean(), "a torn file must not load cleanly");
-    assert_eq!(load.loaded, 0);
-    assert!(load.error.is_some());
-    assert!(load.quarantined.is_some());
-    assert!(!path.exists(), "the torn file is moved aside");
-
-    // Disarmed, the save is atomic again and strictly longer than the
-    // torn half, and reloads cleanly.
-    runner.cache().save_file(&path).expect("clean save");
-    assert!(std::fs::metadata(&path).expect("file exists").len() > half);
-    assert!(CellCache::new().load_file(&path).is_clean());
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! Crash-safety tests for the durable sweep journal: a journaled run
 //! resumes exactly where it stopped, concurrent owners drain one grid
-//! without duplicating work, and (under `--features fault`) the `repro`
-//! binary survives an injected crash at every crash point — the
+//! without duplicating work, a `repro` rerun resumes from the journal
+//! alone (never from `cells.json`), and (under `--features fault`) the
+//! `repro` binary survives an injected crash at every crash point — the
 //! resumed artifact must be bit-identical to an uninterrupted run.
 
 use rampage_core::experiments::{
-    scan_journal, table3, JournalOp, JournalState, LeaseConfig, SweepRunner, Workload,
+    scan_journal, table3, CellCache, JournalOp, JournalState, LeaseConfig, SweepRunner, Workload,
 };
 use rampage_core::IssueRate;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::AtomicBool;
 
 const RATES: [IssueRate; 2] = [IssueRate::MHZ200, IssueRate::GHZ4];
@@ -20,6 +22,11 @@ fn scratch(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// The `repro` binary under test.
+fn repro() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
 /// Reference output: the full grid on a clean serial runner.
@@ -146,21 +153,73 @@ fn shutdown_flag_interrupts_then_resume_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `cells.json` is a write-only snapshot: a rerun seeds its cache from
+/// the journal alone, so a well-formed, correctly checksummed entry
+/// added to the snapshot between runs never reaches the next snapshot,
+/// and nothing is quarantined.
+#[test]
+fn rerun_resumes_from_the_journal_not_the_cells_json_snapshot() {
+    let dir = scratch("snapshot-extra");
+    let run = || {
+        let out = repro()
+            .args(["--scale", "20000", "--nbench", "2", "--jobs", "1"])
+            .arg("--out")
+            .arg(&dir)
+            .arg("table3")
+            .output()
+            .expect("spawn repro");
+        assert!(out.status.success(), "repro failed: {out:?}");
+    };
+    run();
+    let cells_path = dir.join("cells.json");
+    let clean = std::fs::read(&cells_path).expect("read cells.json");
+
+    // Append an entry under a fingerprint the journal never recorded,
+    // through the snapshot's own writer so its checksum is valid.
+    let records = scan_journal(&dir.join("journal.jsonl")).expect("scan journal");
+    let done: BTreeMap<u64, _> = records
+        .iter()
+        .filter_map(|r| match r.op {
+            JournalOp::Done { fp, cell } => Some((fp, cell)),
+            _ => None,
+        })
+        .collect();
+    let stray_fp = 0x5ca1_ab1e_0000_0001;
+    assert!(!done.contains_key(&stray_fp));
+    let snapshot = CellCache::new();
+    let load = snapshot.load_file(&cells_path);
+    assert!(load.is_clean(), "{}", load.describe());
+    assert_eq!(load.loaded, done.len(), "the snapshot mirrors the journal");
+    let (_, &cell) = done.iter().next().expect("a finished cell");
+    snapshot.insert(stray_fp, cell);
+    snapshot.save_file(&cells_path).expect("extend snapshot");
+    assert_ne!(std::fs::read(&cells_path).expect("read"), clean);
+
+    run();
+    assert_eq!(
+        std::fs::read(&cells_path).expect("read cells.json"),
+        clean,
+        "the rerun's snapshot must come from the journal alone"
+    );
+    let corrupt: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list out dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|n| n.to_string_lossy().ends_with(".corrupt"))
+        .collect();
+    assert!(corrupt.is_empty(), "nothing is quarantined: {corrupt:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Child-process crash drills through the real `repro` binary. These
 /// need the injected crash points, so they only exist under the
 /// `fault` feature (`cargo test --features fault`).
 #[cfg(feature = "fault")]
 mod drills {
-    use super::scratch;
+    use super::{repro, scratch};
     use std::path::Path;
-    use std::process::Command;
 
     /// Exit code of an injected crash (mirrors a real `kill -9`).
     const CRASH: i32 = 137;
-
-    fn repro() -> Command {
-        Command::new(env!("CARGO_BIN_EXE_repro"))
-    }
 
     /// `repro table3` on the 2-benchmark grid at `scale` into `out`.
     fn run_scaled(out: &Path, scale: &str, jobs: &str, extra: &[&str]) -> std::process::Output {
