@@ -1,7 +1,7 @@
 //! A pragmatic recursive-descent parser over the token stream: enough
-//! item/statement/expression structure for the dataflow tier.
+//! item/statement/expression structure for the dataflow rules.
 //!
-//! This is *not* a full Rust parser — it is the subset the tier-2 rule
+//! This is *not* a full Rust parser — it is the subset the dataflow rule
 //! passes need to be reliable on this workspace:
 //!
 //! * every `fn` body becomes a statement tree with real `if`/`while`/

@@ -1,9 +1,9 @@
-//! The dataflow tier: unit-consistency, nondeterminism taint, and
+//! The dataflow rules: unit-consistency, nondeterminism taint, and
 //! journal/lease protocol conformance over the parsed AST and per-
 //! function CFGs.
 //!
-//! These passes run only under `--tier=dataflow`. They are built to be
-//! conservative in the *non-flagging* direction: anything the parser or
+//! These passes run on every non-test file, after the token passes in
+//! [`crate::rules`]. They are built to be conservative in the *non-flagging* direction: anything the parser or
 //! the inference cannot understand has no unit domain and carries no
 //! taint, so an imprecise analysis produces silence, never noise. The
 //! acceptance bar is zero findings on the live workspace with every bad
@@ -18,13 +18,10 @@ use crate::diag::{Diagnostic, RuleId, WaiverStatus};
 use crate::lexer::Token;
 use crate::FileClass;
 
-/// Run every tier-2 pass that applies to this file. `toks` is the
-/// comment-free, test-mask-free token view (the same stream the token
-/// tier uses).
+/// Run every dataflow pass that applies to this non-test file. `toks`
+/// is the comment-free, test-mask-free token view (the same stream the
+/// token passes use).
 pub fn run(rel: &str, class: &FileClass, toks: &[&Token], diags: &mut Vec<Diagnostic>) {
-    if class.is_test {
-        return;
-    }
     let ast = ast::parse(toks);
     if class.unit_checked {
         unit_pass(rel, &ast, diags);

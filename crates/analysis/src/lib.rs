@@ -2,14 +2,17 @@
 //! the workspace's determinism, panic-discipline, and structural
 //! invariants.
 //!
-//! The analyzer lexes every `.rs` file with its own hand-rolled lexer
-//! (see [`lexer`]) and runs repo-specific rule passes (see [`rules`])
-//! that clippy cannot express: hash-ordered iteration in simulation
-//! crates, wall-clock reads outside the timing allowlist, undocumented
-//! panics, `impl MemorySystem` structure, experiment-file routing, and
-//! exhaustive error matching. Findings can be suppressed site-by-site
-//! with `// lint: allow(<rule>) — <reason>` waivers; a waiver without a
-//! reason or without a matching finding is itself a diagnostic.
+//! The analyzer lexes every `.rs` file once with its own hand-rolled
+//! lexer (see [`lexer`]) and runs, in one pass, every repo-specific rule
+//! that rustc and clippy cannot express: token-stream rules (see
+//! [`rules`]) for hash-ordered iteration in simulation crates,
+//! wall-clock reads outside the timing allowlist, undocumented panics,
+//! experiment-file routing, raw journal writes, and exhaustive error
+//! matching; and AST/CFG dataflow rules (see [`flow`]) for unit mixing,
+//! nondeterminism taint, and the journal/lease protocol. Findings can
+//! be suppressed site-by-site with `// lint: allow(<rule>) — <reason>`
+//! waivers; a waiver without a reason or without a matching finding is
+//! itself a diagnostic.
 //!
 //! The rule catalog, the waiver syntax, and the timing allowlist policy
 //! are documented in `EXPERIMENTS.md` § Static analysis.
@@ -20,55 +23,24 @@ pub mod ast;
 pub mod cfg;
 pub mod dataflow;
 pub mod diag;
+pub mod flow;
 pub mod lexer;
 pub mod rules;
 pub mod sarif;
-pub mod tier2;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use diag::Diagnostic;
-use rules::StructuralFacts;
-
-/// Which rule families run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tier {
-    /// The fast default: token-stream passes only.
-    #[default]
-    Token,
-    /// Token passes plus the AST/CFG/dataflow rules (unit-mix,
-    /// nondet-taint, claim-readback, cancel-poll).
-    Dataflow,
-}
-
-impl Tier {
-    /// Parse a `--tier=` value.
-    pub fn from_flag(s: &str) -> Option<Tier> {
-        match s {
-            "token" => Some(Tier::Token),
-            "dataflow" => Some(Tier::Dataflow),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Token => "token",
-            Tier::Dataflow => "dataflow",
-        }
-    }
-}
 
 /// How a file's path classifies it for rule selection.
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
     /// Test/bench/example/fixture code: exempt from every rule.
     pub is_test: bool,
-    /// Library code (crate `src/` trees, minus binaries): panic
-    /// discipline, unwrap, and error-match apply.
+    /// Library code (crate `src/` trees, minus binaries): panic-doc,
+    /// error-match, and nondet-taint apply.
     pub is_lib: bool,
     /// Determinism-critical simulation path: hash-iter and env-read
     /// apply.
@@ -80,10 +52,10 @@ pub struct FileClass {
     /// `SweepRunner`.
     pub sweep_routed: bool,
     /// Unit-domain-checked timing code: the DRAM backends, the channel
-    /// router, and `SystemConfig` (dataflow tier).
+    /// router, and `SystemConfig`.
     pub unit_checked: bool,
     /// The sweep-runner tree: journal/lease protocol conformance and
-    /// cancel-token polling apply (dataflow tier).
+    /// cancel-token polling apply.
     pub runner_protocol: bool,
 }
 
@@ -114,13 +86,12 @@ const SIM_FILES: [&str; 3] = [
 /// fault-injection module's hang points carry a wall-clock self-expiry
 /// deadline (test-only code, but compiled as library under the `fault`
 /// feature).
-const WALL_CLOCK_ALLOW: [&str; 6] = [
+const WALL_CLOCK_ALLOW: [&str; 5] = [
     "crates/core/src/experiments/runner",
     "crates/core/src/experiments/fault.rs",
     "src/bin/",
     "crates/bench/",
     "crates/criterion/",
-    "crates/analysis/",
 ];
 
 /// Classify a workspace-relative path (forward slashes).
@@ -162,41 +133,19 @@ pub fn classify(rel: &str) -> FileClass {
     }
 }
 
-/// Analyze a set of in-memory sources (used by the fixture tests): runs
-/// the per-file rules plus the workspace-level structural finalizer.
+/// Analyze a set of in-memory sources (used by the fixture tests).
 pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    analyze_sources_tier(files, Tier::Token)
-}
-
-/// [`analyze_sources`] at an explicit tier.
-pub fn analyze_sources_tier(files: &[(&str, &str)], tier: Tier) -> Vec<Diagnostic> {
-    let mut facts = StructuralFacts::default();
     let mut diags = Vec::new();
     for (rel, text) in files {
-        let class = classify(rel);
-        let (file_diags, file_facts) = rules::analyze_source_tier(rel, &class, text, tier);
-        diags.extend(file_diags);
-        facts.merge(file_facts);
+        diags.extend(rules::analyze_source(rel, &classify(rel), text));
     }
-    diags.extend(rules::finalize_structural(&facts));
     sort_diags(&mut diags);
     diags
 }
 
-/// Analyze one in-memory source with an explicit class (fixture tests).
+/// Analyze one in-memory source, classified by its path (fixture tests).
 pub fn analyze_one(rel: &str, text: &str) -> Vec<Diagnostic> {
     analyze_sources(&[(rel, text)])
-}
-
-/// [`analyze_one`] at an explicit tier.
-pub fn analyze_one_tier(rel: &str, text: &str, tier: Tier) -> Vec<Diagnostic> {
-    analyze_sources_tier(&[(rel, text)], tier)
-}
-
-/// Walk the workspace rooted at `root` and analyze every `.rs` file at
-/// the token tier.
-pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    analyze_workspace_tier(root, Tier::Token).map(|r| r.diagnostics)
 }
 
 /// A workspace analysis run: the findings plus what the timing line
@@ -209,12 +158,12 @@ pub struct WorkspaceReport {
     pub files: usize,
 }
 
-/// Walk the workspace rooted at `root` and analyze every `.rs` file at
-/// the chosen tier. Files are read up front, then analyzed in parallel
-/// with scoped threads; each file is tokenized exactly once and the
-/// token stream is shared across every pass of both tiers. The final
-/// sort makes the report order independent of scheduling.
-pub fn analyze_workspace_tier(root: &Path, tier: Tier) -> io::Result<WorkspaceReport> {
+/// Walk the workspace rooted at `root` and run every rule over every
+/// `.rs` file. Files are read up front, then analyzed in parallel with
+/// scoped threads; each file is tokenized exactly once and the token
+/// stream is shared across every pass. The final sort makes the report
+/// order independent of scheduling.
+pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     files.sort();
@@ -234,37 +183,24 @@ pub fn analyze_workspace_tier(root: &Path, tier: Tier) -> io::Result<WorkspaceRe
         .unwrap_or(1)
         .min(sources.len().max(1));
     let chunk = sources.len().div_ceil(workers.max(1)).max(1);
-    let mut per_chunk: Vec<(Vec<Diagnostic>, StructuralFacts)> = Vec::new();
+    let mut diags = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for slice in sources.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 let mut diags = Vec::new();
-                let mut facts = StructuralFacts::default();
                 for (rel, text) in slice {
-                    let class = classify(rel);
-                    let (file_diags, file_facts) =
-                        rules::analyze_source_tier(rel, &class, text, tier);
-                    diags.extend(file_diags);
-                    facts.merge(file_facts);
+                    diags.extend(rules::analyze_source(rel, &classify(rel), text));
                 }
-                (diags, facts)
+                diags
             }));
         }
         for h in handles {
             if let Ok(part) = h.join() {
-                per_chunk.push(part);
+                diags.extend(part);
             }
         }
     });
-
-    let mut facts = StructuralFacts::default();
-    let mut diags = Vec::new();
-    for (part_diags, part_facts) in per_chunk {
-        diags.extend(part_diags);
-        facts.merge(part_facts);
-    }
-    diags.extend(rules::finalize_structural(&facts));
     sort_diags(&mut diags);
     Ok(WorkspaceReport {
         diagnostics: diags,
@@ -371,6 +307,12 @@ mod tests {
 
         let c = classify("src/lib.rs");
         assert!(c.is_lib && !c.sim_path);
+
+        let c = classify("crates/analysis/src/lib.rs");
+        assert!(
+            c.is_lib && !c.wall_clock_allowed,
+            "the analyzer reads no clock"
+        );
     }
 
     #[test]
@@ -398,16 +340,5 @@ mod tests {
 
         let c = classify("crates/analysis/tests/fixtures/bad/unit_mix.rs");
         assert!(c.is_test && !c.unit_checked && !c.runner_protocol);
-    }
-
-    #[test]
-    fn tier_flag_round_trips() {
-        assert_eq!(Tier::from_flag("token"), Some(Tier::Token));
-        assert_eq!(Tier::from_flag("dataflow"), Some(Tier::Dataflow));
-        assert_eq!(Tier::from_flag("bogus"), None);
-        assert_eq!(Tier::default(), Tier::Token);
-        for t in [Tier::Token, Tier::Dataflow] {
-            assert_eq!(Tier::from_flag(t.as_str()), Some(t));
-        }
     }
 }

@@ -1,7 +1,7 @@
-//! The rule passes: token-stream lints, waiver resolution, and the
-//! workspace-level structural checks.
+//! The per-file pass: token-stream lints, the AST/CFG dataflow rules
+//! (see [`crate::flow`]), and waiver resolution.
 //!
-//! Every pass works on the lexed token stream — there is no type
+//! Every token pass works on the lexed token stream — there is no type
 //! information, so rules that need types (hash-iter) use a declared-name
 //! heuristic: any binding, field, or parameter whose declaration
 //! mentions `HashMap`/`HashSet` is tracked by name, and iteration-order
@@ -50,41 +50,6 @@ const ERROR_ENUMS: [&str; 5] = [
     "DramConfigError",
 ];
 
-/// Structural facts one file contributes to the workspace-level
-/// attach-trace check.
-#[derive(Debug, Default)]
-pub struct StructuralFacts {
-    /// `Some(true)` if `trait MemorySystem` declares `attach_trace` with
-    /// a default body; `Some(false)` if it declares it body-less; `None`
-    /// if the trait definition was not seen.
-    pub trait_attach_default: Option<bool>,
-    /// Every `impl MemorySystem for …` block seen.
-    pub impls: Vec<ImplFact>,
-}
-
-/// One `impl MemorySystem for …` block.
-#[derive(Debug)]
-pub struct ImplFact {
-    /// File holding the impl, relative to the workspace root.
-    pub file: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// 1-based column of the `impl` keyword.
-    pub col: u32,
-    /// Whether the block defines `fn attach_trace` itself.
-    pub defines_attach: bool,
-}
-
-impl StructuralFacts {
-    /// Merge facts from another file into this accumulator.
-    pub fn merge(&mut self, other: StructuralFacts) {
-        if self.trait_attach_default.is_none() {
-            self.trait_attach_default = other.trait_attach_default;
-        }
-        self.impls.extend(other.impls);
-    }
-}
-
 /// A parsed `// lint: allow(<rule>) — <reason>` comment.
 struct Waiver {
     line: u32,
@@ -95,26 +60,10 @@ struct Waiver {
     used: bool,
 }
 
-/// Analyze one file at the default (token) tier.
-pub fn analyze_source(
-    rel: &str,
-    class: &FileClass,
-    text: &str,
-) -> (Vec<Diagnostic>, StructuralFacts) {
-    analyze_source_tier(rel, class, text, crate::Tier::Token)
-}
-
-/// Analyze one file: run every applicable per-file rule at the chosen
-/// tier, resolve waivers, and collect structural facts for the
-/// workspace finalizer. The file is tokenized exactly once; both tiers
-/// share the stream (the dataflow tier parses the same comment-free,
-/// test-mask-free view the token passes index).
-pub fn analyze_source_tier(
-    rel: &str,
-    class: &FileClass,
-    text: &str,
-    tier: crate::Tier,
-) -> (Vec<Diagnostic>, StructuralFacts) {
+/// Analyze one file: run every applicable rule and resolve waivers.
+/// The file is tokenized exactly once; the dataflow rules parse the
+/// same comment-free, test-mask-free view the token passes index.
+pub fn analyze_source(rel: &str, class: &FileClass, text: &str) -> Vec<Diagnostic> {
     let toks = tokenize(text);
     let mask = test_mask(&toks);
     let code = Code::new(&toks, &mask);
@@ -135,7 +84,6 @@ pub fn analyze_source_tier(
     }
     if class.is_lib && !class.is_test {
         panic_doc_pass(rel, &toks, &code, &comments, &mut diags);
-        unwrap_pass(rel, &code, &mut diags);
         error_match_pass(rel, &code, &mut diags);
     }
     if class.sweep_routed && !class.is_test {
@@ -143,46 +91,13 @@ pub fn analyze_source_tier(
     }
     if !class.is_test {
         journal_append_pass(rel, &code, &mut diags);
-    }
-
-    if tier == crate::Tier::Dataflow && !class.is_test {
         let filtered: Vec<&Token> = code.ix.iter().map(|&i| &toks[i]).collect();
-        crate::tier2::run(rel, class, &filtered, &mut diags);
+        crate::flow::run(rel, class, &filtered, &mut diags);
     }
-
-    let facts = if class.is_test {
-        StructuralFacts::default()
-    } else {
-        collect_structural(rel, &code)
-    };
 
     apply_waivers(rel, &comments, &mut diags);
     diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    (diags, facts)
-}
-
-/// Turn the merged structural facts into diagnostics.
-pub fn finalize_structural(facts: &StructuralFacts) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // Only judge impls when the trait definition was actually seen:
-    // without it we cannot know whether a default body exists.
-    if facts.trait_attach_default == Some(false) {
-        for imp in &facts.impls {
-            if !imp.defines_attach {
-                out.push(Diagnostic {
-                    file: imp.file.clone(),
-                    line: imp.line,
-                    col: imp.col,
-                    rule: RuleId::AttachTrace,
-                    message: "impl MemorySystem neither defines nor inherits attach_trace \
-                              (trait declares it without a default body)"
-                        .to_string(),
-                    waiver: WaiverStatus::None,
-                });
-            }
-        }
-    }
-    out
+    diags
 }
 
 // ---------------------------------------------------------------------------
@@ -751,34 +666,6 @@ fn fn_docs_mention_panics(toks: &[Token], code: &Code<'_>, fn_code_ix: usize) ->
     false
 }
 
-/// `.unwrap()` / `.expect("…")` in library code. `unwrap` must be
-/// zero-arg and `expect`'s first argument must be a string literal —
-/// this keeps a crate's own fallible `fn expect(…) -> Result<…>`
-/// parser methods out of scope.
-fn unwrap_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    for j in 0..code.len() {
-        let Some(m) = code.ident(j) else { continue };
-        if j < 1 || !code.is_punct(j - 1, '.') || !code.is_punct(j + 1, '(') {
-            continue;
-        }
-        let flagged = match m {
-            "unwrap" => code.is_punct(j + 2, ')'),
-            "expect" => code.kind(j + 2) == Some(TokenKind::Str),
-            _ => false,
-        };
-        if flagged {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::Unwrap,
-                format!("`.{m}()` in library code — return a typed error instead"),
-            ));
-        }
-    }
-}
-
 /// Wildcard `_ =>` arms in `match`es whose arms pattern-match one of the
 /// workspace's typed error enums.
 fn error_match_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
@@ -968,95 +855,6 @@ fn sweep_route_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Record `trait MemorySystem` default-body status and every
-/// `impl MemorySystem for …` block.
-fn collect_structural(rel: &str, code: &Code<'_>) -> StructuralFacts {
-    let mut facts = StructuralFacts::default();
-    for j in 0..code.len() {
-        if code.is_ident(j, "trait") && code.is_ident(j + 1, "MemorySystem") {
-            facts.trait_attach_default = trait_attach_default(code, j);
-        }
-        if code.is_ident(j, "impl") {
-            // `impl [<…>] MemorySystem for Type { … }`
-            let mut saw_name = false;
-            let mut saw_for = false;
-            let mut open = None;
-            for k in (j + 1)..(j + 24).min(code.len()) {
-                if code.is_ident(k, "MemorySystem") && !saw_for {
-                    saw_name = true;
-                } else if code.is_ident(k, "for") {
-                    saw_for = true;
-                } else if code.is_punct(k, '{') {
-                    open = Some(k);
-                    break;
-                } else if code.is_punct(k, ';') {
-                    break;
-                }
-            }
-            let (Some(open), true, true) = (open, saw_name, saw_for) else {
-                continue;
-            };
-            let mut brace = 1i32;
-            let mut k = open + 1;
-            let mut defines = false;
-            while k < code.len() && brace > 0 {
-                if code.is_punct(k, '{') {
-                    brace += 1;
-                } else if code.is_punct(k, '}') {
-                    brace -= 1;
-                } else if code.is_ident(k, "fn") && code.is_ident(k + 1, "attach_trace") {
-                    defines = true;
-                }
-                k += 1;
-            }
-            let (line, col) = code.pos(j);
-            facts.impls.push(ImplFact {
-                file: rel.to_string(),
-                line,
-                col,
-                defines_attach: defines,
-            });
-        }
-    }
-    facts
-}
-
-/// For a `trait MemorySystem` at code index `j`: does its
-/// `fn attach_trace` declaration carry a default body?
-fn trait_attach_default(code: &Code<'_>, j: usize) -> Option<bool> {
-    // Find the trait body.
-    let mut open = None;
-    for k in (j + 1)..(j + 64).min(code.len()) {
-        if code.is_punct(k, '{') {
-            open = Some(k);
-            break;
-        }
-    }
-    let open = open?;
-    let mut brace = 1i32;
-    let mut k = open + 1;
-    while k < code.len() && brace > 0 {
-        if code.is_punct(k, '{') {
-            brace += 1;
-        } else if code.is_punct(k, '}') {
-            brace -= 1;
-        } else if brace == 1 && code.is_ident(k, "fn") && code.is_ident(k + 1, "attach_trace") {
-            // Default body iff a `{` comes before the next `;`.
-            for m in (k + 2)..(k + 96).min(code.len()) {
-                if code.is_punct(m, '{') {
-                    return Some(true);
-                }
-                if code.is_punct(m, ';') {
-                    return Some(false);
-                }
-            }
-            return Some(false);
-        }
-        k += 1;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 //! Hand-rolled like the rest of the crate (dependency-free). The output
 //! is one `run` with the full rule catalog in `tool.driver.rules` and
 //! one `result` per diagnostic; waived findings carry an in-source
-//! `suppression` so that the count of *unsuppressed* results equals the
-//! `--json` report's `active` count (check.sh asserts this agreement).
+//! `suppression`, so the unsuppressed results are exactly the findings
+//! that fail `repro lint`.
 
 use crate::diag::{json_string, Diagnostic, RuleId, WaiverStatus};
 
@@ -21,10 +21,9 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\"properties\":{{\"tier\":{}}}}}",
+            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
             json_string(rule.as_str()),
             json_string(rule.short_description()),
-            json_string(rule.tier_name()),
         ));
     }
     out.push_str("]}},\"results\":[");
@@ -54,12 +53,6 @@ fn render_result(d: &Diagnostic) -> String {
         d.col,
         suppressions,
     )
-}
-
-/// The number of unsuppressed results a SARIF document would carry —
-/// must agree with the `--json` report's `active` count.
-pub fn active_count(diags: &[Diagnostic]) -> usize {
-    diags.iter().filter(|d| d.is_active()).count()
 }
 
 #[cfg(test)]
@@ -96,21 +89,6 @@ mod tests {
         assert!(doc.contains("\"startColumn\":13"));
         // The waived finding is suppressed; the active one is not.
         assert_eq!(doc.matches("\"suppressions\"").count(), 1);
-    }
-
-    #[test]
-    fn sarif_and_json_agree_on_active_counts() {
-        let diags = vec![
-            mk(RuleId::UnitMix, WaiverStatus::None),
-            mk(RuleId::NondetTaint, WaiverStatus::Waived),
-            mk(RuleId::ClaimReadback, WaiverStatus::None),
-        ];
-        let doc = render_sarif(&diags);
-        let results = doc.matches("\"ruleId\"").count();
-        let suppressed = doc.matches("\"suppressions\"").count();
-        assert_eq!(results - suppressed, active_count(&diags));
-        let json = crate::diag::render_json_report(&diags);
-        assert!(json.contains(&format!("\"active\":{}", active_count(&diags))));
     }
 
     #[test]

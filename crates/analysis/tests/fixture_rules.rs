@@ -1,12 +1,14 @@
 //! Fixture-driven rule tests: every rule has at least one failing and
 //! one passing fixture under `tests/fixtures/{bad,good}/`, analyzed
 //! under a synthetic workspace-relative path that gives it the right
-//! classification (simulation path, library, experiment file, …).
-//! Positions are asserted exactly — `file:line:col` is computed from the
-//! fixture text, not hard-coded.
+//! classification (simulation path, library, experiment file, runner
+//! tree, …). Every fixture runs through the full single pass, so each
+//! test also proves the other rules stay quiet on it. Positions are
+//! asserted exactly — `file:line:col` is computed from the fixture
+//! text, not hard-coded.
 
-use rampage_analysis::diag::{Diagnostic, RuleId};
-use rampage_analysis::{analyze_one, analyze_sources};
+use rampage_analysis::analyze_one;
+use rampage_analysis::diag::{Diagnostic, RuleId, WaiverStatus};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -167,64 +169,6 @@ fn panic_doc_satisfied_by_panics_section_or_invariant_comment() {
 }
 
 #[test]
-fn unwrap_fires_in_library_code() {
-    let text = fixture("bad/unwrap.rs");
-    let diags = analyze_one("crates/core/src/unwrap.rs", &text);
-    let u = loc(&text, "unwrap()");
-    let e = loc(&text, "expect(");
-    assert_findings(
-        &diags,
-        &[(RuleId::Unwrap, u.0, u.1), (RuleId::Unwrap, e.0, e.1)],
-    );
-}
-
-#[test]
-fn unwrap_skips_custom_expect_methods_and_unwrap_or() {
-    let text = fixture("good/unwrap.rs");
-    let diags = analyze_one("crates/core/src/unwrap.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_fires_when_neither_defined_nor_inherited() {
-    let text = fixture("bad/attach_trace.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    let at = loc(&text, "impl MemorySystem");
-    assert_findings(&diags, &[(RuleId::AttachTrace, at.0, at.1)]);
-}
-
-#[test]
-fn attach_trace_inherited_from_default_body() {
-    let text = fixture("good/attach_trace.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_defined_in_the_impl() {
-    let text = fixture("good/attach_trace_defined.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_works_across_files() {
-    // Trait in one file, bare impl in another: the workspace-level
-    // finalizer still connects them.
-    let trait_src = "pub trait MemorySystem {\n    fn attach_trace(&mut self, sink: usize);\n}\n";
-    let impl_src = "impl MemorySystem for Flat {\n    fn access(&mut self) {}\n}\n";
-    let diags = analyze_sources(&[
-        ("crates/core/src/system/mod.rs", trait_src),
-        ("crates/core/src/system/flat.rs", impl_src),
-    ]);
-    let got = active(&diags);
-    assert_eq!(got.len(), 1, "{diags:#?}");
-    assert_eq!(got[0].rule, RuleId::AttachTrace);
-    assert_eq!(got[0].file, "crates/core/src/system/flat.rs");
-    assert_eq!((got[0].line, got[0].col), (1, 1));
-}
-
-#[test]
 fn sweep_route_fires_on_direct_engine_use() {
     let text = fixture("bad/sweep_route.rs");
     let diags = analyze_one("crates/core/src/experiments/table9.rs", &text);
@@ -300,6 +244,182 @@ fn journal_append_exempt_in_tests() {
     assert_findings(&diags, &[]);
 }
 
+// ---------------------------------------------------------------------------
+// unit-mix
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unit_mix_fires_on_decls_mixed_arithmetic_and_casts() {
+    let text = fixture("bad/unit_mix.rs");
+    let diags = analyze_one("crates/dram/src/unit_mix.rs", &text);
+    let decl = loc(&text, "slice_time: u64");
+    let add = loc(&text, "t_rcd + quantum_refs");
+    let cmp = loc(&text, "total > unit_bytes");
+    let cast = loc(&text, "elapsed_ns as u64");
+    assert_findings(
+        &diags,
+        &[
+            (RuleId::UnitMix, decl.0, decl.1),
+            (RuleId::UnitMix, add.0, add.1),
+            (RuleId::UnitMix, cmp.0, cmp.1),
+            (RuleId::UnitMix, cast.0, cast.1),
+        ],
+    );
+}
+
+#[test]
+fn unit_mix_quiet_on_typed_fields_same_domain_math_and_rates() {
+    let text = fixture("good/unit_mix.rs");
+    let diags = analyze_one("crates/dram/src/unit_mix.rs", &text);
+    assert_findings(&diags, &[]);
+}
+
+#[test]
+fn unit_mix_waiver_suppresses_the_site() {
+    let text = fixture("good/unit_mix_waiver.rs");
+    let diags = analyze_one("crates/dram/src/unit_mix_waiver.rs", &text);
+    assert_findings(&diags, &[]);
+    let waived: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.waiver == WaiverStatus::Waived)
+        .collect();
+    assert_eq!(waived.len(), 1, "exactly one waived finding: {diags:#?}");
+    assert_eq!(waived[0].rule, RuleId::UnitMix);
+}
+
+#[test]
+fn stale_dataflow_waiver_is_reported_unused() {
+    let text = fixture("bad/dataflow_unused_waiver.rs");
+    let diags = analyze_one("crates/dram/src/dataflow_unused_waiver.rs", &text);
+    let w = loc(&text, "// lint: allow(unit-mix)");
+    assert_findings(&diags, &[(RuleId::UnusedWaiver, w.0, w.1)]);
+}
+
+// ---------------------------------------------------------------------------
+// nondet-taint
+// ---------------------------------------------------------------------------
+
+#[test]
+fn nondet_taint_fires_on_cell_payloads_and_fingerprints() {
+    let text = fixture("bad/nondet_taint.rs");
+    let diags = analyze_one("crates/core/src/experiments/runner/nondet_taint.rs", &text);
+    let cell = loc(&text, "measured }");
+    let fp = loc(&text, "stamp_ms)");
+    assert_findings(
+        &diags,
+        &[
+            (RuleId::NondetTaint, cell.0, cell.1),
+            (RuleId::NondetTaint, fp.0, fp.1),
+        ],
+    );
+}
+
+#[test]
+fn nondet_taint_quiet_on_progress_telemetry() {
+    let text = fixture("good/nondet_taint.rs");
+    let diags = analyze_one("crates/core/src/experiments/runner/nondet_taint.rs", &text);
+    assert_findings(&diags, &[]);
+}
+
+// ---------------------------------------------------------------------------
+// claim-readback
+// ---------------------------------------------------------------------------
+
+#[test]
+fn claim_readback_fires_when_one_path_skips_the_readback() {
+    let text = fixture("bad/claim_readback.rs");
+    let diags = analyze_one(
+        "crates/core/src/experiments/runner/claim_readback.rs",
+        &text,
+    );
+    let exec = loc(&text, "execute_slice(durable)");
+    assert_findings(&diags, &[(RuleId::ClaimReadback, exec.0, exec.1)]);
+}
+
+#[test]
+fn claim_readback_quiet_when_every_path_rescans() {
+    let text = fixture("good/claim_readback.rs");
+    let diags = analyze_one(
+        "crates/core/src/experiments/runner/claim_readback.rs",
+        &text,
+    );
+    assert_findings(&diags, &[]);
+}
+
+#[test]
+fn claim_readback_scope_is_the_runner_tree_only() {
+    // The same code outside the runner tree is not protocol code.
+    let text = fixture("bad/claim_readback.rs");
+    let diags = analyze_one("crates/core/src/experiments/grids.rs", &text);
+    assert!(
+        !diags.iter().any(|d| d.rule == RuleId::ClaimReadback),
+        "claim-readback must only run in the runner tree: {diags:#?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// cancel-poll
+// ---------------------------------------------------------------------------
+
+#[test]
+fn cancel_poll_fires_on_sleeping_loops_without_cancel_checks() {
+    let text = fixture("bad/cancel_poll.rs");
+    let diags = analyze_one("crates/core/src/experiments/runner/cancel_poll.rs", &text);
+    let w = loc(&text, "while done.load");
+    let l = loc(&text, "loop {");
+    assert_findings(
+        &diags,
+        &[
+            (RuleId::CancelPoll, w.0, w.1),
+            (RuleId::CancelPoll, l.0, l.1),
+        ],
+    );
+}
+
+#[test]
+fn cancel_poll_quiet_when_loops_consult_a_signal() {
+    let text = fixture("good/cancel_poll.rs");
+    let diags = analyze_one("crates/core/src/experiments/runner/cancel_poll.rs", &text);
+    assert_findings(&diags, &[]);
+}
+
+// ---------------------------------------------------------------------------
+// cross-cutting
+// ---------------------------------------------------------------------------
+
+#[test]
+fn rules_skip_test_code() {
+    // Every bad source under a tests/ path produces no rule finding.
+    // Only the waiver meta rules still apply: they police the waiver
+    // comments themselves, wherever those appear.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the bad fixtures exist")
+        .map(|e| {
+            e.expect("readable dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    assert!(names.len() >= 15, "{names:?}");
+    for name in names {
+        let text = fixture(&format!("bad/{name}"));
+        let diags = analyze_one("tests/fixture_copy.rs", &text);
+        let rules: Vec<RuleId> = active(&diags)
+            .iter()
+            .map(|d| d.rule)
+            .filter(|r| !matches!(r, RuleId::WaiverMissingReason | RuleId::UnusedWaiver))
+            .collect();
+        assert!(rules.is_empty(), "bad/{name} under tests/: {diags:#?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// waivers and rendering
+// ---------------------------------------------------------------------------
+
 #[test]
 fn waiver_with_reason_suppresses_the_next_line() {
     let text = fixture("good/waiver.rs");
@@ -351,7 +471,7 @@ fn test_items_are_exempt_even_in_library_files() {
 }
 
 #[test]
-fn diagnostics_render_file_line_col_and_json() {
+fn diagnostics_render_file_line_col() {
     let text = fixture("bad/panic_doc.rs");
     let diags = analyze_one("crates/core/src/panic_doc.rs", &text);
     let (line, col) = loc(&text, "panic!");
@@ -362,11 +482,4 @@ fn diagnostics_render_file_line_col_and_json() {
         )),
         "{rendered}"
     );
-    let json = rampage_analysis::diag::render_json_report(&diags);
-    assert!(json.contains("\"rule\":\"panic-doc\""), "{json}");
-    assert!(
-        json.contains(&format!("\"line\":{line},\"col\":{col}")),
-        "{json}"
-    );
-    assert!(json.contains("\"active\":1"), "{json}");
 }

@@ -1,7 +1,7 @@
 // Fixture: simulated time only — picosecond counters, no host clock.
 // Never compiled.
 pub struct SimClock {
-    now_ps: u64,
+    now_ps: Picos,
 }
 
 impl SimClock {

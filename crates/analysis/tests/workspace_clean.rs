@@ -3,15 +3,16 @@
 //! `repro lint`; keeping it in the test suite means a plain
 //! `cargo test` also refuses regressions.
 
-use rampage_analysis::{analyze_workspace, analyze_workspace_tier, find_workspace_root, Tier};
+use rampage_analysis::{analyze_workspace, find_workspace_root};
 use std::path::Path;
 
 #[test]
 fn live_workspace_has_no_unwaived_findings() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("the analysis crate lives inside the workspace");
-    let diags = analyze_workspace(&root).expect("workspace walks cleanly");
-    let active: Vec<String> = diags
+    let report = analyze_workspace(&root).expect("workspace walks cleanly");
+    let active: Vec<String> = report
+        .diagnostics
         .iter()
         .filter(|d| d.is_active())
         .map(|d| d.render_text())
@@ -21,43 +22,5 @@ fn live_workspace_has_no_unwaived_findings() {
         "unwaived findings in the live workspace:\n{}",
         active.join("\n")
     );
-}
-
-#[test]
-fn live_workspace_is_clean_at_the_dataflow_tier() {
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("the analysis crate lives inside the workspace");
-    let report = analyze_workspace_tier(&root, Tier::Dataflow).expect("workspace walks cleanly");
-    let active: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.is_active())
-        .map(|d| d.render_text())
-        .collect();
-    assert!(
-        active.is_empty(),
-        "unwaived dataflow-tier findings in the live workspace:\n{}",
-        active.join("\n")
-    );
     assert!(report.files > 0, "the walk must visit the workspace");
-}
-
-#[test]
-fn dataflow_tier_is_a_superset_of_the_token_tier() {
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("the analysis crate lives inside the workspace");
-    let token = analyze_workspace_tier(&root, Tier::Token).expect("token tier walks");
-    let dataflow = analyze_workspace_tier(&root, Tier::Dataflow).expect("dataflow tier walks");
-    let token_keys: Vec<String> = token.diagnostics.iter().map(|d| d.render_text()).collect();
-    let dataflow_keys: Vec<String> = dataflow
-        .diagnostics
-        .iter()
-        .map(|d| d.render_text())
-        .collect();
-    for k in &token_keys {
-        assert!(
-            dataflow_keys.contains(k),
-            "token-tier finding missing at the dataflow tier: {k}"
-        );
-    }
 }

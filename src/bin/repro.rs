@@ -10,9 +10,8 @@
 //! repro trace info      --dir DIR
 //! repro trace verify    --dir DIR [--jobs N]
 //! repro trace import-din --dir DIR --name NAME FILE [--block-bytes N]
-//! repro lint [--tier token|dataflow] [--format text|json|sarif] [--quiet] [--root DIR]
-//! repro lint --explain RULE
-//! repro lint --configs [--json]
+//! repro lint [--format text|sarif] [--quiet] [--root DIR]
+//! repro lint --configs
 //!
 //! artifacts: table1 table2 table3 fig2 fig3 fig4 table4 table5 fig5
 //!            ablations perbench diag dramdiff all
@@ -247,7 +246,7 @@ const USAGE: &str = "usage: repro [--scale N] [--nbench N] [--jobs N] [--out DIR
 [--stall-retries N] [--dram-backend flat|banked] \
 <table1|table2|table3|fig2|fig3|fig4|table4|table5|fig5|ablations|perbench|anatomy|timeslice|dramdiff|all>...\n\
        repro trace <record|info|verify|import-din> (see repro trace --help)\n\
-       repro lint [--configs] [--json] (see repro lint --help)\n\
+       repro lint [--format text|sarif] [--configs] (see repro lint --help)\n\
 exit codes: 0 clean, 1 hard failure, 2 usage, 3 tolerated failed cells, \
 4 interrupted (resumable)";
 
@@ -951,19 +950,16 @@ fn trace_main(args: Vec<String>) -> i32 {
     }
 }
 
-const LINT_USAGE: &str =
-    "usage: repro lint [--tier TIER] [--format FMT] [--json] [--quiet] [--root DIR]
-       repro lint --explain RULE
-       repro lint --configs [--json]
+const LINT_USAGE: &str = "usage: repro lint [--format text|sarif] [--quiet] [--root DIR]
+       repro lint --configs
 
-Runs the workspace static analyzer (rampage-analysis): determinism
-lints, panic discipline, and structural checks over every crate.
+Runs the workspace static analyzer (rampage-analysis) over every crate:
+determinism, panic-discipline, journal-protocol, and unit-consistency
+rules, all in one pass.
 
---tier token     fast token-stream passes only (default)
---tier dataflow  adds the AST/CFG/dataflow rules: unit-mix,
-                 nondet-taint, claim-readback, cancel-poll
---format FMT     text (default), json, or sarif (CI annotation)
---explain RULE   print one rule's help text and exit
+--format FMT     text (default) or sarif (SARIF 2.1.0, for CI annotation)
+--quiet          text format: print only the summary lines
+--root DIR       workspace root (default: nearest [workspace] ancestor)
 
 With --configs it instead enumerates every experiment preset's sweep
 grid and runs SystemConfig::validate() on each cell, so a bad preset
@@ -975,51 +971,23 @@ exit codes: 0 clean, 1 findings / invalid cells, 2 usage or I/O error";
 /// `--configs` model-check mode over the preset grids in
 /// [`rampage_core::experiments::grids`].
 fn lint_main(args: Vec<String>) -> i32 {
-    use rampage_analysis::Tier;
-
-    let mut format = String::from("text");
+    let mut sarif = false;
     let mut quiet = false;
     let mut configs = false;
-    let mut tier = Tier::Token;
     let mut root: Option<std::path::PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => format = "json".into(),
             "--quiet" => quiet = true,
             "--configs" => configs = true,
-            "--tier" => match it.next().as_deref().and_then(Tier::from_flag) {
-                Some(t) => tier = t,
-                None => {
-                    eprintln!("--tier needs token|dataflow\n{LINT_USAGE}");
-                    return 2;
-                }
-            },
-            "--format" => match it.next() {
-                Some(f) if matches!(f.as_str(), "text" | "json" | "sarif") => format = f,
+            "--format" => match it.next().as_deref() {
+                Some("text") => sarif = false,
+                Some("sarif") => sarif = true,
                 _ => {
-                    eprintln!("--format needs text|json|sarif\n{LINT_USAGE}");
+                    eprintln!("--format needs text|sarif\n{LINT_USAGE}");
                     return 2;
                 }
             },
-            "--explain" => {
-                use rampage_analysis::diag::RuleId;
-                return match it
-                    .next()
-                    .as_deref()
-                    .and_then(RuleId::from_waiver_str_or_meta)
-                {
-                    Some(rule) => {
-                        println!("{}", rule.explain());
-                        0
-                    }
-                    None => {
-                        let ids: Vec<&str> = RuleId::ALL.iter().map(|r| r.as_str()).collect();
-                        eprintln!("--explain needs one of: {}", ids.join(", "));
-                        2
-                    }
-                };
-            }
             "--root" => match it.next() {
                 Some(p) => root = Some(p.into()),
                 None => {
@@ -1032,26 +1000,6 @@ fn lint_main(args: Vec<String>) -> i32 {
                 return 0;
             }
             other => {
-                if let Some(t) = other.strip_prefix("--tier=") {
-                    match Tier::from_flag(t) {
-                        Some(t) => {
-                            tier = t;
-                            continue;
-                        }
-                        None => {
-                            eprintln!("--tier needs token|dataflow\n{LINT_USAGE}");
-                            return 2;
-                        }
-                    }
-                }
-                if let Some(f) = other.strip_prefix("--format=") {
-                    if matches!(f, "text" | "json" | "sarif") {
-                        format = f.to_string();
-                        continue;
-                    }
-                    eprintln!("--format needs text|json|sarif\n{LINT_USAGE}");
-                    return 2;
-                }
                 eprintln!("unknown lint argument: {other}\n{LINT_USAGE}");
                 return 2;
             }
@@ -1059,7 +1007,7 @@ fn lint_main(args: Vec<String>) -> i32 {
     }
 
     if configs {
-        return lint_configs(format == "json");
+        return lint_configs();
     }
 
     let root = root.or_else(|| {
@@ -1071,7 +1019,7 @@ fn lint_main(args: Vec<String>) -> i32 {
         return 2;
     };
     let started = std::time::Instant::now();
-    let report = match rampage_analysis::analyze_workspace_tier(&root, tier) {
+    let report = match rampage_analysis::analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: failed to analyze {}: {e}", root.display());
@@ -1082,23 +1030,20 @@ fn lint_main(args: Vec<String>) -> i32 {
     let diags = report.diagnostics;
     let active = diags.iter().filter(|d| d.is_active()).count();
     let waived = diags.len() - active;
-    match format.as_str() {
-        "json" => println!("{}", rampage_analysis::diag::render_json_report(&diags)),
-        "sarif" => println!("{}", rampage_analysis::sarif::render_sarif(&diags)),
-        _ => {
-            if !quiet {
-                for d in &diags {
-                    println!("{}", d.render_text());
-                }
+    if sarif {
+        println!("{}", rampage_analysis::sarif::render_sarif(&diags));
+    } else {
+        if !quiet {
+            for d in &diags {
+                println!("{}", d.render_text());
             }
-            println!("analysis: {active} finding(s), {waived} waived");
-            println!(
-                "analysis: tier={} files={} elapsed={:.0}ms",
-                tier.as_str(),
-                report.files,
-                elapsed.as_secs_f64() * 1000.0
-            );
         }
+        println!("analysis: {active} finding(s), {waived} waived");
+        println!(
+            "analysis: files={} elapsed={:.0}ms",
+            report.files,
+            elapsed.as_secs_f64() * 1000.0
+        );
     }
     if active == 0 {
         0
@@ -1108,40 +1053,20 @@ fn lint_main(args: Vec<String>) -> i32 {
 }
 
 /// `repro lint --configs`: validate every cell of every preset grid.
-fn lint_configs(json: bool) -> i32 {
+fn lint_configs() -> i32 {
     use rampage_core::experiments::grids;
 
     let grid_list = grids::preset_grids();
     let cells: usize = grid_list.iter().map(|g| g.cells.len()).sum();
     let errors = grids::validate_presets();
-    if json {
-        let errs: Vec<Json> = errors
-            .iter()
-            .map(|e| {
-                obj! {
-                    "grid" => e.grid,
-                    "cell" => e.cell.as_str(),
-                    "error" => e.error.to_string(),
-                }
-            })
-            .collect();
-        let doc = obj! {
-            "presets" => grid_list.len(),
-            "cells" => cells,
-            "invalid" => errors.len(),
-            "errors" => Json::Arr(errs),
-        };
-        println!("{}", doc.pretty());
-    } else {
-        for e in &errors {
-            println!("{e}");
-        }
-        println!(
-            "configs: {} preset grid(s), {cells} cell(s), {} invalid",
-            grid_list.len(),
-            errors.len()
-        );
+    for e in &errors {
+        println!("{e}");
     }
+    println!(
+        "configs: {} preset grid(s), {cells} cell(s), {} invalid",
+        grid_list.len(),
+        errors.len()
+    );
     if errors.is_empty() {
         0
     } else {
