@@ -46,7 +46,7 @@ pub struct FileClass {
     /// apply.
     pub sim_path: bool,
     /// On the timing allowlist: wall-clock reads permitted (sweep-runner
-    /// timing, binaries, benches).
+    /// timing, fault hang points, binaries, tests).
     pub wall_clock_allowed: bool,
     /// `experiments/table*.rs` / `fig*.rs`: must route through
     /// `SweepRunner`.
@@ -81,17 +81,14 @@ const SIM_FILES: [&str; 3] = [
 /// The timing allowlist: where `Instant::now` is legitimate. The policy
 /// (documented in EXPERIMENTS.md) is that wall-clock may only feed
 /// *reporting* — sweep-runner cell timing, journal/lease timestamps and
-/// watchdog budgets (the `runner` module tree), progress callbacks,
-/// bench harnesses, and CLI heartbeats — never simulated state. The
-/// fault-injection module's hang points carry a wall-clock self-expiry
-/// deadline (test-only code, but compiled as library under the `fault`
-/// feature).
-const WALL_CLOCK_ALLOW: [&str; 5] = [
+/// watchdog budgets (the `runner` module tree), progress callbacks and
+/// CLI heartbeats — never simulated state. The fault-injection module's
+/// hang points carry a wall-clock self-expiry deadline (test-only code,
+/// but compiled as library under the `fault` feature).
+const WALL_CLOCK_ALLOW: [&str; 3] = [
     "crates/core/src/experiments/runner",
     "crates/core/src/experiments/fault.rs",
     "src/bin/",
-    "crates/bench/",
-    "crates/criterion/",
 ];
 
 /// Classify a workspace-relative path (forward slashes).
@@ -284,6 +281,12 @@ mod tests {
 
         let c = classify("src/bin/repro.rs");
         assert!(!c.is_lib && c.wall_clock_allowed && !c.is_test);
+
+        let c = classify("crates/bench/src/lib.rs");
+        assert!(
+            c.is_lib && !c.wall_clock_allowed,
+            "a library outside the allowlist reads no clock"
+        );
 
         let c = classify("tests/runner_golden.rs");
         assert!(c.is_test && !c.is_lib);

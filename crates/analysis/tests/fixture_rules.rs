@@ -117,7 +117,6 @@ fn wall_clock_allowlist_is_honored() {
         "crates/core/src/experiments/runner/mod.rs",
         "crates/core/src/experiments/runner/watchdog.rs",
         "crates/core/src/experiments/fault.rs",
-        "crates/criterion/src/lib.rs",
     ] {
         let diags = analyze_one(rel, &text);
         assert_findings(&diags, &[]);

@@ -130,6 +130,11 @@ pub enum ConfigError {
         /// The offending value.
         value: u64,
     },
+    /// An issue rate that is zero or does not divide 1 000 000 MHz.
+    BadIssueRate {
+        /// The offending rate in MHz.
+        mhz: u32,
+    },
     /// The scheduling quantum is zero references.
     ZeroQuantum,
     /// A time-based quantum of zero picoseconds.
@@ -180,6 +185,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "RAMpage page size {value} is invalid; \
                  use a power of two of at least 8 bytes (paper: 128–4096)"
+            ),
+            ConfigError::BadIssueRate { mhz } => write!(
+                f,
+                "issue rate {mhz} MHz has an undefined or non-integral cycle time \
+                 in picoseconds; use a non-zero divisor of 1000000 (paper: 200–4000)"
             ),
             ConfigError::ZeroQuantum => write!(
                 f,

@@ -101,7 +101,7 @@ impl Workload {
         }
     }
 
-    /// A small, fast workload for tests and smoke benches.
+    /// A small, fast workload for tests and the ledger's smoke checks.
     pub fn quick() -> Self {
         Workload {
             nbench: 4,

@@ -1,5 +1,6 @@
 //! Issue rates and cycle arithmetic.
 
+use crate::error::ConfigError;
 use rampage_dram::Picos;
 use std::fmt;
 
@@ -40,18 +41,29 @@ impl IssueRate {
 
     /// An arbitrary rate in MHz.
     ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadIssueRate`] if `mhz` is zero or does not divide
+    /// 1 000 000 (the cycle time would not be a whole number of
+    /// picoseconds and the simulator would lose exactness).
+    pub fn try_from_mhz(mhz: u32) -> Result<IssueRate, ConfigError> {
+        if mhz == 0 || 1_000_000 % mhz != 0 {
+            return Err(ConfigError::BadIssueRate { mhz });
+        }
+        Ok(IssueRate(mhz))
+    }
+
+    /// An arbitrary rate in MHz.
+    ///
     /// # Panics
     ///
-    /// Panics if `mhz` is zero or does not divide 1 000 000 (the cycle
-    /// time would not be a whole number of picoseconds and the simulator
-    /// would lose exactness).
+    /// Panics if `mhz` is not a valid rate; use
+    /// [`IssueRate::try_from_mhz`] to handle that case.
     pub fn from_mhz(mhz: u32) -> IssueRate {
-        assert!(mhz > 0, "zero issue rate");
-        assert!(
-            1_000_000 % mhz == 0,
-            "issue rate {mhz} MHz has a non-integral cycle time in picoseconds"
-        );
-        IssueRate(mhz)
+        match IssueRate::try_from_mhz(mhz) {
+            Ok(rate) => rate,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// The rate in MHz.

@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn compression_beats_raw_bin_3x_on_a_profile() {
         // The acceptance bar: the corpus encoding is at least 3x smaller
-        // than the 9-byte-per-record Bin format on a default profile.
+        // than a raw 9-byte-per-record encoding on a default profile.
         let p = &TABLE2[0];
         let mut src = p.source(5000, 0x7a9e);
         let mut w = CorpusWriter::new(Vec::new()).unwrap();

@@ -1,29 +1,19 @@
 //! Deterministic fault injection for trace decode (behind the `fault`
 //! feature — test builds only).
 //!
-//! The robustness suite uses this to prove that a corrupt record deep in
-//! a stream surfaces as a recorded [`TraceIoError`](crate::io::TraceIoError)
-//! — the stream ends, the error is inspectable, and nothing panics.
+//! The robustness suite uses this to prove that a corrupt corpus block
+//! surfaces as a recorded [`CorpusWarning`](crate::corpus::CorpusWarning)
+//! — the block is quarantined and skipped, and nothing panics.
 //!
 //! Injection state is process-global; tests that arm it must serialize
 //! with each other and [`disarm`] when done.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// 1-based record number whose kind byte the next binary reader will see
-/// flipped to an invalid value; 0 = disarmed.
-static CORRUPT_RECORD_AT: AtomicU64 = AtomicU64::new(0);
-
 /// 0-based corpus block number whose payload every
 /// [`CorpusReader`](crate::corpus::CorpusReader) will see bit-flipped
 /// before checksum verification; `u64::MAX` = disarmed.
 static CORRUPT_BLOCK_AT: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Arm a single-record corruption: record `record_no` (1-based) of any
-/// subsequently decoded binary trace reads back an invalid kind byte.
-pub fn arm_corrupt_record(record_no: u64) {
-    CORRUPT_RECORD_AT.store(record_no, Ordering::SeqCst);
-}
 
 /// Arm a corpus block corruption: block `block_no` (0-based) of any
 /// subsequently read shard decodes with a flipped payload byte, tripping
@@ -34,16 +24,7 @@ pub fn arm_corrupt_block(block_no: u64) {
 
 /// Clear all armed trace faults.
 pub fn disarm() {
-    CORRUPT_RECORD_AT.store(0, Ordering::SeqCst);
     CORRUPT_BLOCK_AT.store(u64::MAX, Ordering::SeqCst);
-}
-
-/// Whether the given record number should decode as corrupt (one-shot:
-/// the armed fault stays until [`disarm`], matching every reader at that
-/// record number, which keeps the injection deterministic per stream).
-pub(crate) fn corrupts_record(record_no: u64) -> bool {
-    let armed = CORRUPT_RECORD_AT.load(Ordering::SeqCst);
-    armed != 0 && armed == record_no
 }
 
 /// Whether the given corpus block number should read back corrupt (stays

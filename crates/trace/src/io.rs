@@ -1,4 +1,4 @@
-//! Trace file I/O: Dinero `.din` text and a compact binary format.
+//! Trace file I/O: Dinero `.din` text.
 //!
 //! The paper's traces came from the NMSU Tracebase archive in Dinero
 //! format — one `<label> <hex-address>` pair per line, with label 0 =
@@ -7,27 +7,19 @@
 //! other classic cache simulators (and real `.din` traces, where still
 //! obtainable, can drive this simulator).
 //!
-//! The binary format ([`BinWriter`]/[`BinReader`]) is a compact
-//! fixed-width encoding (1 kind byte + 8 little-endian address bytes per
-//! record, after an 8-byte magic header) for fast storage of large
-//! synthetic traces.
+//! The compact binary trace format is the [corpus](crate::corpus).
 
 use crate::record::{AccessKind, TraceRecord, VirtAddr};
 use crate::stream::TraceSource;
-use std::io::{self, BufRead, Read, Write};
-
-/// Magic header identifying the binary trace format (version 1).
-pub const BIN_MAGIC: [u8; 8] = *b"RAMPTRC1";
+use std::io::{self, BufRead, Write};
 
 /// Errors from trace readers.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Malformed record (message, 1-based record/line number).
+    /// Malformed record (message, 1-based line number).
     Malformed(String, u64),
-    /// Binary header missing or wrong version.
-    BadMagic,
 }
 
 impl std::fmt::Display for TraceIoError {
@@ -37,7 +29,6 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::Malformed(what, line) => {
                 write!(f, "malformed trace record at line {line}: {what}")
             }
-            TraceIoError::BadMagic => write!(f, "not a rampage binary trace (bad magic)"),
         }
     }
 }
@@ -46,7 +37,7 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Io(e) => Some(e),
-            TraceIoError::Malformed(..) | TraceIoError::BadMagic => None,
+            TraceIoError::Malformed(..) => None,
         }
     }
 }
@@ -216,143 +207,7 @@ impl<R: BufRead> TraceSource for DinReader<R> {
     }
 }
 
-/// Writes the compact binary format.
-#[derive(Debug)]
-pub struct BinWriter<W> {
-    out: W,
-    written: u64,
-}
-
-impl<W: Write> BinWriter<W> {
-    /// Wrap a writer and emit the magic header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures writing the header.
-    pub fn new(mut out: W) -> Result<Self, TraceIoError> {
-        out.write_all(&BIN_MAGIC)?;
-        Ok(BinWriter { out, written: 0 })
-    }
-
-    /// Append one record (9 bytes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the underlying writer.
-    pub fn write(&mut self, rec: TraceRecord) -> Result<(), TraceIoError> {
-        let mut buf = [0u8; 9];
-        buf[0] = kind_to_din(rec.kind);
-        buf[1..].copy_from_slice(&rec.addr.0.to_le_bytes());
-        self.out.write_all(&buf)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flush and return the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the final flush's I/O failure.
-    pub fn finish(mut self) -> Result<W, TraceIoError> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// Reads the compact binary format as a [`TraceSource`].
-#[derive(Debug)]
-pub struct BinReader<R> {
-    input: R,
-    record_no: u64,
-    error: Option<TraceIoError>,
-    name: String,
-}
-
-impl<R: Read> BinReader<R> {
-    /// Wrap a reader, checking the magic header.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceIoError::BadMagic`] if the header does not match, or any
-    /// I/O failure reading it.
-    pub fn new(mut input: R) -> Result<Self, TraceIoError> {
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic)?;
-        if magic != BIN_MAGIC {
-            return Err(TraceIoError::BadMagic);
-        }
-        Ok(BinReader {
-            input,
-            record_no: 0,
-            error: None,
-            name: "bin".to_string(),
-        })
-    }
-
-    /// The error that terminated the stream, if any.
-    pub fn error(&self) -> Option<&TraceIoError> {
-        self.error.as_ref()
-    }
-}
-
-impl<R: Read> TraceSource for BinReader<R> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.error.is_some() {
-            return None;
-        }
-        let mut buf = [0u8; 9];
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.input.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return None, // clean end of trace
-                Ok(0) => {
-                    self.error = Some(TraceIoError::Malformed(
-                        format!("truncated record ({filled} of 9 bytes)"),
-                        self.record_no + 1,
-                    ));
-                    return None;
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.error = Some(TraceIoError::Io(e));
-                    return None;
-                }
-            }
-        }
-        self.record_no += 1;
-        #[cfg(feature = "fault")]
-        if crate::fault::corrupts_record(self.record_no) {
-            buf[0] = 0xff;
-        }
-        let mut addr_bytes = [0u8; 8];
-        addr_bytes.copy_from_slice(&buf[1..]);
-        match din_to_kind(buf[0]) {
-            Some(kind) => Some(TraceRecord {
-                addr: VirtAddr(u64::from_le_bytes(addr_bytes)),
-                kind,
-            }),
-            None => {
-                self.error = Some(TraceIoError::Malformed(
-                    format!("unknown kind byte {}", buf[0]),
-                    self.record_no,
-                ));
-                None
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Copy every record from `source` into `writer` (either format).
+/// Copy every record from `source` into `writer`.
 ///
 /// Returns the number of records copied.
 ///
@@ -362,23 +217,6 @@ impl<R: Read> TraceSource for BinReader<R> {
 pub fn copy_din<S: TraceSource, W: Write>(
     source: &mut S,
     writer: &mut DinWriter<W>,
-) -> Result<u64, TraceIoError> {
-    let mut n = 0;
-    while let Some(rec) = source.next_record() {
-        writer.write(rec)?;
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// As [`copy_din`], for the binary format.
-///
-/// # Errors
-///
-/// Propagates the first write failure.
-pub fn copy_bin<S: TraceSource, W: Write>(
-    source: &mut S,
-    writer: &mut BinWriter<W>,
 ) -> Result<u64, TraceIoError> {
     let mut n = 0;
     while let Some(rec) = source.next_record() {
@@ -443,38 +281,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bin_roundtrip() {
-        let mut src = VecSource::new("s", sample());
-        let mut w = BinWriter::new(Vec::new()).unwrap();
-        let n = copy_bin(&mut src, &mut w).unwrap();
-        assert_eq!(n, 4);
-        let bytes = w.finish().unwrap();
-        assert_eq!(bytes.len(), 8 + 4 * 9, "header + fixed records");
-        let mut r = BinReader::new(&bytes[..]).unwrap();
-        let got: Vec<_> = std::iter::from_fn(|| r.next_record()).collect();
-        assert_eq!(got, sample());
-        assert!(r.error().is_none());
-    }
-
-    #[test]
-    fn bin_rejects_bad_magic() {
-        let err = BinReader::new(&b"NOTMAGIC"[..]).unwrap_err();
-        assert!(matches!(err, TraceIoError::BadMagic));
-    }
-
-    #[test]
-    fn bin_truncated_record_is_eof() {
-        let mut w = BinWriter::new(Vec::new()).unwrap();
-        w.write(TraceRecord::read(0x42)).unwrap();
-        let mut bytes = w.finish().unwrap();
-        bytes.truncate(bytes.len() - 3);
-        let mut r = BinReader::new(&bytes[..]).unwrap();
-        // A torn tail record reads as end-of-stream with an error noted.
-        assert_eq!(r.next_record(), None);
-        assert!(r.error().is_some());
-    }
-
     /// Deterministic "arbitrary" record streams for the property tests:
     /// full 64-bit addresses, all three kinds, seeded per case.
     fn arbitrary_stream(seed: u64, len: usize) -> Vec<TraceRecord> {
@@ -508,66 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn property_bin_roundtrips_arbitrary_streams() {
-        for (seed, len) in [(10, 0), (11, 1), (12, 9), (13, 512), (14, 1000)] {
-            let records = arbitrary_stream(seed, len);
-            let mut src = VecSource::new("s", records.clone());
-            let mut w = BinWriter::new(Vec::new()).unwrap();
-            assert_eq!(copy_bin(&mut src, &mut w).unwrap(), len as u64);
-            let bytes = w.finish().unwrap();
-            assert_eq!(bytes.len(), 8 + 9 * len, "bin is fixed-width");
-            let mut r = BinReader::new(&bytes[..]).unwrap();
-            let got: Vec<_> = std::iter::from_fn(|| r.next_record()).collect();
-            assert_eq!(got, records, "bin seed {seed} len {len}");
-            assert!(r.error().is_none());
-        }
-    }
-
-    #[test]
-    fn property_bin_truncation_anywhere_is_a_typed_error() {
-        let records = arbitrary_stream(20, 16);
-        let mut src = VecSource::new("s", records.clone());
-        let mut w = BinWriter::new(Vec::new()).unwrap();
-        copy_bin(&mut src, &mut w).unwrap();
-        let bytes = w.finish().unwrap();
-        // Cut at every byte position that tears a record (not at a
-        // record boundary and not inside the magic).
-        for cut in 9..bytes.len() {
-            let whole_records = (cut - 8) / 9;
-            let mut r = BinReader::new(&bytes[..cut]).unwrap();
-            let got: Vec<_> = std::iter::from_fn(|| r.next_record()).collect();
-            assert_eq!(got, records[..whole_records], "cut {cut}");
-            if (cut - 8) % 9 == 0 {
-                assert!(r.error().is_none(), "clean boundary at {cut}");
-            } else {
-                assert!(
-                    matches!(r.error(), Some(TraceIoError::Malformed(_, _))),
-                    "torn record at {cut} must surface an error"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn property_bin_garbled_kind_byte_is_a_typed_error() {
-        let records = arbitrary_stream(21, 8);
-        let mut src = VecSource::new("s", records.clone());
-        let mut w = BinWriter::new(Vec::new()).unwrap();
-        copy_bin(&mut src, &mut w).unwrap();
-        let mut bytes = w.finish().unwrap();
-        let victim = 3usize; // garble record 4's kind byte
-        bytes[8 + victim * 9] = 0x77;
-        let mut r = BinReader::new(&bytes[..]).unwrap();
-        let got: Vec<_> = std::iter::from_fn(|| r.next_record()).collect();
-        assert_eq!(got, records[..victim], "stream stops before the bad record");
-        let err = r.error().expect("error recorded");
-        assert!(
-            matches!(err, TraceIoError::Malformed(_, n) if *n == victim as u64 + 1),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn property_din_garbled_line_is_a_typed_error() {
         let records = arbitrary_stream(22, 12);
         let mut src = VecSource::new("s", records.clone());
@@ -594,10 +340,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "malformed trace record at line 7: bad label \"9\""
-        );
-        assert_eq!(
-            TraceIoError::BadMagic.to_string(),
-            "not a rampage binary trace (bad magic)"
         );
     }
 }

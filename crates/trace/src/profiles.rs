@@ -474,7 +474,7 @@ pub fn standard_suite(scale: u64, seed: u64) -> Vec<BoundedSource<BenchmarkSynth
     TABLE2.iter().map(|p| p.source(scale, seed)).collect()
 }
 
-/// A reduced suite (first `n` programs) for fast tests and benches.
+/// A reduced suite (first `n` programs) for fast tests and examples.
 pub fn small_suite(n: usize, scale: u64, seed: u64) -> Vec<BoundedSource<BenchmarkSynth>> {
     TABLE2
         .iter()

@@ -765,10 +765,10 @@ fn parse_trace_args(args: &[String]) -> Result<TraceArgs, String> {
     Ok(out)
 }
 
-/// Raw `Bin`-format bytes the same records would occupy (the 8-byte
-/// magic plus nine bytes per record) — the compression yardstick.
-fn bin_equivalent_bytes(records: u64) -> u64 {
-    8 + 9 * records
+/// Bytes the same records would occupy uncompressed (one kind byte plus
+/// an 8-byte address each) — the compression yardstick.
+fn raw_bytes(records: u64) -> u64 {
+    9 * records
 }
 
 fn trace_main(args: Vec<String>) -> i32 {
@@ -817,9 +817,9 @@ fn trace_main(args: Vec<String>) -> i32 {
                 Ok(m) => {
                     let records = m.total_records();
                     let bytes = m.total_bytes();
-                    let raw = bin_equivalent_bytes(records);
+                    let raw = raw_bytes(records);
                     println!(
-                        "recorded {} shard(s): {} records, {} bytes ({:.2} B/record, {:.1}x smaller than raw Bin) in {:.1}s",
+                        "recorded {} shard(s): {} records, {} bytes ({:.2} B/record, {:.1}x vs 9 B/record raw) in {:.1}s",
                         m.shards.len(),
                         records,
                         bytes,
@@ -854,14 +854,14 @@ fn trace_main(args: Vec<String>) -> i32 {
                         s.blocks,
                         s.bytes,
                         s.bytes as f64 / s.records.max(1) as f64,
-                        bin_equivalent_bytes(s.records) as f64 / s.bytes.max(1) as f64,
+                        raw_bytes(s.records) as f64 / s.bytes.max(1) as f64,
                         s.scale.map_or("-".to_string(), |v| v.to_string()),
                         s.seed.map_or("-".to_string(), |v| format!("{v:#x}")),
                     );
                 }
-                let raw = bin_equivalent_bytes(m.total_records());
+                let raw = raw_bytes(m.total_records());
                 println!(
-                    "total: {} records in {} bytes ({:.1}x smaller than raw Bin)",
+                    "total: {} records in {} bytes ({:.1}x vs 9 B/record raw)",
                     m.total_records(),
                     m.total_bytes(),
                     raw as f64 / m.total_bytes().max(1) as f64

@@ -71,8 +71,8 @@ fn record_then_replay_is_bit_identical_and_3x_smaller() {
         assert!(replay.warnings().is_empty());
     }
 
-    // The acceptance bar: >= 3x smaller than the raw Bin encoding
-    // (8-byte magic + 9 bytes per record per shard).
+    // The acceptance bar: >= 3x smaller than a raw fixed-width encoding
+    // (8-byte header + 9 bytes per record per shard).
     let raw: u64 = manifest.shards.iter().map(|s| 8 + 9 * s.records).sum();
     assert!(
         manifest.total_bytes() * 3 <= raw,

@@ -9,8 +9,6 @@
 
 use rampage_core::experiments::{fault, Job, SweepRunner, Workload};
 use rampage_core::{IssueRate, SystemConfig};
-use rampage_trace::io::{BinReader, BinWriter, TraceIoError};
-use rampage_trace::{TraceRecord, TraceSource};
 
 /// Every test opens with this: exclusive, disarmed injection state that
 /// re-disarms when the guard drops, even if the test fails.
@@ -73,34 +71,4 @@ fn persistent_panic_becomes_failed_cell_while_siblings_complete() {
         failures[0].error
     );
     assert_eq!(runner.cache().len(), 1, "failed cells are never cached");
-}
-
-#[test]
-fn corrupt_trace_record_surfaces_as_typed_error_not_panic() {
-    let _g = armed_section();
-    let mut w = BinWriter::new(Vec::new()).expect("header");
-    for i in 0..5u64 {
-        w.write(TraceRecord::read(0x1000 + 8 * i)).expect("write");
-    }
-    let bytes = w.finish().expect("finish");
-
-    rampage_trace::fault::arm_corrupt_record(3);
-    let mut r = BinReader::new(&bytes[..]).expect("magic");
-    assert!(r.next_record().is_some());
-    assert!(r.next_record().is_some());
-    assert_eq!(r.next_record(), None, "stream ends at the corrupt record");
-    match r.error() {
-        Some(TraceIoError::Malformed(what, 3)) => {
-            assert!(what.contains("kind byte"), "{what}");
-        }
-        other => panic!("expected Malformed at record 3, got {other:?}"),
-    }
-    assert_eq!(r.next_record(), None, "the stream stays ended");
-
-    // Disarmed, the same bytes decode in full.
-    rampage_trace::fault::disarm();
-    let mut r = BinReader::new(&bytes[..]).expect("magic");
-    let n = std::iter::from_fn(|| r.next_record()).count();
-    assert_eq!(n, 5);
-    assert!(r.error().is_none());
 }
