@@ -1166,13 +1166,13 @@ fn contains_claim(arena: &Arena, eid: ExprId) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog cancel-token polling
+// Shutdown-flag polling
 // ---------------------------------------------------------------------------
 
 /// The cancel-poll pass: any polling/idle-wait loop in the runner tree
 /// (a loop whose body sleeps) must consult a cancel/shutdown condition,
-/// or a stalled worker holds its lease forever and the watchdog's stall
-/// budget cannot end it.
+/// or a process waiting on another owner's claims ignores SIGINT and
+/// SIGTERM.
 fn cancel_poll_pass(rel: &str, ast: &FileAst, diags: &mut Vec<Diagnostic>) {
     for f in &ast.fns {
         for &sid in &f.body.stmts {
@@ -1212,7 +1212,7 @@ fn walk_loops(rel: &str, arena: &Arena, sid: StmtId, diags: &mut Vec<Diagnostic>
                     col,
                     RuleId::CancelPoll,
                     "polling loop sleeps without consulting a cancel/shutdown signal — \
-                     check the watchdog cancel token or shutdown flag each iteration"
+                     check the shutdown flag each iteration"
                         .to_string(),
                 ));
             }
@@ -1314,12 +1314,7 @@ fn expr_has_cancel_check(arena: &Arena, eid: ExprId) -> bool {
 fn is_cancel_call(name: &str, recv: &str) -> bool {
     matches!(
         name,
-        "shutdown_requested"
-            | "is_cancelled"
-            | "is_canceled"
-            | "is_shutdown"
-            | "cancelled"
-            | "poll"
+        "shutdown_requested" | "is_cancelled" | "is_canceled" | "is_shutdown" | "cancelled"
     ) || (name == "load" && cancelish(recv))
 }
 

@@ -80,16 +80,10 @@ const SIM_FILES: [&str; 3] = [
 
 /// The timing allowlist: where `Instant::now` is legitimate. The policy
 /// (documented in EXPERIMENTS.md) is that wall-clock may only feed
-/// *reporting* — sweep-runner cell timing, journal/lease timestamps and
-/// watchdog budgets (the `runner` module tree), progress callbacks and
-/// CLI heartbeats — never simulated state. The fault-injection module's
-/// hang points carry a wall-clock self-expiry deadline (test-only code,
-/// but compiled as library under the `fault` feature).
-const WALL_CLOCK_ALLOW: [&str; 3] = [
-    "crates/core/src/experiments/runner",
-    "crates/core/src/experiments/fault.rs",
-    "src/bin/",
-];
+/// *reporting* — sweep-runner cell timing and journal/lease timestamps
+/// (the `runner` module tree), progress callbacks and CLI heartbeats —
+/// never simulated state.
+const WALL_CLOCK_ALLOW: [&str; 2] = ["crates/core/src/experiments/runner", "src/bin/"];
 
 /// Classify a workspace-relative path (forward slashes).
 pub fn classify(rel: &str) -> FileClass {
@@ -264,13 +258,13 @@ mod tests {
         let c = classify("crates/core/src/experiments/runner/mod.rs");
         assert!(!c.sim_path && c.is_lib && c.wall_clock_allowed);
 
-        let c = classify("crates/core/src/experiments/runner/watchdog.rs");
+        let c = classify("crates/core/src/experiments/runner/journal.rs");
         assert!(c.wall_clock_allowed, "the whole runner tree may read time");
 
         let c = classify("crates/core/src/experiments/fault.rs");
         assert!(
-            c.wall_clock_allowed,
-            "hang points carry a wall-clock expiry"
+            c.is_lib && !c.wall_clock_allowed,
+            "fault injection reads no clock"
         );
 
         let c = classify("crates/core/src/experiments/table3.rs");

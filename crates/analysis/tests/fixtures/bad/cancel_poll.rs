@@ -14,3 +14,11 @@ pub fn idle_forever(durable: &mut Durable) {
         std::thread::sleep(WAIT);
     }
 }
+
+/// Polling a monitor is not a cancel check: nothing here ends the wait.
+pub fn wait_all_polled(finished: &Counter, total: usize, wd: &Monitor) {
+    while finished.load(Ordering::Relaxed) < total {
+        std::thread::sleep(POLL);
+        wd.poll(total);
+    }
+}

@@ -1,13 +1,5 @@
 //! Good: every sleeping loop consults a cancel/shutdown signal.
 
-/// The watchdog poll doubles as the cancel consultation.
-pub fn wait_all(done: &Counter, total: usize, wd: &Watchdog) {
-    while done.load(Ordering::Relaxed) < total {
-        std::thread::sleep(POLL);
-        wd.poll(total);
-    }
-}
-
 /// Shutdown checked explicitly each iteration.
 pub fn idle_until_shutdown(durable: &mut Durable) {
     loop {

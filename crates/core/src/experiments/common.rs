@@ -343,9 +343,9 @@ pub fn run_config(cfg: &SystemConfig, workload: &Workload) -> Cell {
 
 /// Like [`run_config`], but with event tracing enabled into a ring of at
 /// most `trace_cap` events. Returns the cell together with the full
-/// [`RunOutcome`] (events, per-process summaries, histograms); the cell
-/// is bit-identical to the untraced one — the observability suite proves
-/// it.
+/// [`RunOutcome`](crate::RunOutcome) (events, per-process summaries,
+/// histograms); the cell is bit-identical to the untraced one — the
+/// observability suite proves it.
 pub fn run_config_traced(
     cfg: &SystemConfig,
     workload: &Workload,

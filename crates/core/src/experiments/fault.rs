@@ -5,9 +5,9 @@
 //! and crash-safety guarantees without depending on real bugs: a cell
 //! can be made to panic a fixed number of times (exercising
 //! catch-and-retry and the [`FailedCell`](crate::experiments::FailedCell)
-//! path) or to hang until the watchdog cancels it, and a journaled run
-//! can be made to die after a claim or mid-append (exercising resume
-//! from the journal, the only store a run reads back).
+//! path), and a journaled run can be made to die after a claim or
+//! mid-append (exercising resume from the journal, the only store a run
+//! reads back).
 //!
 //! Injection state is process-global. Tests must hold an
 //! [`InjectionScope`] while armed: the scope serializes tests against
@@ -16,7 +16,7 @@
 //! cross-contaminate armed state between tests.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Exit code of an injected process death (`die-after-claim`,
@@ -25,8 +25,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 pub const INJECTED_CRASH_EXIT: i32 = 137;
 
 /// Exclusive, self-cleaning access to the process-global injection
-/// state (this module's cell panics, hangs, and crash points, plus the
-/// trace crate's corrupt-record hook, which the `fault` feature enables
+/// state (this module's cell panics and crash points, plus the trace
+/// crate's corrupt-block hook, which the `fault` feature enables
 /// together).
 ///
 /// Acquiring blocks until no other scope is alive, then disarms
@@ -94,7 +94,6 @@ pub(crate) fn cell_panic_point(fp: u64) {
 /// armed with N and fires on the Nth hit of its injection point.
 static DIE_AFTER_CLAIM: AtomicU32 = AtomicU32::new(0);
 static DIE_MID_APPEND: AtomicU32 = AtomicU32::new(0);
-static HANG_CELLS: AtomicU32 = AtomicU32::new(0);
 
 /// Decrement a countdown; true exactly when it just reached zero.
 fn countdown_hit(counter: &AtomicU32) -> bool {
@@ -130,44 +129,16 @@ pub(crate) fn take_die_mid_journal_append() -> bool {
     countdown_hit(&DIE_MID_APPEND)
 }
 
-/// Arm the next `times` computed cells to hang cooperatively: the cell
-/// spins until the watchdog's cancel token fires (then unwinds as a
-/// stall panic) or a built-in deadline lapses (so an unwatched run
-/// cannot wedge forever).
-pub fn arm_hang_cell(times: u32) {
-    HANG_CELLS.store(times, Ordering::SeqCst);
-}
-
-/// Called by the runner inside its per-cell isolation boundary, with
-/// the watchdog's cancel token for this attempt.
-pub(crate) fn hang_cell_point(fp: u64, cancel: &AtomicBool) {
-    if !countdown_hit(&HANG_CELLS) {
-        return;
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while std::time::Instant::now() < deadline {
-        if cancel.load(Ordering::SeqCst) {
-            // lint: allow(panic-doc) — the injected hang IS the deliberate stall; the runner classifies this unwind by its prefix
-            panic!(
-                "{}: injected hang cell {fp:#018x}",
-                crate::experiments::STALL_PANIC_PREFIX
-            );
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-}
-
 /// Disarm every injection point.
 pub fn reset() {
     cell_panics().clear();
     DIE_AFTER_CLAIM.store(0, Ordering::SeqCst);
     DIE_MID_APPEND.store(0, Ordering::SeqCst);
-    HANG_CELLS.store(0, Ordering::SeqCst);
 }
 
 /// Arm one injection from a CLI spec — how a crash-drill child process
 /// (`repro … --fault SPEC`) arms itself. Specs: `die-after-claim[=N]`,
-/// `die-mid-append[=N]`, `hang-cell[=N]`, `cell-panic=<fp>x<times>`.
+/// `die-mid-append[=N]`, `cell-panic=<fp>x<times>`.
 ///
 /// # Errors
 ///
@@ -186,7 +157,6 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
     match name {
         "die-after-claim" => arm_die_after_claim(nth(1)?),
         "die-mid-append" => arm_die_mid_append(nth(1)?),
-        "hang-cell" => arm_hang_cell(nth(1)?),
         "cell-panic" => {
             let a = arg.ok_or_else(|| format!("{spec:?} needs <fp>x<times>"))?;
             let (fp, times) = a

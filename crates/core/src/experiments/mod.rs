@@ -47,6 +47,5 @@ pub use common::{
 pub use runner::{
     scan_journal, CacheLoad, CellCache, CellView, ClaimDecision, ClaimView, FailedCell, Job,
     Journal, JournalOp, JournalOpenReport, JournalRecord, JournalState, LeaseConfig,
-    ProgressUpdate, SweepRunner, Watchdog, WatchdogConfig, CACHE_FORMAT_VERSION,
-    STALL_PANIC_PREFIX,
+    ProgressUpdate, SweepRunner, CACHE_FORMAT_VERSION,
 };

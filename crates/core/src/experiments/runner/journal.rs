@@ -15,8 +15,8 @@
 //! Ops: `open` (one per journal session), `claim` (+`reclaim` flag when
 //! taking over a stale lease), `done` (carries the full cell body — the
 //! journal, not `cells.json`, is the incremental durable store), `failed`,
-//! `stalled` (watchdog flagged, informational), `released` (graceful
-//! shutdown gave the claim back), and `renew` (lease heartbeat).
+//! `released` (graceful shutdown gave the claim back), and `renew`
+//! (lease heartbeat).
 //!
 //! ## Durability and recovery
 //!
@@ -24,8 +24,9 @@
 //! `O_APPEND` handle followed by `sync_data`, so concurrent writers
 //! interleave at line granularity and a crash can tear at most the final
 //! line. [`Journal::open`] scans the file, truncates a torn tail, and
-//! skips (but counts) any mid-file line whose checksum fails — one
-//! rotten record never discards its neighbours.
+//! skips (but counts) any mid-file line that is not UTF-8, does not
+//! parse, or fails its checksum — one rotten record never discards its
+//! neighbours.
 
 use crate::error::CacheIoError;
 use crate::experiments::common::Cell;
@@ -89,14 +90,6 @@ pub enum JournalOp {
         /// Rendered error.
         error: String,
     },
-    /// The watchdog flagged an over-budget cell (informational; the
-    /// owner keeps its claim while retrying).
-    Stalled {
-        /// The flagged cell's fingerprint.
-        fp: u64,
-        /// Which attempt was over budget.
-        attempt: u32,
-    },
     /// A graceful shutdown gave an unfinished claim back.
     Released {
         /// The released cell's fingerprint.
@@ -130,10 +123,6 @@ impl JournalRecord {
                 pairs.push(("fp".into(), fp.to_json()));
                 pairs.push(("error".into(), error.as_str().to_json()));
             }
-            JournalOp::Stalled { fp, attempt } => {
-                pairs.push(("fp".into(), fp.to_json()));
-                pairs.push(("attempt".into(), attempt.to_json()));
-            }
             JournalOp::Released { fp } => {
                 pairs.push(("fp".into(), fp.to_json()));
             }
@@ -150,7 +139,6 @@ impl JournalRecord {
             JournalOp::Claim { .. } => "claim",
             JournalOp::Done { .. } => "done",
             JournalOp::Failed { .. } => "failed",
-            JournalOp::Stalled { .. } => "stalled",
             JournalOp::Released { .. } => "released",
             JournalOp::Renew => "renew",
         }
@@ -176,10 +164,6 @@ impl JournalRecord {
                 fp: fp()?,
                 error: doc.get("error")?.as_str()?.to_string(),
             },
-            "stalled" => JournalOp::Stalled {
-                fp: fp()?,
-                attempt: doc.get("attempt")?.as_u64()? as u32,
-            },
             "released" => JournalOp::Released { fp: fp()? },
             _ => return None,
         };
@@ -192,9 +176,11 @@ impl JournalRecord {
     }
 }
 
-/// Decode one journal line (checksum envelope + payload).
-fn decode_line(line: &str) -> Option<JournalRecord> {
-    let doc = Json::parse(line).ok()?;
+/// Decode one journal line (checksum envelope + payload). A line that
+/// is not UTF-8 — a crash can cut a multi-byte character in half — is
+/// rejected like one that fails its checksum.
+fn decode_line(line: &[u8]) -> Option<JournalRecord> {
+    let doc = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
     let sum = doc.get("sum")?.as_u64()?;
     let rec = doc.get("rec")?;
     if fnv1a(rec.compact().as_bytes()) != sum {
@@ -210,7 +196,8 @@ pub struct JournalOpenReport {
     pub records: usize,
     /// Finished cells recoverable from `done` records.
     pub done_cells: usize,
-    /// Mid-file lines dropped for a bad checksum or undecodable payload.
+    /// Mid-file lines dropped as not UTF-8, unparseable, or failing
+    /// their checksum.
     pub corrupt_lines: usize,
     /// Bytes of torn tail truncated away.
     pub truncated_bytes: u64,
@@ -234,22 +221,22 @@ impl Journal {
     /// [`CacheIoError::Io`] on any underlying file I/O failure.
     pub fn open(path: &Path) -> Result<(Journal, JournalOpenReport), CacheIoError> {
         let mut report = JournalOpenReport::default();
-        let existing = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let existing = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(CacheIoError::Io(e)),
         };
         // Walk the complete (newline-terminated) lines. A trailing
         // fragment with no newline is a torn append (appends write one
         // whole line at a time, so a crash can only leave a prefix) and
-        // is truncated below; a complete line that fails its checksum
-        // is disk rot — skipped and counted, but its neighbours kept.
+        // is truncated below; a complete line that does not decode is
+        // disk rot — skipped and counted, but its neighbours kept.
         let mut keep: u64 = 0;
         let mut offset: usize = 0;
-        for line in existing.split_inclusive('\n') {
+        for line in existing.split_inclusive(|&b| b == b'\n') {
             let end = offset + line.len();
-            if line.ends_with('\n') {
-                match decode_line(line.trim_end()) {
+            if let Some(line) = line.strip_suffix(b"\n") {
+                match decode_line(line) {
                     Some(rec) => {
                         if matches!(rec.op, JournalOp::Done { .. }) {
                             report.done_cells += 1;
@@ -330,12 +317,15 @@ impl Journal {
 /// [`CacheIoError::Io`] when the file cannot be read (a missing file is
 /// an empty journal, not an error).
 pub fn scan_path(path: &Path) -> Result<Vec<JournalRecord>, CacheIoError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(CacheIoError::Io(e)),
     };
-    Ok(text.lines().filter_map(decode_line).collect())
+    Ok(bytes
+        .split(|&b| b == b'\n')
+        .filter_map(decode_line)
+        .collect())
 }
 
 #[cfg(test)]
@@ -402,22 +392,28 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
-        let path = scratch("torn").join("journal.jsonl");
-        {
-            let (mut j, _) = Journal::open(&path).expect("open");
-            j.append(&rec(JournalOp::Open)).expect("append");
-            j.append(&rec(JournalOp::Renew)).expect("append");
+        // Tears: half a record with no newline, cut at an ASCII byte and
+        // inside the 3-byte "—" of a `failed` record's error text.
+        let tails: [&[u8]; 2] = [
+            b"{\"sum\":123,\"rec\":{\"op\":\"cl",
+            b"{\"sum\":123,\"rec\":{\"op\":\"failed\",\"error\":\"bad quantum \xe2\x80",
+        ];
+        for (i, tail) in tails.into_iter().enumerate() {
+            let path = scratch(&format!("torn{i}")).join("journal.jsonl");
+            {
+                let (mut j, _) = Journal::open(&path).expect("open");
+                j.append(&rec(JournalOp::Open)).expect("append");
+                j.append(&rec(JournalOp::Renew)).expect("append");
+            }
+            let clean_len = std::fs::metadata(&path).expect("meta").len();
+            let mut f = OpenOptions::new().append(true).open(&path).expect("open");
+            f.write_all(tail).expect("tear");
+            drop(f);
+            let (_, report) = Journal::open(&path).expect("recover");
+            assert_eq!(report.records, 2, "tail {i}");
+            assert_eq!(report.truncated_bytes, tail.len() as u64, "tail {i}");
+            assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len);
         }
-        let clean_len = std::fs::metadata(&path).expect("meta").len();
-        // Tear: half a record, no newline.
-        let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        f.write_all(b"{\"sum\":123,\"rec\":{\"op\":\"cl")
-            .expect("tear");
-        drop(f);
-        let (_, report) = Journal::open(&path).expect("recover");
-        assert_eq!(report.records, 2);
-        assert!(report.truncated_bytes > 0);
-        assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len);
     }
 
     #[test]
@@ -427,19 +423,25 @@ mod tests {
             let (mut j, _) = Journal::open(&path).expect("open");
             j.append(&rec(JournalOp::Open)).expect("append");
         }
-        // A rotten full line, then a valid record after it.
+        // Rotten full lines — a bad checksum, a byte that is not UTF-8,
+        // and nesting deep enough to overflow a recursive parser — then
+        // a valid record after them.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
         f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"renew\"}}\n")
+            .expect("rot");
+        f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"renew\",\"owner\":\"\xf4t\"}}\n")
+            .expect("rot");
+        f.write_all(&[b"[".repeat(50_000), b"\n".to_vec()].concat())
             .expect("rot");
         drop(f);
         {
             let (mut j, report) = Journal::open(&path).expect("reopen");
-            assert_eq!(report.corrupt_lines, 1);
+            assert_eq!(report.corrupt_lines, 3);
             j.append(&rec(JournalOp::Renew)).expect("append");
         }
         let (j, report) = Journal::open(&path).expect("final open");
         assert_eq!(report.records, 2, "records before and after the rot");
-        assert_eq!(report.corrupt_lines, 1);
+        assert_eq!(report.corrupt_lines, 3);
         assert_eq!(j.scan().expect("scan").len(), 2);
     }
 }

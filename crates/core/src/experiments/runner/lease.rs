@@ -12,39 +12,37 @@
 //!   reclaimable, so a `kill -9`'d run resumes with no waiting.
 //! * **TTL** — for non-pid owner ids (or off-Linux), a lease is stale
 //!   once the owner's most recent journal record (claim, done, or
-//!   `renew` heartbeat) is older than the TTL. Owners renew every K
-//!   completed cells and heartbeat while idle-waiting, so a healthy
-//!   process stays fresh; note a single cell slower than the TTL can
-//!   still look stale to a *different host* — the pid check prevents
-//!   that on one machine, which is the supported drain topology.
+//!   `renew` heartbeat) is older than [`TTL_MS`] (60 s). Owners renew
+//!   every [`RENEW_EVERY`] (8) completed cells and heartbeat while
+//!   idle-waiting, so a healthy process stays fresh; note a single cell
+//!   slower than the TTL can still look stale to a *different host* —
+//!   the pid check prevents that on one machine, which is the supported
+//!   drain topology.
 
 use super::journal::{JournalOp, JournalRecord};
 use crate::experiments::common::Cell;
 use std::collections::BTreeMap;
 
-/// Lease policy knobs for a journaled runner.
+/// Milliseconds after an owner's last journal record before its leases
+/// may be reclaimed (TTL tier).
+pub(crate) const TTL_MS: u64 = 60_000;
+
+/// Completed cells between `renew` heartbeats.
+pub(crate) const RENEW_EVERY: u64 = 8;
+
+/// The lease identity of a journaled runner.
 #[derive(Debug, Clone)]
 pub struct LeaseConfig {
     /// This process's owner id (`pid<N>` by default in `repro`; any
     /// unique string works, but only `pid<N>` gets the fast dead-pid
     /// reclaim).
     pub owner: String,
-    /// Milliseconds after an owner's last journal record before its
-    /// leases may be reclaimed (TTL tier).
-    pub ttl_ms: u64,
-    /// Completed cells between `renew` heartbeats.
-    pub renew_every: u64,
 }
 
 impl LeaseConfig {
-    /// A config with the given owner and default timing (60 s TTL,
-    /// renew every 8 cells).
+    /// A lease for the given owner id.
     pub fn new(owner: String) -> Self {
-        LeaseConfig {
-            owner,
-            ttl_ms: 60_000,
-            renew_every: 8,
-        }
+        LeaseConfig { owner }
     }
 }
 
@@ -132,7 +130,6 @@ impl JournalState {
                     let view = state.cells.entry(*fp).or_default();
                     view.open_claims.retain(|c| c.owner != rec.owner);
                 }
-                JournalOp::Stalled { .. } => {}
             }
         }
         state
@@ -164,7 +161,7 @@ impl JournalState {
             return false;
         }
         let last = self.owner_last_ms.get(owner).copied().unwrap_or(0);
-        now_ms.saturating_sub(last) <= lease.ttl_ms
+        now_ms.saturating_sub(last) <= TTL_MS
     }
 
     /// Resolve the claim table for `fp` from `me`'s point of view: the
@@ -251,12 +248,12 @@ mod tests {
         let state = JournalState::replay(&[claim(1, "a", 100)]);
         let me = lease("b");
         assert_eq!(
-            state.decide(1, &me, 100 + me.ttl_ms),
+            state.decide(1, &me, 100 + TTL_MS),
             ClaimDecision::Theirs("a".into()),
             "fresh within the TTL"
         );
         assert_eq!(
-            state.decide(1, &me, 101 + me.ttl_ms),
+            state.decide(1, &me, 101 + TTL_MS),
             ClaimDecision::Claimable { reclaim: true },
             "stale past the TTL"
         );
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn renew_heartbeats_keep_an_owner_fresh() {
         let me = lease("b");
-        let late = 101 + me.ttl_ms;
+        let late = 101 + TTL_MS;
         let state = JournalState::replay(&[claim(1, "a", 100), rec(JournalOp::Renew, "a", late)]);
         assert_eq!(
             state.decide(1, &me, late),

@@ -31,23 +31,19 @@
 //!   temp file + fsync + rename), and no run reads it back. The runner
 //!   claims cells under owner leases so several processes can drain one
 //!   grid cooperatively ([`lease`] module), and resumes a killed sweep
-//!   from the journal's `done` records. An
-//!   optional [`watchdog`] flags cells that blow past a latency budget
-//!   derived from the sweep's own history, and a shutdown flag
+//!   from the journal's `done` records. A shutdown flag
 //!   ([`SweepRunner::with_shutdown_flag`]) turns SIGINT/SIGTERM into a
 //!   graceful checkpoint-and-release instead of lost work.
 
 mod cache;
 mod journal;
 mod lease;
-mod watchdog;
 
 pub use cache::{CacheLoad, CellCache, CACHE_FORMAT_VERSION};
 pub use journal::{
     scan_path as scan_journal, Journal, JournalOp, JournalOpenReport, JournalRecord,
 };
 pub use lease::{CellView, ClaimDecision, ClaimView, JournalState, LeaseConfig};
-pub use watchdog::{Watchdog, WatchdogConfig, STALL_PANIC_PREFIX};
 
 use crate::config::{DramKind, SystemConfig};
 use crate::error::{CacheIoError, InvariantError, RampageError};
@@ -58,7 +54,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// One unit of sweep work: simulate `cfg` over `workload`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -445,11 +441,11 @@ impl Durable {
         self.append(JournalOp::Renew);
     }
 
-    /// Called after each journaled `done`: renew every K completed
-    /// cells, per the lease config.
+    /// Called after each journaled `done`: renew every `RENEW_EVERY`
+    /// completed cells.
     fn note_done(&self) {
         let n = self.dones_since_renew.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.lease.renew_every > 0 && n >= self.lease.renew_every {
+        if n >= lease::RENEW_EVERY {
             self.dones_since_renew.store(0, Ordering::Relaxed);
             self.renew();
         }
@@ -460,7 +456,7 @@ impl Durable {
     fn maybe_heartbeat(&self) {
         let now = journal::wall_ms();
         let last = self.last_renew_ms.load(Ordering::Relaxed);
-        if now.saturating_sub(last) > self.lease.ttl_ms / 3 {
+        if now.saturating_sub(last) > lease::TTL_MS / 3 {
             self.renew();
         }
     }
@@ -490,7 +486,6 @@ pub struct SweepRunner {
     failures: Mutex<Vec<FailedCell>>,
     telemetry: Mutex<Telemetry>,
     progress: Option<ProgressFn>,
-    watchdog: Option<Watchdog>,
     durable: Option<Durable>,
     shutdown: Option<&'static AtomicBool>,
     interrupted: AtomicBool,
@@ -505,7 +500,6 @@ impl std::fmt::Debug for SweepRunner {
             .field("failures", &self.failures)
             .field("telemetry", &self.telemetry)
             .field("progress", &self.progress.as_ref().map(|_| "Fn"))
-            .field("watchdog", &self.watchdog)
             .field("durable", &self.durable)
             .field(
                 "shutdown",
@@ -607,15 +601,6 @@ impl SweepRunner {
         Ok(self)
     }
 
-    /// Arm the hung-cell watchdog: cells whose wall time exceeds
-    /// p99 × multiplier (see [`WatchdogConfig`]) are journaled `stalled`,
-    /// cooperatively cancelled, and retried on an attempt-indexed
-    /// backoff before being recorded as failed.
-    pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(Watchdog::new(cfg));
-        self
-    }
-
     /// Force every job this runner executes onto the given DRAM backend
     /// (the `repro --dram-backend` knob): each submitted job's
     /// `cfg.dram` is rewritten *before* fingerprinting, so caching,
@@ -676,13 +661,6 @@ impl SweepRunner {
         self.shutdown.is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// Append `op` to the journal, when one is attached.
-    fn journal_op(&self, op: JournalOp) {
-        if let Some(d) = &self.durable {
-            d.append(op);
-        }
-    }
-
     /// The machine-readable sweep telemetry document (`metrics.json`):
     /// deterministic counters at the top level, every wall-clock-derived
     /// quantity isolated under the `"wall"` key so determinism checks can
@@ -708,7 +686,6 @@ impl SweepRunner {
             "interrupted" => self.interrupted(),
             "wall" => obj! {
                 "total_secs" => t.total_secs,
-                "stalled" => self.watchdog.as_ref().map_or(0, Watchdog::stalled_total),
                 "cells" => cells
                     .iter()
                     .map(|c| obj! {
@@ -935,12 +912,9 @@ impl SweepRunner {
     /// One isolated execution attempt sequence for a job: validate the
     /// configuration, then simulate behind a panic boundary, retrying a
     /// panicking cell once (a second identical panic is considered
-    /// deterministic and recorded). When a watchdog is armed, each
-    /// attempt is registered with it; a cooperative stall unwind is
-    /// retried on the (separate) stall budget with attempt-indexed
-    /// backoff baked into the watchdog's budget formula.
+    /// deterministic and recorded).
     fn compute_cell(&self, job: &Job, fp: u64) -> JobOutcome {
-        const MAX_PANIC_ATTEMPTS: u32 = 2;
+        const MAX_ATTEMPTS: u32 = 2;
         if let Err(e) = job.cfg.validate() {
             return JobOutcome::Failed(Box::new(FailedCell::new(
                 job,
@@ -950,56 +924,17 @@ impl SweepRunner {
                 String::new(),
             )));
         }
-        let stall_budget = self
-            .watchdog
-            .as_ref()
-            .map_or(0, |w| w.config().max_stall_retries);
-        let mut panic_attempts = 0u32;
-        let mut stall_attempts = 0u32;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let cancel = match &self.watchdog {
-                Some(wd) => wd.register(fp, attempt),
-                None => Arc::new(AtomicBool::new(false)),
-            };
-            #[cfg(not(feature = "fault"))]
-            let _ = &cancel;
             let outcome = panic_capture::catch(|| {
                 #[cfg(feature = "fault")]
-                {
-                    crate::experiments::fault::cell_panic_point(fp);
-                    crate::experiments::fault::hang_cell_point(fp, &cancel);
-                }
+                crate::experiments::fault::cell_panic_point(fp);
                 run_config(&job.cfg, &job.workload)
             });
-            if let Some(wd) = &self.watchdog {
-                wd.complete(fp, attempt, outcome.is_ok());
-            }
             match outcome {
                 Ok(cell) => return JobOutcome::Done(cell),
-                Err(p) if watchdog::is_stall_panic(&p.message) => {
-                    stall_attempts += 1;
-                    if stall_attempts <= stall_budget {
-                        continue;
-                    }
-                    let err = RampageError::Invariant(InvariantError {
-                        message: p.message,
-                        location: p.location,
-                        backtrace: p.backtrace.clone(),
-                    });
-                    return JobOutcome::Failed(Box::new(FailedCell::new(
-                        job,
-                        fp,
-                        attempt,
-                        &err,
-                        p.backtrace,
-                    )));
-                }
-                Err(_) if panic_attempts + 1 < MAX_PANIC_ATTEMPTS => {
-                    panic_attempts += 1;
-                    continue;
-                }
+                Err(_) if attempt < MAX_ATTEMPTS => continue,
                 Err(p) => {
                     let err = RampageError::Invariant(InvariantError {
                         message: p.message,
@@ -1030,10 +965,7 @@ impl SweepRunner {
     /// Simulate the pending-batch indices `ks` on the worker pool. The
     /// journaled path calls this once per claimed chunk, with `shared`
     /// carrying the done/mean accumulators across chunks so progress
-    /// and ETA describe the whole batch of `total` cells. When a
-    /// watchdog is armed, the calling thread runs its monitor loop
-    /// alongside the workers (so even a 1-worker run gets stall
-    /// detection).
+    /// and ETA describe the whole batch of `total` cells.
     fn execute_slice(
         &self,
         pending: &[(u64, Job)],
@@ -1046,10 +978,8 @@ impl SweepRunner {
             return Vec::new();
         }
         let workers = self.jobs.min(ks.len()).max(1);
-        let slice_done = AtomicUsize::new(0);
         let timed = |k: usize| {
             if self.shutdown_requested() {
-                slice_done.fetch_add(1, Ordering::Relaxed);
                 return (k, JobOutcome::Interrupted);
             }
             let (fp, job) = &pending[k];
@@ -1062,7 +992,6 @@ impl SweepRunner {
                 *spent += secs;
                 *spent / done as f64
             };
-            slice_done.fetch_add(1, Ordering::Relaxed);
             self.observe_cell(
                 *fp,
                 job,
@@ -1078,7 +1007,7 @@ impl SweepRunner {
             );
             (k, outcome)
         };
-        if workers <= 1 && self.watchdog.is_none() {
+        if workers <= 1 {
             return ks.iter().map(|&k| timed(k)).collect();
         }
         let next = AtomicUsize::new(0);
@@ -1092,13 +1021,6 @@ impl SweepRunner {
                     }
                     lock_recovering(&done).push(timed(ks[j]));
                 });
-            }
-            if let Some(wd) = &self.watchdog {
-                let poll = std::time::Duration::from_millis(wd.config().poll_ms.max(1));
-                while slice_done.load(Ordering::Relaxed) < ks.len() {
-                    std::thread::sleep(poll);
-                    wd.poll(|fp, attempt| self.journal_op(JournalOp::Stalled { fp, attempt }));
-                }
             }
         });
         done.into_inner().unwrap_or_else(|p| p.into_inner())

@@ -300,7 +300,7 @@ enum Feed {
 ///
 /// Blocks are read and decoded ahead of the consumer on a background
 /// prefetch thread when a spare core exists (inline, on demand, when
-/// not — see [`Feed`]). The reader can start at any record number
+/// not — see `Feed`). The reader can start at any record number
 /// ([`open_at`](Self::open_at)) and reposition in `O(log blocks)`
 /// ([`seek`](Self::seek)).
 ///

@@ -10,24 +10,25 @@
 //! pointer chases, hot/cold data mixes — parameterized per benchmark from
 //! the paper's Table 2 (instruction-fetch fraction and reference volume).
 //!
-//! The crate also provides the multiprogramming machinery the paper
-//! describes in §4.2: traces are interleaved round-robin with a 500 000
-//! reference quantum to simulate a multiprogrammed workload.
+//! Each source is one program's trace. The multiprogrammed workload of
+//! §4.2 — traces switched round-robin every 500 000 references — is
+//! built by `rampage-core`'s `Engine`, which schedules one process per
+//! source.
 //!
 //! # Quick example
 //!
 //! ```
-//! use rampage_trace::{profiles, Interleaver, ScheduleEvent};
+//! use rampage_trace::{profiles, TraceSource};
 //!
-//! // Build the paper's 18-program workload at 1/1000 scale.
-//! let sources = profiles::standard_suite(1000, 42);
-//! let mut mix = Interleaver::new(sources, 500_000);
+//! // gcc from Table 2 at 1/1000 of the paper's volume.
+//! let gcc = &profiles::TABLE2[5];
+//! let mut source = gcc.source(1000, 42);
 //! let mut n = 0u64;
-//! while let ScheduleEvent::Record { record, .. } = mix.next_event() {
+//! while let Some(record) = source.next_record() {
 //!     let _ = record.addr;
 //!     n += 1;
 //! }
-//! assert!(n > 0);
+//! assert_eq!(n, gcc.scaled_refs(1000));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,7 +37,6 @@
 pub mod corpus;
 #[cfg(feature = "fault")]
 pub mod fault;
-mod interleave;
 pub mod io;
 mod record;
 mod stats;
@@ -45,7 +45,6 @@ mod stream;
 pub mod profiles;
 pub mod synth;
 
-pub use interleave::{InterleaveError, Interleaver, ProcessId, ScheduleEvent};
 pub use record::{AccessKind, Asid, TraceRecord, VirtAddr};
 pub use stats::{MixFractions, TraceStats};
 pub use stream::{BoundedSource, TraceSource, VecSource};

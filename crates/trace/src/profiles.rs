@@ -7,9 +7,9 @@
 //! class whose generator parameters reproduce the program's locality
 //! structure (see `DESIGN.md` §4 for the substitution argument).
 //!
-//! [`standard_suite`] builds all 18 at a chosen scale; the experiments in
-//! `rampage-core` interleave them with a 500 000-reference quantum exactly
-//! as §4.2 of the paper describes.
+//! [`Profile::source`] builds one program at a chosen scale; the engine
+//! in `rampage-core` interleaves the programs with a 500 000-reference
+//! quantum exactly as §4.2 of the paper describes.
 
 use crate::stream::BoundedSource;
 use crate::synth::{
@@ -465,24 +465,6 @@ pub fn table2_total_refs_millions() -> f64 {
     TABLE2.iter().map(|p| p.refs_millions).sum()
 }
 
-/// Build the full 18-program suite at `1/scale` of the paper's volume.
-///
-/// The returned sources are in Table 2 order; feed them to an
-/// [`Interleaver`](crate::Interleaver) with a 500 000-reference quantum to
-/// reproduce the paper's multiprogrammed workload.
-pub fn standard_suite(scale: u64, seed: u64) -> Vec<BoundedSource<BenchmarkSynth>> {
-    TABLE2.iter().map(|p| p.source(scale, seed)).collect()
-}
-
-/// A reduced suite (first `n` programs) for fast tests and examples.
-pub fn small_suite(n: usize, scale: u64, seed: u64) -> Vec<BoundedSource<BenchmarkSynth>> {
-    TABLE2
-        .iter()
-        .take(n)
-        .map(|p| p.source(scale, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,12 +521,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, TABLE2[3].scaled_refs(10_000));
-    }
-
-    #[test]
-    fn suite_builders() {
-        assert_eq!(standard_suite(100_000, 0).len(), 18);
-        assert_eq!(small_suite(4, 100_000, 0).len(), 4);
     }
 
     #[test]

@@ -31,6 +31,10 @@ step cargo clippy -q --workspace --lib --all-features -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used \
   -D clippy::print_stdout -D clippy::print_stderr
 
+# Rustdoc: a broken or private intra-doc link fails the gate, so a
+# deletion cannot leave docs pointing at an item that is gone.
+RUSTDOCFLAGS="-D warnings" step cargo doc -q --workspace --no-deps
+
 echo "==> cargo build --release (tier-1)"
 step cargo build --release
 

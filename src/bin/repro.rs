@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--scale N] [--nbench N] [--jobs N] [--out DIR] [--trace-dir DIR]
 //!       [--max-cell-failures N] [--trace-events PATH] [--trace-cap N]
-//!       [--resume] [--owner-id ID] [--watchdog]
-//!       [--stall-floor-ms N] [--stall-retries N]
+//!       [--resume] [--owner-id ID] [--dram-backend flat|banked]
 //!       <artifact>...
 //! repro trace record    --dir DIR [--scale N] [--nbench N] [--seed S] [--block-bytes N]
 //! repro trace info      --dir DIR
@@ -14,7 +13,7 @@
 //! repro lint --configs
 //!
 //! artifacts: table1 table2 table3 fig2 fig3 fig4 table4 table5 fig5
-//!            ablations perbench diag dramdiff all
+//!            ablations perbench anatomy timeslice diag dramdiff all
 //! ```
 //!
 //! `--scale N` divides the paper's 1.1-billion-reference trace volume
@@ -59,10 +58,7 @@
 //! directory fails instead of silently restarting). SIGINT/SIGTERM
 //! request a graceful shutdown: in-flight cells finish, the journal
 //! and the snapshot are persisted, and the exit code says "resumable".
-//! `--watchdog` arms the hung-cell watchdog (budget = p99 of completed
-//! cells × 8, floored at `--stall-floor-ms`, doubled per retry up to
-//! `--stall-retries` extra attempts); see EXPERIMENTS.md § Resumable
-//! sweeps.
+//! See EXPERIMENTS.md § Resumable sweeps.
 //!
 //! Exit codes: 0 clean; 1 hard failure (failures over budget, or a
 //! persistence error); 2 usage; 3 completed but with tolerated failed
@@ -70,7 +66,7 @@
 
 use rampage_core::experiments::{
     ablations, anatomy, dram_backend, fig5, figures, per_benchmark, table1, table2, table3, table4,
-    table5, timeslice, LeaseConfig, SweepRunner, WatchdogConfig, Workload, PAPER_SIZES,
+    table5, timeslice, LeaseConfig, SweepRunner, Workload, PAPER_SIZES,
 };
 use rampage_core::{DramKind, IssueRate};
 use rampage_json::{obj, Json, ToJson};
@@ -92,9 +88,6 @@ struct Options {
     trace_dir: Option<String>,
     owner_id: Option<String>,
     resume: bool,
-    watchdog: bool,
-    stall_floor_ms: Option<u64>,
-    stall_retries: Option<u32>,
     fault_specs: Vec<String>,
     dram_banked: bool,
     artifacts: Vec<String>,
@@ -137,9 +130,6 @@ fn parse_args() -> Result<Options, String> {
         trace_dir: None,
         owner_id: None,
         resume: false,
-        watchdog: false,
-        stall_floor_ms: None,
-        stall_retries: None,
         fault_specs: Vec::new(),
         dram_banked: false,
         artifacts: Vec::new(),
@@ -193,19 +183,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.owner_id = Some(v);
             }
             "--resume" => opts.resume = true,
-            "--watchdog" => opts.watchdog = true,
-            "--stall-floor-ms" => {
-                let v = args.next().ok_or("--stall-floor-ms needs a value")?;
-                let ms = v.parse().map_err(|_| format!("bad stall-floor-ms: {v}"))?;
-                opts.stall_floor_ms = Some(ms);
-                opts.watchdog = true;
-            }
-            "--stall-retries" => {
-                let v = args.next().ok_or("--stall-retries needs a value")?;
-                let n = v.parse().map_err(|_| format!("bad stall-retries: {v}"))?;
-                opts.stall_retries = Some(n);
-                opts.watchdog = true;
-            }
             "--fault" => {
                 opts.fault_specs
                     .push(args.next().ok_or("--fault needs a spec")?);
@@ -242,9 +219,8 @@ fn parse_args() -> Result<Options, String> {
 
 const USAGE: &str = "usage: repro [--scale N] [--nbench N] [--jobs N] [--out DIR] \
 [--trace-dir DIR] [--max-cell-failures N] [--trace-events PATH] [--trace-cap N] \
-[--resume] [--owner-id ID] [--watchdog] [--stall-floor-ms N] \
-[--stall-retries N] [--dram-backend flat|banked] \
-<table1|table2|table3|fig2|fig3|fig4|table4|table5|fig5|ablations|perbench|anatomy|timeslice|dramdiff|all>...\n\
+[--resume] [--owner-id ID] [--dram-backend flat|banked] \
+<table1|table2|table3|fig2|fig3|fig4|table4|table5|fig5|ablations|perbench|anatomy|timeslice|diag|dramdiff|all>...\n\
        repro trace <record|info|verify|import-din> (see repro trace --help)\n\
        repro lint [--format text|sarif] [--configs] (see repro lint --help)\n\
 exit codes: 0 clean, 1 hard failure, 2 usage, 3 tolerated failed cells, \
@@ -309,16 +285,6 @@ fn main() {
             DramKind::banked().diagnostics()
         );
         runner = runner.with_dram(DramKind::banked());
-    }
-    if opts.watchdog {
-        let mut cfg = WatchdogConfig::default();
-        if let Some(ms) = opts.stall_floor_ms {
-            cfg.floor_ms = ms;
-        }
-        if let Some(n) = opts.stall_retries {
-            cfg.max_stall_retries = n;
-        }
-        runner = runner.with_watchdog(cfg);
     }
     eprintln!(
         "# workload: {} benchmarks, scale 1/{}, {} total refs; {} worker(s)",

@@ -35,5 +35,5 @@ pub use rampage_vm as vm;
 /// Convenient glob import for examples and quick experiments.
 pub mod prelude {
     pub use rampage_core::prelude::*;
-    pub use rampage_trace::{profiles, AccessKind, Interleaver, TraceRecord, TraceSource};
+    pub use rampage_trace::{profiles, AccessKind, TraceRecord, TraceSource};
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the trace corpus subsystem: record → replay
-//! bit-identity, compression, interleaving across block boundaries,
-//! `--trace-dir` sweep equivalence, corruption quarantine, and the
-//! committed sample corpus fixture.
+//! bit-identity, compression, engine quantum switches across block
+//! boundaries, `--trace-dir` sweep equivalence, corruption quarantine,
+//! and the committed sample corpus fixture.
 //!
 //! The fixture under `tests/fixtures/corpus/` is regenerated with:
 //!
@@ -13,12 +13,12 @@
 use rampage_core::experiments::{
     corpus_source_stats, set_trace_dir, sweep_sizes, CorpusSourceStats, SweepRunner, Workload,
 };
-use rampage_core::{IssueRate, SystemConfig};
+use rampage_core::{Engine, IssueRate, SystemConfig};
 use rampage_json::ToJson;
 use rampage_trace::corpus::{
     fidelity_tolerance, record_profiles, verify_dir, CorpusReader, Manifest,
 };
-use rampage_trace::{profiles, Interleaver, ScheduleEvent, TraceRecord, TraceSource};
+use rampage_trace::{profiles, TraceRecord, TraceSource};
 use std::path::PathBuf;
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -82,14 +82,14 @@ fn record_then_replay_is_bit_identical_and_3x_smaller() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite (b): interleaving corpus-backed sources must produce the
-/// exact event stream that interleaving the generating synthetic
-/// sources does — at the paper's 500 k quantum and at a tiny quantum
-/// that forces process switches inside (and across) storage blocks.
+/// The engine over corpus-backed sources must see exactly what it sees
+/// over the generating synthetic sources — at the paper's 500 k quantum
+/// and at a tiny quantum that forces process switches inside (and
+/// across) storage blocks.
 #[test]
-fn interleaver_quantum_boundaries_match_synthesis() {
+fn engine_quantum_boundaries_match_synthesis() {
     let _shards = reading_shards();
-    let dir = tmp_dir("interleave");
+    let dir = tmp_dir("quantum");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..QUICK_NBENCH];
     // 512-byte blocks: every shard spans many blocks, so quanta land
@@ -97,6 +97,8 @@ fn interleaver_quantum_boundaries_match_synthesis() {
     let manifest = record_profiles(&dir, suite, QUICK_SCALE, QUICK_SEED, 512).expect("record");
 
     for quantum in [500_000u64, 257] {
+        let mut cfg = SystemConfig::rampage(IssueRate::GHZ1, 1024);
+        cfg.quantum = quantum;
         let synth: Vec<_> = suite
             .iter()
             .map(|p| Box::new(p.source(QUICK_SCALE, QUICK_SEED)) as Box<dyn TraceSource + Send>)
@@ -109,19 +111,16 @@ fn interleaver_quantum_boundaries_match_synthesis() {
                 Box::new(reader.with_name(p.name)) as Box<dyn TraceSource + Send>
             })
             .collect();
-        let mut a = Interleaver::new(synth, quantum);
-        let mut b = Interleaver::new(replay, quantum);
-        let mut events = 0u64;
-        loop {
-            let ea = a.next_event();
-            let eb = b.next_event();
-            assert_eq!(ea, eb, "event {events} diverged at quantum {quantum}");
-            events += 1;
-            if matches!(ea, ScheduleEvent::Finished) {
-                break;
-            }
-        }
-        assert!(events > 1, "interleaver produced a real stream");
+        let a = Engine::new(&cfg, synth).run();
+        let b = Engine::new(&cfg, replay).run();
+        assert_eq!(a.metrics.counts, b.metrics.counts, "quantum {quantum}");
+        assert_eq!(a.metrics.time, b.metrics.time, "quantum {quantum}");
+        assert_eq!(a.elapsed, b.elapsed, "quantum {quantum}");
+        assert_eq!(a.per_process, b.per_process, "quantum {quantum}");
+        assert!(
+            a.metrics.counts.context_switches > 0,
+            "quantum {quantum} switched processes"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

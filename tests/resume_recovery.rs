@@ -153,6 +153,44 @@ fn shutdown_flag_interrupts_then_resume_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash mid-append can cut a multi-byte character in half (`failed`
+/// records carry error text with "—"). A running owner whose journal
+/// gains such a torn tail must skip that one line on every rescan, not
+/// fail the whole read: otherwise its own claims never read back as won
+/// and the batch never finishes.
+#[test]
+fn torn_multibyte_tail_does_not_stall_a_running_owner() {
+    use std::io::Write as _;
+    let w = Workload::quick();
+    let dir = scratch("torn-multibyte");
+    let jpath = dir.join("journal.jsonl");
+    let sizes = [256u64];
+    let runner = SweepRunner::serial()
+        .with_journal(&jpath, LeaseConfig::new("A".into()))
+        .expect("open journal");
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&jpath)
+        .expect("open journal for append")
+        .write_all(b"{\"sum\":1,\"rec\":{\"op\":\"failed\",\"error\":\"bad quantum \xe2\x80")
+        .expect("append torn tail");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        table3::run(&runner, &w, &RATES, &sizes);
+        let _ = tx.send(runner.cache().to_json().pretty());
+    });
+    let cells = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the journaled batch finishes despite the torn tail");
+    worker.join().expect("runner thread");
+    assert_eq!(
+        cells,
+        clean_cells(&w, &sizes),
+        "torn-tail run differs from a clean run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `cells.json` is a write-only snapshot: a rerun seeds its cache from
 /// the journal alone, so a well-formed, correctly checksummed entry
 /// added to the snapshot between runs never reaches the next snapshot,
@@ -328,41 +366,6 @@ mod drills {
             bytes
         };
         assert_eq!(cells(&dir), clean, "post-SIGKILL resume differs");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hung_cell_is_stalled_retried_and_tolerated_with_exit_3() {
-        let dir = scratch("hang-cell");
-        let out = run_table3(
-            &dir,
-            &[
-                "--watchdog",
-                "--stall-floor-ms",
-                "100",
-                "--stall-retries",
-                "0",
-                "--fault",
-                "hang-cell",
-                "--max-cell-failures",
-                "1",
-            ],
-        );
-        assert_eq!(
-            out.status.code(),
-            Some(3),
-            "tolerated failures exit 3: {out:?}"
-        );
-        let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics.json");
-        assert!(
-            metrics.contains("\"stalled\": 1"),
-            "watchdog stall must reach telemetry: {metrics}"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("stalled by watchdog"),
-            "failure report names the watchdog: {stderr}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
