@@ -79,8 +79,6 @@ pub struct FileAst {
 /// One `name: Type` field of a `struct` item.
 #[derive(Debug)]
 pub struct FieldDecl {
-    /// The struct the field belongs to.
-    pub strukt: String,
     /// Field name.
     pub name: String,
     /// The declared type, as space-joined tokens (`Option < u64 >`).
@@ -102,10 +100,6 @@ pub struct FnDef {
     pub ret_ty: String,
     /// The body.
     pub body: Block,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
 }
 
 /// One parameter of a function.
@@ -136,10 +130,6 @@ pub enum Stmt {
         ty: Option<String>,
         /// Initializer.
         init: Option<ExprId>,
-        /// 1-based line of `let`.
-        line: u32,
-        /// 1-based column of `let`.
-        col: u32,
     },
     /// An expression statement (with or without `;`).
     Expr(ExprId),
@@ -158,19 +148,11 @@ pub enum Stmt {
         cond: ExprId,
         /// Loop body.
         body: Block,
-        /// 1-based line of the `while` keyword.
-        line: u32,
-        /// 1-based column of the `while` keyword.
-        col: u32,
     },
     /// `loop { … }`.
     Loop {
         /// Loop body.
         body: Block,
-        /// 1-based line of the `loop` keyword.
-        line: u32,
-        /// 1-based column of the `loop` keyword.
-        col: u32,
     },
     /// `for pat in iter { … }`.
     For {
@@ -180,10 +162,6 @@ pub enum Stmt {
         iter: ExprId,
         /// Loop body.
         body: Block,
-        /// 1-based line of the `for` keyword.
-        line: u32,
-        /// 1-based column of the `for` keyword.
-        col: u32,
     },
     /// `match scrutinee { arms }`; `if let` desugars here too.
     Match {
@@ -267,8 +245,6 @@ pub enum ExprKind {
     Cast {
         /// The cast expression.
         expr: ExprId,
-        /// Target type, space-joined.
-        ty: String,
     },
     /// `Path { field: value, … }`.
     StructLit {
@@ -279,10 +255,7 @@ pub enum ExprKind {
         fields: Vec<(String, ExprId)>,
     },
     /// `name!(…)` — contents are not parsed.
-    MacroCall {
-        /// Macro name.
-        name: String,
-    },
+    MacroCall,
     /// `|args| body` / `move |args| body`.
     Closure {
         /// The body expression.
@@ -501,10 +474,9 @@ impl<'a> Parser<'a> {
     /// `struct Name [<…>] { fields } | ( … ); | ;`
     fn struct_item(&mut self) {
         self.bump(); // struct
-        let Some(name) = self.ident(0) else {
+        if self.ident(0).is_none() {
             return;
-        };
-        let strukt = name.to_string();
+        }
         self.bump();
         self.skip_angles();
         // Skip a `where` clause.
@@ -547,7 +519,6 @@ impl<'a> Parser<'a> {
             self.bump(); // :
             let ty = self.type_until(&[',', '}']);
             self.out.fields.push(FieldDecl {
-                strukt: strukt.clone(),
                 name: fname,
                 ty,
                 line,
@@ -603,7 +574,6 @@ impl<'a> Parser<'a> {
 
     /// `fn name [<…>] (params) [-> Ty] [where …] { body } | ;`
     fn fn_item(&mut self) {
-        let (line, col) = self.pos();
         self.bump(); // fn
         let Some(name) = self.ident(0) else {
             return; // `fn(` pointer type or malformed — not an item
@@ -638,8 +608,6 @@ impl<'a> Parser<'a> {
             params,
             ret_ty,
             body,
-            line,
-            col,
         });
     }
 
@@ -747,10 +715,9 @@ impl<'a> Parser<'a> {
             Some("if") => self.if_stmt(),
             Some("while") => self.while_stmt(),
             Some("loop") => {
-                let (line, col) = self.pos();
                 self.bump();
                 let body = self.block();
-                self.out.arena.push_stmt(Stmt::Loop { body, line, col })
+                self.out.arena.push_stmt(Stmt::Loop { body })
             }
             Some("for") => self.for_stmt(),
             Some("match") => self.match_stmt(),
@@ -825,7 +792,6 @@ impl<'a> Parser<'a> {
 
     /// `let PAT [: Ty] [= init] [else { … }] ;`
     fn let_stmt(&mut self) -> StmtId {
-        let (line, col) = self.pos();
         self.bump(); // let
         let names = self.pattern_names(&[':', '=', ';']);
         let ty = if self.is_punct(0, ':') {
@@ -844,13 +810,7 @@ impl<'a> Parser<'a> {
             self.bump();
             let _ = self.block(); // diverging else: contents not modeled
         }
-        self.out.arena.push_stmt(Stmt::Let {
-            names,
-            ty,
-            init,
-            line,
-            col,
-        })
+        self.out.arena.push_stmt(Stmt::Let { names, ty, init })
     }
 
     /// Collect the binding names of a pattern, stopping at any of
@@ -958,7 +918,6 @@ impl<'a> Parser<'a> {
 
     /// `while [let PAT =] cond { … }`.
     fn while_stmt(&mut self) -> StmtId {
-        let (line, col) = self.pos();
         self.bump(); // while
         if self.is_ident(0, "let") {
             self.bump();
@@ -969,17 +928,11 @@ impl<'a> Parser<'a> {
         }
         let cond = self.expr(false);
         let body = self.block();
-        self.out.arena.push_stmt(Stmt::While {
-            cond,
-            body,
-            line,
-            col,
-        })
+        self.out.arena.push_stmt(Stmt::While { cond, body })
     }
 
     /// `for PAT in iter { … }`.
     fn for_stmt(&mut self) -> StmtId {
-        let (line, col) = self.pos();
         self.bump(); // for
         let names = self.pattern_names(&[]);
         if self.is_ident(0, "in") {
@@ -987,13 +940,7 @@ impl<'a> Parser<'a> {
         }
         let iter = self.expr(false);
         let body = self.block();
-        self.out.arena.push_stmt(Stmt::For {
-            names,
-            iter,
-            body,
-            line,
-            col,
-        })
+        self.out.arena.push_stmt(Stmt::For { names, iter, body })
     }
 
     /// `match scrutinee { PAT [| PAT] [if guard] => body, … }`.
@@ -1233,11 +1180,11 @@ impl<'a> Parser<'a> {
             }
             if self.is_ident(0, "as") && self.i > 0 {
                 self.bump();
-                let ty = self.cast_type();
+                self.skip_cast_type();
                 e = self
                     .out
                     .arena
-                    .push_expr(ExprKind::Cast { expr: e, ty }, line, col);
+                    .push_expr(ExprKind::Cast { expr: e }, line, col);
                 continue;
             }
             if self.is_punct(0, '.') && !self.at_op("..") {
@@ -1314,43 +1261,34 @@ impl<'a> Parser<'a> {
         e
     }
 
-    /// The type operand of `as` — conservative: idents, `::`, and one
-    /// angle group.
-    fn cast_type(&mut self) -> String {
-        let mut parts: Vec<String> = Vec::new();
+    /// Skip the type operand of `as` — conservative: idents, `::`, one
+    /// angle group, and `&`/`*` prefixes.
+    fn skip_cast_type(&mut self) {
         loop {
             if self.at_op("::") {
-                parts.push("::".into());
                 self.bump_op("::");
                 continue;
             }
             match self.tok(0) {
                 Some(t) if t.kind == TokenKind::Ident => {
-                    parts.push(t.text.clone());
                     self.bump();
                     if self.is_punct(0, '<') {
-                        let from = self.i;
                         self.skip_angles();
-                        let _ = from;
-                        parts.push("<>".into());
                     }
                     if !self.at_op("::") {
                         break;
                     }
                 }
-                Some(t) if t.kind == TokenKind::Punct && t.text.starts_with('&') => {
-                    parts.push("&".into());
-                    self.bump();
-                }
-                Some(t) if t.kind == TokenKind::Punct && t.text.starts_with('*') => {
-                    // raw pointer cast `as *const T`
-                    parts.push("*".into());
+                // `&T`, or a raw pointer cast `as *const T`.
+                Some(t)
+                    if t.kind == TokenKind::Punct
+                        && (t.text.starts_with('&') || t.text.starts_with('*')) =>
+                {
                     self.bump();
                 }
                 _ => break,
             }
         }
-        parts.join(" ")
     }
 
     /// `(a, b, …)` call arguments; the cursor is on `(`.
@@ -1477,7 +1415,7 @@ impl<'a> Parser<'a> {
                     _ => {
                         self.bump();
                         let body = self.block();
-                        self.out.arena.push_stmt(Stmt::Loop { body, line, col })
+                        self.out.arena.push_stmt(Stmt::Loop { body })
                     }
                 };
                 let block = Block { stmts: vec![s] };
@@ -1547,11 +1485,7 @@ impl<'a> Parser<'a> {
             } else if self.is_punct(0, '{') {
                 self.skip_group('{', '}');
             }
-            let name = segs.last().cloned().unwrap_or_default();
-            return self
-                .out
-                .arena
-                .push_expr(ExprKind::MacroCall { name }, line, col);
+            return self.out.arena.push_expr(ExprKind::MacroCall, line, col);
         }
         // Struct literal: `Path { field: value, … }` — only when the
         // context allows it and the head looks like a type.
@@ -1734,10 +1668,7 @@ mod tests {
             let Stmt::Expr(e) = ast.arena.stmt(s) else {
                 panic!("expected expr stmt");
             };
-            assert!(matches!(
-                ast.arena.expr(*e).kind,
-                ExprKind::MacroCall { .. }
-            ));
+            assert!(matches!(ast.arena.expr(*e).kind, ExprKind::MacroCall));
         }
     }
 

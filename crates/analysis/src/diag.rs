@@ -7,18 +7,9 @@ use std::fmt;
 /// SARIF output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Hash-ordered iteration (`iter`/`keys`/`values`/`drain`/`into_iter`
-    /// on a `HashMap`/`HashSet`) in a simulation path.
-    HashIter,
-    /// `Instant::now`/`SystemTime` read outside the timing allowlist.
-    WallClock,
-    /// `std::env` or thread-id read in a simulation path.
-    EnvRead,
     /// `panic!`/`unreachable!`/`assert!` in library code without an
     /// `// invariant:` comment or `# Panics` doc section.
     PanicDoc,
-    /// `experiments/table*.rs`/`fig*.rs` bypassing `SweepRunner`.
-    SweepRoute,
     /// Wildcard `_ =>` arm in a `match` over a typed error enum.
     ErrorMatch,
     /// A raw write to a sweep journal (`journal.jsonl`) bypassing the
@@ -31,12 +22,6 @@ pub enum RuleId {
     /// A wall-clock/env/thread-identity value flowing
     /// into simulated state, a fingerprint, or a serialized cell.
     NondetTaint,
-    /// A journal claim append with a CFG path to cell
-    /// execution that never re-reads the journal.
-    ClaimReadback,
-    /// A polling loop in the runner tree that sleeps
-    /// without consulting a cancel/shutdown signal.
-    CancelPoll,
     /// A `// lint: allow(...)` waiver with no `— <reason>` text.
     WaiverMissingReason,
     /// A waiver that matched no diagnostic on its line.
@@ -45,18 +30,12 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 13] = [
-        RuleId::HashIter,
-        RuleId::WallClock,
-        RuleId::EnvRead,
+    pub const ALL: [RuleId; 7] = [
         RuleId::PanicDoc,
-        RuleId::SweepRoute,
         RuleId::ErrorMatch,
         RuleId::JournalAppend,
         RuleId::UnitMix,
         RuleId::NondetTaint,
-        RuleId::ClaimReadback,
-        RuleId::CancelPoll,
         RuleId::WaiverMissingReason,
         RuleId::UnusedWaiver,
     ];
@@ -64,17 +43,11 @@ impl RuleId {
     /// The stable string id (used in waivers and SARIF).
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::HashIter => "hash-iter",
-            RuleId::WallClock => "wall-clock",
-            RuleId::EnvRead => "env-read",
             RuleId::PanicDoc => "panic-doc",
-            RuleId::SweepRoute => "sweep-route",
             RuleId::ErrorMatch => "error-match",
             RuleId::JournalAppend => "journal-append",
             RuleId::UnitMix => "unit-mix",
             RuleId::NondetTaint => "nondet-taint",
-            RuleId::ClaimReadback => "claim-readback",
-            RuleId::CancelPoll => "cancel-poll",
             RuleId::WaiverMissingReason => "waiver-missing-reason",
             RuleId::UnusedWaiver => "unused-waiver",
         }
@@ -84,17 +57,11 @@ impl RuleId {
     /// waived, so they don't parse.
     pub fn from_waiver_str(s: &str) -> Option<RuleId> {
         Some(match s {
-            "hash-iter" => RuleId::HashIter,
-            "wall-clock" => RuleId::WallClock,
-            "env-read" => RuleId::EnvRead,
             "panic-doc" => RuleId::PanicDoc,
-            "sweep-route" => RuleId::SweepRoute,
             "error-match" => RuleId::ErrorMatch,
             "journal-append" => RuleId::JournalAppend,
             "unit-mix" => RuleId::UnitMix,
             "nondet-taint" => RuleId::NondetTaint,
-            "claim-readback" => RuleId::ClaimReadback,
-            "cancel-poll" => RuleId::CancelPoll,
             _ => return None,
         })
     }
@@ -102,17 +69,11 @@ impl RuleId {
     /// One-line description, used by SARIF rule metadata.
     pub fn short_description(self) -> &'static str {
         match self {
-            RuleId::HashIter => "hash-ordered iteration in a simulation path",
-            RuleId::WallClock => "wall-clock read outside the timing allowlist",
-            RuleId::EnvRead => "environment/thread-id read in a simulation path",
             RuleId::PanicDoc => "undocumented panic in library code",
-            RuleId::SweepRoute => "experiment table/figure bypassing SweepRunner",
             RuleId::ErrorMatch => "wildcard arm in a typed error match",
             RuleId::JournalAppend => "raw journal write bypassing Journal::append",
             RuleId::UnitMix => "arithmetic mixing unit domains (ps/ns/cycles/bytes/refs)",
             RuleId::NondetTaint => "wall-clock-derived value reaching sim state or a fingerprint",
-            RuleId::ClaimReadback => "claim appended but not read back before cell execution",
-            RuleId::CancelPoll => "polling loop that sleeps without a cancel check",
             RuleId::WaiverMissingReason => "waiver without a `— <reason>`",
             RuleId::UnusedWaiver => "waiver matching no finding",
         }

@@ -1,6 +1,5 @@
-//! The dataflow rules: unit-consistency, nondeterminism taint, and
-//! journal/lease protocol conformance over the parsed AST and per-
-//! function CFGs.
+//! The dataflow rules: unit consistency and nondeterminism taint over
+//! the parsed AST and per-function CFGs.
 //!
 //! These passes run on every non-test file, after the token passes in
 //! [`crate::rules`]. They are built to be conservative in the *non-flagging* direction: anything the parser or
@@ -28,10 +27,6 @@ pub fn run(rel: &str, class: &FileClass, toks: &[&Token], diags: &mut Vec<Diagno
     }
     if class.is_lib {
         taint_pass(rel, &ast, diags);
-    }
-    if class.runner_protocol {
-        claim_readback_pass(rel, &ast, diags);
-        cancel_poll_pass(rel, &ast, diags);
     }
 }
 
@@ -339,7 +334,7 @@ impl<'a> UnitCtx<'a> {
     fn infer(&mut self, eid: ExprId, env: &mut UnitEnv) -> Option<Domain> {
         let e = self.arena.expr(eid);
         match &e.kind {
-            ExprKind::Lit | ExprKind::MacroCall { .. } | ExprKind::Opaque => None,
+            ExprKind::Lit | ExprKind::MacroCall | ExprKind::Opaque => None,
             ExprKind::Path(segs) => match segs.as_slice() {
                 [name] => env
                     .get(name)
@@ -774,7 +769,7 @@ impl<'a> TaintCtx<'a> {
     fn tainted(&mut self, eid: ExprId, env: &mut TaintEnv) -> bool {
         let e = self.arena.expr(eid);
         match &e.kind {
-            ExprKind::Lit | ExprKind::MacroCall { .. } | ExprKind::Opaque => false,
+            ExprKind::Lit | ExprKind::MacroCall | ExprKind::Opaque => false,
             ExprKind::Path(segs) => {
                 matches!(segs.as_slice(), [name] if env.contains(name))
                     || segs.iter().any(|s| s == "SystemTime")
@@ -916,546 +911,5 @@ fn taint_source(segs: &[String]) -> bool {
         [.., "env", m] if matches!(*m, "var" | "vars" | "var_os" | "vars_os") => true,
         [.., m] if *m == "wall_ms" => true,
         _ => false,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Journal/lease protocol conformance
-// ---------------------------------------------------------------------------
-
-/// Calls that *execute* a claimed cell: a claim must have been read
-/// back before any of these run.
-const EXECUTE_CALLS: [&str; 5] = [
-    "execute_slice",
-    "execute",
-    "compute_cell",
-    "run_config",
-    "run_config_traced",
-];
-
-/// Calls that re-read the journal (the claim read-back).
-const READBACK_CALLS: [&str; 3] = ["scan", "scan_path", "replay"];
-
-/// Protocol actions extracted from one statement's expression tree.
-#[derive(Debug, Clone, Copy)]
-enum ProtoAction {
-    /// `…append(JournalOp::Claim { … })`.
-    ClaimAppend,
-    /// A journal re-read.
-    Readback,
-    /// A cell-execution call.
-    Execute(u32, u32),
-}
-
-/// The claim-then-read-back conformance pass: on every CFG path from an
-/// appended claim to the cell's execution there must be a journal
-/// re-read (the file-order race decides ownership; executing an
-/// unconfirmed claim double-computes cells and corrupts adoption).
-fn claim_readback_pass(rel: &str, ast: &FileAst, diags: &mut Vec<Diagnostic>) {
-    for f in &ast.fns {
-        // `Journal::append` itself (and the `Durable::append` wrapper)
-        // legitimately see claim records pass through; the protocol
-        // check applies to orchestration code *calling* append.
-        if f.name == "append" {
-            continue;
-        }
-        let graph = cfg::build(&ast.arena, &f.body);
-        let mut findings: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let transfer = |arena: &Arena,
-                        ev: &Event,
-                        pending: &mut bool,
-                        findings: Option<&mut BTreeSet<(u32, u32)>>| {
-            let mut actions = Vec::new();
-            match ev {
-                Event::Stmt(sid) => proto_actions_stmt(arena, *sid, &mut actions),
-                Event::Cond(eid) => proto_actions_expr(arena, *eid, &mut actions),
-                Event::ArmBind { .. } => {}
-            }
-            let mut local: Vec<(u32, u32)> = Vec::new();
-            for a in actions {
-                match a {
-                    ProtoAction::ClaimAppend => *pending = true,
-                    ProtoAction::Readback => *pending = false,
-                    ProtoAction::Execute(line, col) => {
-                        if *pending {
-                            local.push((line, col));
-                        }
-                    }
-                }
-            }
-            if let Some(f) = findings {
-                for site in local {
-                    f.insert(site);
-                }
-            }
-        };
-        let entries = dataflow::forward(
-            &graph,
-            false,
-            |acc: &mut bool, inc: &bool| *acc = *acc || *inc,
-            |ev, pending: &mut bool| transfer(&ast.arena, ev, pending, None),
-        );
-        for (bix, blk) in graph.blocks.iter().enumerate() {
-            let mut pending = entries.get(bix).copied().unwrap_or(false);
-            for ev in &blk.events {
-                transfer(&ast.arena, ev, &mut pending, Some(&mut findings));
-            }
-        }
-        for (line, col) in findings {
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::ClaimReadback,
-                "cell executes on a path where an appended claim was never read back — \
-                 re-scan the journal (the first live claim in file order wins) before \
-                 computing"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Collect protocol actions from a statement subtree, in evaluation
-/// order (nested control flow is walked linearly — branch precision
-/// comes from the CFG at statement level).
-fn proto_actions_stmt(arena: &Arena, sid: StmtId, out: &mut Vec<ProtoAction>) {
-    match arena.stmt(sid) {
-        Stmt::Let { init: Some(e), .. } => proto_actions_expr(arena, *e, out),
-        Stmt::Let { init: None, .. } => {}
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => proto_actions_expr(arena, *e, out),
-        Stmt::If {
-            cond,
-            then_blk,
-            els,
-        } => {
-            proto_actions_expr(arena, *cond, out);
-            for &s in &then_blk.stmts {
-                proto_actions_stmt(arena, s, out);
-            }
-            if let Some(eb) = els {
-                for &s in &eb.stmts {
-                    proto_actions_stmt(arena, s, out);
-                }
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            proto_actions_expr(arena, *cond, out);
-            for &s in &body.stmts {
-                proto_actions_stmt(arena, s, out);
-            }
-        }
-        Stmt::Loop { body, .. } => {
-            for &s in &body.stmts {
-                proto_actions_stmt(arena, s, out);
-            }
-        }
-        Stmt::For { iter, body, .. } => {
-            proto_actions_expr(arena, *iter, out);
-            for &s in &body.stmts {
-                proto_actions_stmt(arena, s, out);
-            }
-        }
-        Stmt::Match { scrutinee, arms } => {
-            proto_actions_expr(arena, *scrutinee, out);
-            for (_, b) in arms {
-                for &s in &b.stmts {
-                    proto_actions_stmt(arena, s, out);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn proto_actions_expr(arena: &Arena, eid: ExprId, out: &mut Vec<ProtoAction>) {
-    let e = arena.expr(eid);
-    match &e.kind {
-        ExprKind::MethodCall { base, name, args } => {
-            proto_actions_expr(arena, *base, out);
-            for &a in args {
-                proto_actions_expr(arena, a, out);
-            }
-            classify_call(arena, name, args, e.line, e.col, out);
-        }
-        ExprKind::Call { callee, args } => {
-            for &a in args {
-                proto_actions_expr(arena, a, out);
-            }
-            if let ExprKind::Path(segs) = &arena.expr(*callee).kind {
-                if let Some(last) = segs.last() {
-                    classify_call(arena, last, args, e.line, e.col, out);
-                }
-            }
-        }
-        ExprKind::Field { base, .. } => proto_actions_expr(arena, *base, out),
-        ExprKind::Cast { expr, .. } | ExprKind::Unary { expr } => {
-            proto_actions_expr(arena, *expr, out)
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            proto_actions_expr(arena, *lhs, out);
-            proto_actions_expr(arena, *rhs, out);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            proto_actions_expr(arena, *target, out);
-            proto_actions_expr(arena, *value, out);
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                proto_actions_expr(arena, *v, out);
-            }
-        }
-        ExprKind::BlockExpr { block } => {
-            for &s in &block.stmts {
-                proto_actions_stmt(arena, s, out);
-            }
-        }
-        ExprKind::Closure { body } => proto_actions_expr(arena, *body, out),
-        ExprKind::Tuple { elems } => {
-            for &el in elems {
-                proto_actions_expr(arena, el, out);
-            }
-        }
-        ExprKind::Index { base, index } => {
-            proto_actions_expr(arena, *base, out);
-            proto_actions_expr(arena, *index, out);
-        }
-        _ => {}
-    }
-}
-
-fn classify_call(
-    arena: &Arena,
-    name: &str,
-    args: &[ExprId],
-    line: u32,
-    col: u32,
-    out: &mut Vec<ProtoAction>,
-) {
-    if name == "append" && args.iter().any(|&a| contains_claim(arena, a)) {
-        out.push(ProtoAction::ClaimAppend);
-    } else if READBACK_CALLS.contains(&name) || name.contains("readback") {
-        out.push(ProtoAction::Readback);
-    } else if EXECUTE_CALLS.contains(&name) {
-        out.push(ProtoAction::Execute(line, col));
-    }
-}
-
-/// Does this expression mention the `Claim` journal-op constructor?
-fn contains_claim(arena: &Arena, eid: ExprId) -> bool {
-    let e = arena.expr(eid);
-    match &e.kind {
-        ExprKind::Path(segs) => segs.iter().any(|s| s == "Claim"),
-        ExprKind::StructLit { path, fields } => {
-            path == "Claim" || fields.iter().any(|(_, v)| contains_claim(arena, *v))
-        }
-        ExprKind::Field { base, .. } => contains_claim(arena, *base),
-        ExprKind::Cast { expr, .. } | ExprKind::Unary { expr } => contains_claim(arena, *expr),
-        ExprKind::MethodCall { base, args, .. } => {
-            contains_claim(arena, *base) || args.iter().any(|&a| contains_claim(arena, a))
-        }
-        ExprKind::Call { callee, args } => {
-            contains_claim(arena, *callee) || args.iter().any(|&a| contains_claim(arena, a))
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            contains_claim(arena, *lhs) || contains_claim(arena, *rhs)
-        }
-        ExprKind::Tuple { elems } => elems.iter().any(|&el| contains_claim(arena, el)),
-        _ => false,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shutdown-flag polling
-// ---------------------------------------------------------------------------
-
-/// The cancel-poll pass: any polling/idle-wait loop in the runner tree
-/// (a loop whose body sleeps) must consult a cancel/shutdown condition,
-/// or a process waiting on another owner's claims ignores SIGINT and
-/// SIGTERM.
-fn cancel_poll_pass(rel: &str, ast: &FileAst, diags: &mut Vec<Diagnostic>) {
-    for f in &ast.fns {
-        for &sid in &f.body.stmts {
-            walk_loops(rel, &ast.arena, sid, diags);
-        }
-    }
-}
-
-fn walk_loops(rel: &str, arena: &Arena, sid: StmtId, diags: &mut Vec<Diagnostic>) {
-    let (cond, body, line, col): (Option<ExprId>, Option<&Block>, u32, u32) = match arena.stmt(sid)
-    {
-        Stmt::While {
-            cond,
-            body,
-            line,
-            col,
-        } => (Some(*cond), Some(body), *line, *col),
-        Stmt::Loop { body, line, col } => (None, Some(body), *line, *col),
-        Stmt::For {
-            iter,
-            body,
-            line,
-            col,
-            ..
-        } => (Some(*iter), Some(body), *line, *col),
-        _ => (None, None, 0, 0),
-    };
-    if let Some(body) = body {
-        // Sleeps directly in this loop (not in a nested one — that
-        // nested loop gets its own check).
-        if block_has_sleep(arena, body, true) {
-            let cancel_in_cond = cond.is_some_and(|c| expr_has_cancel_check(arena, c));
-            if !cancel_in_cond && !block_has_cancel_check(arena, body) {
-                diags.push(diag(
-                    rel,
-                    line,
-                    col,
-                    RuleId::CancelPoll,
-                    "polling loop sleeps without consulting a cancel/shutdown signal — \
-                     check the shutdown flag each iteration"
-                        .to_string(),
-                ));
-            }
-        }
-        for &s in &body.stmts {
-            walk_loops(rel, arena, s, diags);
-        }
-        return;
-    }
-    // Recurse into non-loop control flow to find nested loops.
-    match arena.stmt(sid) {
-        Stmt::If { then_blk, els, .. } => {
-            for &s in &then_blk.stmts {
-                walk_loops(rel, arena, s, diags);
-            }
-            if let Some(eb) = els {
-                for &s in &eb.stmts {
-                    walk_loops(rel, arena, s, diags);
-                }
-            }
-        }
-        Stmt::Match { arms, .. } => {
-            for (_, b) in arms {
-                for &s in &b.stmts {
-                    walk_loops(rel, arena, s, diags);
-                }
-            }
-        }
-        Stmt::Let { init: Some(e), .. } | Stmt::Expr(e) | Stmt::Return(Some(e)) => {
-            walk_expr_loops(rel, arena, *e, diags);
-        }
-        _ => {}
-    }
-}
-
-fn walk_expr_loops(rel: &str, arena: &Arena, eid: ExprId, diags: &mut Vec<Diagnostic>) {
-    match &arena.expr(eid).kind {
-        ExprKind::BlockExpr { block } => {
-            for &s in &block.stmts {
-                walk_loops(rel, arena, s, diags);
-            }
-        }
-        ExprKind::Closure { body } => walk_expr_loops(rel, arena, *body, diags),
-        ExprKind::MethodCall { base, args, .. } => {
-            walk_expr_loops(rel, arena, *base, diags);
-            for &a in args {
-                walk_expr_loops(rel, arena, a, diags);
-            }
-        }
-        ExprKind::Call { callee, args } => {
-            walk_expr_loops(rel, arena, *callee, diags);
-            for &a in args {
-                walk_expr_loops(rel, arena, a, diags);
-            }
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            walk_expr_loops(rel, arena, *lhs, diags);
-            walk_expr_loops(rel, arena, *rhs, diags);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_expr_loops(rel, arena, *target, diags);
-            walk_expr_loops(rel, arena, *value, diags);
-        }
-        ExprKind::Tuple { elems } => {
-            for &el in elems {
-                walk_expr_loops(rel, arena, el, diags);
-            }
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                walk_expr_loops(rel, arena, *v, diags);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Does this block call `sleep` (outside nested loops when
-/// `stop_at_loops`)?
-fn block_has_sleep(arena: &Arena, blk: &Block, stop_at_loops: bool) -> bool {
-    blk.stmts
-        .iter()
-        .any(|&s| stmt_matches(arena, s, stop_at_loops, &|name, _| name == "sleep"))
-}
-
-/// Does this block consult a cancel/shutdown signal anywhere (nested
-/// loops included — a cancel check anywhere in the body counts)?
-fn block_has_cancel_check(arena: &Arena, blk: &Block) -> bool {
-    blk.stmts
-        .iter()
-        .any(|&s| stmt_matches(arena, s, false, &is_cancel_call))
-}
-
-fn expr_has_cancel_check(arena: &Arena, eid: ExprId) -> bool {
-    expr_matches(arena, eid, false, &is_cancel_call)
-}
-
-/// Is `name(…)` / `.name(…)` on `recv` a cancel/shutdown consultation?
-fn is_cancel_call(name: &str, recv: &str) -> bool {
-    matches!(
-        name,
-        "shutdown_requested" | "is_cancelled" | "is_canceled" | "is_shutdown" | "cancelled"
-    ) || (name == "load" && cancelish(recv))
-}
-
-fn cancelish(name: &str) -> bool {
-    let n = name.to_ascii_lowercase();
-    ["cancel", "shutdown", "stop", "halt", "quit", "interrupt"]
-        .iter()
-        .any(|p| n.contains(p))
-}
-
-/// Walk a statement subtree for a call matching `pred(name, receiver)`.
-fn stmt_matches(
-    arena: &Arena,
-    sid: StmtId,
-    stop_at_loops: bool,
-    pred: &dyn Fn(&str, &str) -> bool,
-) -> bool {
-    match arena.stmt(sid) {
-        Stmt::Let { init, .. } => init.is_some_and(|e| expr_matches(arena, e, stop_at_loops, pred)),
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => expr_matches(arena, *e, stop_at_loops, pred),
-        Stmt::If {
-            cond,
-            then_blk,
-            els,
-        } => {
-            expr_matches(arena, *cond, stop_at_loops, pred)
-                || then_blk
-                    .stmts
-                    .iter()
-                    .any(|&s| stmt_matches(arena, s, stop_at_loops, pred))
-                || els.as_ref().is_some_and(|b| {
-                    b.stmts
-                        .iter()
-                        .any(|&s| stmt_matches(arena, s, stop_at_loops, pred))
-                })
-        }
-        Stmt::While { cond, body, .. } => {
-            !stop_at_loops
-                && (expr_matches(arena, *cond, stop_at_loops, pred)
-                    || body
-                        .stmts
-                        .iter()
-                        .any(|&s| stmt_matches(arena, s, stop_at_loops, pred)))
-        }
-        Stmt::Loop { body, .. } => {
-            !stop_at_loops
-                && body
-                    .stmts
-                    .iter()
-                    .any(|&s| stmt_matches(arena, s, stop_at_loops, pred))
-        }
-        Stmt::For { iter, body, .. } => {
-            expr_matches(arena, *iter, stop_at_loops, pred)
-                || (!stop_at_loops
-                    && body
-                        .stmts
-                        .iter()
-                        .any(|&s| stmt_matches(arena, s, stop_at_loops, pred)))
-        }
-        Stmt::Match { scrutinee, arms } => {
-            expr_matches(arena, *scrutinee, stop_at_loops, pred)
-                || arms.iter().any(|(_, b)| {
-                    b.stmts
-                        .iter()
-                        .any(|&s| stmt_matches(arena, s, stop_at_loops, pred))
-                })
-        }
-        _ => false,
-    }
-}
-
-fn expr_matches(
-    arena: &Arena,
-    eid: ExprId,
-    stop_at_loops: bool,
-    pred: &dyn Fn(&str, &str) -> bool,
-) -> bool {
-    let e = arena.expr(eid);
-    match &e.kind {
-        ExprKind::MethodCall { base, name, args } => {
-            let recv = receiver_name(arena, *base);
-            pred(name, &recv)
-                || expr_matches(arena, *base, stop_at_loops, pred)
-                || args
-                    .iter()
-                    .any(|&a| expr_matches(arena, a, stop_at_loops, pred))
-        }
-        ExprKind::Call { callee, args } => {
-            let hit = match &arena.expr(*callee).kind {
-                ExprKind::Path(segs) => segs.last().is_some_and(|last| {
-                    let recv = segs
-                        .len()
-                        .checked_sub(2)
-                        .and_then(|i| segs.get(i))
-                        .cloned()
-                        .unwrap_or_default();
-                    pred(last, &recv)
-                }),
-                _ => false,
-            };
-            hit || args
-                .iter()
-                .any(|&a| expr_matches(arena, a, stop_at_loops, pred))
-        }
-        ExprKind::Field { base, .. } => expr_matches(arena, *base, stop_at_loops, pred),
-        ExprKind::Cast { expr, .. } | ExprKind::Unary { expr } => {
-            expr_matches(arena, *expr, stop_at_loops, pred)
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            expr_matches(arena, *lhs, stop_at_loops, pred)
-                || expr_matches(arena, *rhs, stop_at_loops, pred)
-        }
-        ExprKind::Assign { target, value, .. } => {
-            expr_matches(arena, *target, stop_at_loops, pred)
-                || expr_matches(arena, *value, stop_at_loops, pred)
-        }
-        ExprKind::StructLit { fields, .. } => fields
-            .iter()
-            .any(|(_, v)| expr_matches(arena, *v, stop_at_loops, pred)),
-        ExprKind::BlockExpr { block } => block
-            .stmts
-            .iter()
-            .any(|&s| stmt_matches(arena, s, stop_at_loops, pred)),
-        ExprKind::Closure { body } => expr_matches(arena, *body, stop_at_loops, pred),
-        ExprKind::Tuple { elems } => elems
-            .iter()
-            .any(|&el| expr_matches(arena, el, stop_at_loops, pred)),
-        ExprKind::Index { base, index } => {
-            expr_matches(arena, *base, stop_at_loops, pred)
-                || expr_matches(arena, *index, stop_at_loops, pred)
-        }
-        _ => false,
-    }
-}
-
-/// The receiver's simple name, for `recv.load(…)`-style checks.
-fn receiver_name(arena: &Arena, eid: ExprId) -> String {
-    match &arena.expr(eid).kind {
-        ExprKind::Path(segs) => segs.last().cloned().unwrap_or_default(),
-        ExprKind::Field { name, .. } => name.clone(),
-        ExprKind::Unary { expr } => receiver_name(arena, *expr),
-        _ => String::new(),
     }
 }

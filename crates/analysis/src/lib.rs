@@ -1,21 +1,24 @@
 //! `rampage-analysis` — an offline, dependency-free static analyzer for
-//! the workspace's determinism, panic-discipline, and structural
+//! the workspace's panic-discipline, journal, unit and determinism
 //! invariants.
 //!
 //! The analyzer lexes every `.rs` file once with its own hand-rolled
 //! lexer (see [`lexer`]) and runs, in one pass, every repo-specific rule
 //! that rustc and clippy cannot express: token-stream rules (see
-//! [`rules`]) for hash-ordered iteration in simulation crates,
-//! wall-clock reads outside the timing allowlist, undocumented panics,
-//! experiment-file routing, raw journal writes, and exhaustive error
-//! matching; and AST/CFG dataflow rules (see [`flow`]) for unit mixing,
-//! nondeterminism taint, and the journal/lease protocol. Findings can
-//! be suppressed site-by-site with `// lint: allow(<rule>) — <reason>`
-//! waivers; a waiver without a reason or without a matching finding is
-//! itself a diagnostic.
+//! [`rules`]) for undocumented panics, raw journal writes, and
+//! exhaustive error matching; and AST/CFG dataflow rules (see [`flow`])
+//! for unit mixing and nondeterminism taint. Findings can be suppressed
+//! site-by-site with `// lint: allow(<rule>) — <reason>` waivers; a
+//! waiver without a reason or without a matching finding is itself a
+//! diagnostic.
 //!
-//! The rule catalog, the waiver syntax, and the timing allowlist policy
-//! are documented in `EXPERIMENTS.md` § Static analysis.
+//! Checks that only look for a call live in the toolchain instead: the
+//! root `clippy.toml` denies hash-ordered iteration, wall-clock and
+//! environment reads, `thread::sleep` and direct simulation calls in
+//! library code, and the sweep runner's claim types make reading a
+//! claim back before computing its cell a compile-time requirement.
+//! `EXPERIMENTS.md` § Static analysis documents both halves and the
+//! waiver syntax.
 
 #![forbid(unsafe_code)]
 
@@ -42,21 +45,9 @@ pub struct FileClass {
     /// Library code (crate `src/` trees, minus binaries): panic-doc,
     /// error-match, and nondet-taint apply.
     pub is_lib: bool,
-    /// Determinism-critical simulation path: hash-iter and env-read
-    /// apply.
-    pub sim_path: bool,
-    /// On the timing allowlist: wall-clock reads permitted (sweep-runner
-    /// timing, fault hang points, binaries, tests).
-    pub wall_clock_allowed: bool,
-    /// `experiments/table*.rs` / `fig*.rs`: must route through
-    /// `SweepRunner`.
-    pub sweep_routed: bool,
-    /// Unit-domain-checked timing code: the DRAM backends, the channel
-    /// router, and `SystemConfig`.
+    /// Unit-domain-checked timing code: the simulation crates, the
+    /// engine, the channel router, and `SystemConfig`.
     pub unit_checked: bool,
-    /// The sweep-runner tree: journal/lease protocol conformance and
-    /// cancel-token polling apply.
-    pub runner_protocol: bool,
 }
 
 /// Path prefixes whose contents count as simulation code.
@@ -78,13 +69,6 @@ const SIM_FILES: [&str; 3] = [
     "crates/core/src/channel.rs",
 ];
 
-/// The timing allowlist: where `Instant::now` is legitimate. The policy
-/// (documented in EXPERIMENTS.md) is that wall-clock may only feed
-/// *reporting* — sweep-runner cell timing and journal/lease timestamps
-/// (the `runner` module tree), progress callbacks and CLI heartbeats —
-/// never simulated state.
-const WALL_CLOCK_ALLOW: [&str; 2] = ["crates/core/src/experiments/runner", "src/bin/"];
-
 /// Classify a workspace-relative path (forward slashes).
 pub fn classify(rel: &str) -> FileClass {
     let p = rel.replace('\\', "/");
@@ -102,25 +86,14 @@ pub fn classify(rel: &str) -> FileClass {
     let in_crate_src = p.starts_with("crates/") && p.contains("/src/");
     let in_root_src = p.starts_with("src/");
     let is_lib = !is_test && !is_bin && (in_crate_src || in_root_src);
-    let sim_path = !is_test
-        && (SIM_PREFIXES.iter().any(|pre| p.starts_with(pre)) || SIM_FILES.contains(&p.as_str()));
-    let wall_clock_allowed =
-        is_test || is_bin || WALL_CLOCK_ALLOW.iter().any(|a| p.starts_with(a) || p == *a);
-    let file_name = p.rsplit('/').next().unwrap_or("");
-    let sweep_routed = !is_test
-        && p.contains("experiments/")
-        && (file_name.starts_with("table") || file_name.starts_with("fig"))
-        && file_name.ends_with(".rs");
-    let unit_checked = sim_path || (!is_test && p == "crates/core/src/config.rs");
-    let runner_protocol = !is_test && p.starts_with("crates/core/src/experiments/runner");
+    let unit_checked = !is_test
+        && (SIM_PREFIXES.iter().any(|pre| p.starts_with(pre))
+            || SIM_FILES.contains(&p.as_str())
+            || p == "crates/core/src/config.rs");
     FileClass {
         is_test,
         is_lib,
-        sim_path,
-        wall_clock_allowed,
-        sweep_routed,
         unit_checked,
-        runner_protocol,
     }
 }
 
@@ -200,8 +173,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
 }
 
 /// Recursively collect `.rs` files, skipping build output, VCS state,
-/// and the analyzer's own lint fixtures. Directory entries are sorted so
-/// the walk (and therefore the report order) is deterministic.
+/// the analyzer's own lint fixtures, and nested workspaces (a
+/// subdirectory whose `Cargo.toml` declares `[workspace]`, such as the
+/// frozen `ledger/`). Directory entries are sorted so the walk (and
+/// therefore the report order) is deterministic.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -213,7 +188,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         if path.is_dir() {
-            if name == "target" || name == "fixtures" || name.starts_with('.') {
+            if name == "target"
+                || name == "fixtures"
+                || name.starts_with('.')
+                || declares_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(&path, out)?;
@@ -222,6 +201,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Does `dir/Cargo.toml` declare `[workspace]`?
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 fn sort_diags(diags: &mut [Diagnostic]) {
@@ -235,11 +219,8 @@ fn sort_diags(diags: &mut [Diagnostic]) {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut cur = Some(start.to_path_buf());
     while let Some(dir) = cur {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         cur = dir.parent().map(Path::to_path_buf);
     }
@@ -252,90 +233,54 @@ mod tests {
 
     #[test]
     fn classification_of_known_paths() {
-        let c = classify("crates/cache/src/classify.rs");
-        assert!(c.sim_path && c.is_lib && !c.is_test && !c.wall_clock_allowed);
-
         let c = classify("crates/core/src/experiments/runner/mod.rs");
-        assert!(!c.sim_path && c.is_lib && c.wall_clock_allowed);
-
-        let c = classify("crates/core/src/experiments/runner/journal.rs");
-        assert!(c.wall_clock_allowed, "the whole runner tree may read time");
-
-        let c = classify("crates/core/src/experiments/fault.rs");
-        assert!(
-            c.is_lib && !c.wall_clock_allowed,
-            "fault injection reads no clock"
-        );
-
-        let c = classify("crates/core/src/experiments/table3.rs");
-        assert!(c.sweep_routed && c.is_lib && !c.sim_path);
-
-        let c = classify("crates/core/src/experiments/figures.rs");
-        assert!(c.sweep_routed);
+        assert!(c.is_lib && !c.is_test);
 
         let c = classify("src/bin/repro.rs");
-        assert!(!c.is_lib && c.wall_clock_allowed && !c.is_test);
-
-        let c = classify("crates/bench/src/lib.rs");
-        assert!(
-            c.is_lib && !c.wall_clock_allowed,
-            "a library outside the allowlist reads no clock"
-        );
+        assert!(!c.is_lib && !c.is_test);
 
         let c = classify("tests/runner_golden.rs");
         assert!(c.is_test && !c.is_lib);
 
-        let c = classify("crates/analysis/tests/fixtures/bad/hash_iter.rs");
+        let c = classify("crates/analysis/tests/fixtures/bad/panic_doc.rs");
         assert!(c.is_test);
 
-        let c = classify("crates/core/src/system/mod.rs");
-        assert!(c.sim_path && c.is_lib);
-
-        let c = classify("crates/core/src/channel.rs");
-        assert!(
-            c.sim_path && c.is_lib && !c.wall_clock_allowed,
-            "the DRAM channel router is determinism-critical"
-        );
-
-        for f in ["bank.rs", "channel.rs", "mapping.rs"] {
-            let c = classify(&format!("crates/dram/src/{f}"));
-            assert!(c.sim_path && c.is_lib, "banked backend module {f}");
-        }
-
         let c = classify("src/lib.rs");
-        assert!(c.is_lib && !c.sim_path);
+        assert!(c.is_lib);
 
         let c = classify("crates/analysis/src/lib.rs");
-        assert!(
-            c.is_lib && !c.wall_clock_allowed,
-            "the analyzer reads no clock"
-        );
+        assert!(c.is_lib && !c.unit_checked);
     }
 
     #[test]
     fn dataflow_scopes_of_known_paths() {
-        let c = classify("crates/dram/src/bank.rs");
-        assert!(c.unit_checked && !c.runner_protocol);
+        for f in ["bank.rs", "channel.rs", "mapping.rs"] {
+            let c = classify(&format!("crates/dram/src/{f}"));
+            assert!(c.unit_checked && c.is_lib, "banked backend module {f}");
+        }
+
+        let c = classify("crates/cache/src/classify.rs");
+        assert!(c.unit_checked && c.is_lib);
+
+        let c = classify("crates/core/src/system/mod.rs");
+        assert!(c.unit_checked);
 
         let c = classify("crates/core/src/channel.rs");
         assert!(c.unit_checked, "the channel router carries Picos timing");
 
         let c = classify("crates/core/src/config.rs");
         assert!(
-            c.unit_checked && !c.sim_path,
+            c.unit_checked,
             "SystemConfig declares the timing vocabulary"
         );
 
         let c = classify("crates/core/src/experiments/runner/mod.rs");
-        assert!(c.runner_protocol && !c.unit_checked);
-
-        let c = classify("crates/core/src/experiments/runner/journal.rs");
-        assert!(c.runner_protocol);
+        assert!(!c.unit_checked);
 
         let c = classify("crates/core/src/experiments/grids.rs");
-        assert!(!c.runner_protocol && !c.unit_checked);
+        assert!(!c.unit_checked);
 
         let c = classify("crates/analysis/tests/fixtures/bad/unit_mix.rs");
-        assert!(c.is_test && !c.unit_checked && !c.runner_protocol);
+        assert!(c.is_test && !c.unit_checked);
     }
 }

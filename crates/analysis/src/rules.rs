@@ -1,13 +1,8 @@
 //! The per-file pass: token-stream lints, the AST/CFG dataflow rules
 //! (see [`crate::flow`]), and waiver resolution.
 //!
-//! Every token pass works on the lexed token stream — there is no type
-//! information, so rules that need types (hash-iter) use a declared-name
-//! heuristic: any binding, field, or parameter whose declaration
-//! mentions `HashMap`/`HashSet` is tracked by name, and iteration-order
-//! methods on those names are flagged.
-
-use std::collections::BTreeSet;
+//! Every token pass works on the lexed token stream, without type
+//! information: receivers and destinations are matched by name.
 
 use crate::diag::{Diagnostic, RuleId, WaiverStatus};
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -17,19 +12,8 @@ use crate::FileClass;
 /// comment or a `# Panics` doc section.
 const PANIC_MACROS: [&str; 5] = ["panic", "unreachable", "assert", "assert_eq", "assert_ne"];
 
-/// Iteration-order methods that leak hash ordering.
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-];
-
 /// Methods we hop through when resolving a receiver chain like
-/// `self.map.lock().iter()` back to the field name.
+/// `self.journal.lock().write_all(…)` back to the field name.
 const RECEIVER_WRAPPERS: [&str; 8] = [
     "lock",
     "borrow",
@@ -75,19 +59,9 @@ pub fn analyze_source(rel: &str, class: &FileClass, text: &str) -> Vec<Diagnosti
         .collect();
 
     let mut diags = Vec::new();
-    if class.sim_path && !class.is_test {
-        hash_iter_pass(rel, &code, &mut diags);
-        env_read_pass(rel, &code, &mut diags);
-    }
-    if !class.wall_clock_allowed && !class.is_test {
-        wall_clock_pass(rel, &code, &mut diags);
-    }
     if class.is_lib && !class.is_test {
         panic_doc_pass(rel, &toks, &code, &comments, &mut diags);
         error_match_pass(rel, &code, &mut diags);
-    }
-    if class.sweep_routed && !class.is_test {
-        sweep_route_pass(rel, &code, &mut diags);
     }
     if !class.is_test {
         journal_append_pass(rel, &code, &mut diags);
@@ -144,11 +118,6 @@ impl<'a> Code<'a> {
 
     fn is_punct(&self, i: usize, ch: char) -> bool {
         matches!(self.tok(i), Some(t) if t.kind == TokenKind::Punct && t.text.starts_with(ch))
-    }
-
-    /// `::` is two consecutive `:` puncts.
-    fn is_path_sep(&self, i: usize) -> bool {
-        self.is_punct(i, ':') && self.is_punct(i + 1, ':')
     }
 
     fn pos(&self, i: usize) -> (u32, u32) {
@@ -244,136 +213,30 @@ fn matching_close(
     None
 }
 
-/// Is this attribute content `test`, `cfg(test)`, or a `cfg(all(test, …))`
-/// variant (but never `cfg(not(test))`)?
+/// Does this attribute content make its item test-only? Only a predicate
+/// that requires `test` does: `test`, `cfg(test)`, or `cfg(all(…))` with
+/// `test` as a direct argument. `cfg(any(test, feature = "fault"))` and
+/// `cfg(not(test))` items still compile outside tests.
 fn is_test_attr(content: &[&Token]) -> bool {
-    let idents: Vec<&str> = content
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    match idents.first() {
-        Some(&"test") => content.len() == 1,
-        Some(&"cfg") => idents.contains(&"test") && !idents.contains(&"not"),
+    let text: Vec<&str> = content.iter().map(|t| t.text.as_str()).collect();
+    match text.as_slice() {
+        ["test"] | ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ .., ")", ")"] => {
+            let mut depth = 0i32;
+            args.iter().enumerate().any(|(i, &t)| {
+                match t {
+                    "(" => depth += 1,
+                    ")" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+                    && t == "test"
+                    && (i == 0 || args[i - 1] == ",")
+                    && args.get(i + 1).is_none_or(|&next| next == ",")
+            })
+        }
         _ => false,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Determinism rules
-// ---------------------------------------------------------------------------
-
-/// Track names declared with `HashMap`/`HashSet` types, then flag
-/// iteration-order methods on them (and `for … in name` loops).
-fn hash_iter_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    let names = hash_typed_names(code);
-    for j in 0..code.len() {
-        // `recv.iter()` and friends.
-        if let Some(m) = code.ident(j) {
-            if HASH_ITER_METHODS.contains(&m) && code.is_punct(j + 1, '(') {
-                if let Some(recv) = receiver_ident(code, j) {
-                    if names.contains(recv.as_str()) {
-                        let (line, col) = code.pos(j);
-                        diags.push(diag(
-                            rel,
-                            line,
-                            col,
-                            RuleId::HashIter,
-                            format!(
-                                "`{m}()` on hash-ordered collection `{recv}` — iteration order is \
-                             nondeterministic; use a BTreeMap/sorted keys or waive with a reason"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // `for pat in [&mut] name {` / `for pat in [&mut] self.name {`.
-        if code.is_ident(j, "for") {
-            if let Some((name, line, col)) = for_loop_hash_target(code, j, &names) {
-                diags.push(diag(
-                    rel,
-                    line,
-                    col,
-                    RuleId::HashIter,
-                    format!(
-                        "for-loop over hash-ordered collection `{name}` — iteration order is \
-                     nondeterministic; use a BTreeMap/sorted keys or waive with a reason"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Collect every name whose declaration mentions `HashMap`/`HashSet`:
-/// `name: …HashMap<…>…` (fields, params, typed lets) and
-/// `let [mut] name = …HashMap::new()…` bindings.
-fn hash_typed_names(code: &Code<'_>) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for j in 0..code.len() {
-        // Pattern A: `name : <type…HashMap…>` — stop the type scan at a
-        // delimiter outside all brackets.
-        if let Some(name) = code.ident(j) {
-            if code.is_punct(j + 1, ':')
-                && !code.is_punct(j + 2, ':')
-                && !code.is_punct(j.wrapping_sub(1), ':')
-            {
-                let mut angle = 0i32;
-                let mut paren = 0i32;
-                for k in (j + 2)..(j + 2 + 64).min(code.len()) {
-                    if let Some(id) = code.ident(k) {
-                        if id == "HashMap" || id == "HashSet" {
-                            names.insert(name.to_string());
-                            break;
-                        }
-                    } else if code.is_punct(k, '<') {
-                        angle += 1;
-                    } else if code.is_punct(k, '>') && !code.is_punct(k.wrapping_sub(1), '-') {
-                        angle -= 1;
-                        if angle < 0 {
-                            break;
-                        }
-                    } else if code.is_punct(k, '(') {
-                        paren += 1;
-                    } else if code.is_punct(k, ')') {
-                        paren -= 1;
-                        if paren < 0 {
-                            break;
-                        }
-                    } else if angle == 0 && paren == 0 {
-                        let stop = [',', ';', '=', '{', '}'];
-                        if stop.iter().any(|&c| code.is_punct(k, c)) {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // Pattern B: `let [mut] name = … HashMap/HashSet … ;`
-        if code.is_ident(j, "let") {
-            let mut p = j + 1;
-            if code.is_ident(p, "mut") {
-                p += 1;
-            }
-            if let Some(name) = code.ident(p) {
-                if code.is_punct(p + 1, '=') && !code.is_punct(p + 2, '=') {
-                    for k in (p + 2)..(p + 2 + 128).min(code.len()) {
-                        if code.is_punct(k, ';') {
-                            break;
-                        }
-                        if let Some(id) = code.ident(k) {
-                            if id == "HashMap" || id == "HashSet" {
-                                names.insert(name.to_string());
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    names
 }
 
 /// Resolve the receiver of a `.method(` call at code index `j` back to a
@@ -388,7 +251,8 @@ fn receiver_ident(code: &Code<'_>, mut j: usize) -> Option<String> {
             Some(TokenKind::Ident) => return code.ident(r).map(str::to_string),
             Some(TokenKind::Punct) if code.is_punct(r, ')') => {
                 // Walk back to the matching `(` and hop through known
-                // wrapper calls: `map.lock().iter()` → receiver `map`.
+                // wrapper calls: `journal.lock().write_all(…)` → receiver
+                // `journal`.
                 let mut depth = 0i32;
                 let mut k = r;
                 loop {
@@ -413,101 +277,6 @@ fn receiver_ident(code: &Code<'_>, mut j: usize) -> Option<String> {
                 }
             }
             _ => return None,
-        }
-    }
-}
-
-/// For a `for` keyword at code index `j`, return the hash-typed loop
-/// target if the loop iterates a tracked name directly.
-fn for_loop_hash_target(
-    code: &Code<'_>,
-    j: usize,
-    names: &BTreeSet<String>,
-) -> Option<(String, u32, u32)> {
-    // Find the `in` keyword (patterns may contain parens/commas).
-    let mut k = j + 1;
-    let limit = (j + 32).min(code.len());
-    while k < limit && !code.is_ident(k, "in") {
-        k += 1;
-    }
-    if !code.is_ident(k, "in") {
-        return None;
-    }
-    let mut p = k + 1;
-    while code.is_punct(p, '&') || code.is_ident(p, "mut") {
-        p += 1;
-    }
-    // Allow a `self.` prefix.
-    if code.is_ident(p, "self") && code.is_punct(p + 1, '.') {
-        p += 2;
-    }
-    let name = code.ident(p)?;
-    // Only a bare name followed by the loop body: method calls on the
-    // name (`name.keys()`) are handled by the method pass.
-    if code.is_punct(p + 1, '{') && names.contains(name) {
-        let (line, col) = code.pos(p);
-        return Some((name.to_string(), line, col));
-    }
-    None
-}
-
-/// Flag `Instant::now` and any `SystemTime` use.
-fn wall_clock_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    for j in 0..code.len() {
-        if code.is_ident(j, "Instant") && code.is_path_sep(j + 1) && code.is_ident(j + 3, "now") {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::WallClock,
-                "`Instant::now()` outside the timing allowlist — wall-clock reads are \
-                 nondeterministic; route timing through the sweep runner"
-                    .to_string(),
-            ));
-        }
-        if code.is_ident(j, "SystemTime") {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::WallClock,
-                "`SystemTime` outside the timing allowlist — wall-clock reads are \
-                 nondeterministic; route timing through the sweep runner"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Flag `std::env` and `thread::current` in simulation paths.
-fn env_read_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    for j in 0..code.len() {
-        if code.is_ident(j, "std") && code.is_path_sep(j + 1) && code.is_ident(j + 3, "env") {
-            let (line, col) = code.pos(j + 3);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::EnvRead,
-                "`std::env` in a simulation path — environment reads make runs \
-                 host-dependent; plumb configuration through SystemConfig"
-                    .to_string(),
-            ));
-        }
-        if code.is_ident(j, "thread") && code.is_path_sep(j + 1) && code.is_ident(j + 3, "current")
-        {
-            let (line, col) = code.pos(j + 3);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::EnvRead,
-                "`thread::current` in a simulation path — thread identity is \
-                 nondeterministic under a work-stealing pool"
-                    .to_string(),
-            ));
         }
     }
 }
@@ -813,46 +582,6 @@ fn journal_append_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) 
                     break;
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Structural rules
-// ---------------------------------------------------------------------------
-
-/// `experiments/table*.rs` / `fig*.rs` must route cells through
-/// `SweepRunner` rather than calling the engine directly.
-fn sweep_route_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    for j in 0..code.len() {
-        let Some(id) = code.ident(j) else { continue };
-        if (id == "run_config" || id == "run_config_traced")
-            && code.is_punct(j + 1, '(')
-            && !code.is_ident(j.wrapping_sub(1), "fn")
-        {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::SweepRoute,
-                format!(
-                    "direct `{id}(…)` call in a runner-routed experiment file — build Jobs and \
-                 go through SweepRunner::run_batch"
-                ),
-            ));
-        }
-        if id == "Engine" && code.is_path_sep(j + 1) && code.is_ident(j + 3, "new") {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::SweepRoute,
-                "direct `Engine::new` in a runner-routed experiment file — build Jobs and \
-                 go through SweepRunner::run_batch"
-                    .to_string(),
-            ));
         }
     }
 }

@@ -74,7 +74,7 @@ mod tests {
     fn sarif_has_schema_rules_and_results() {
         let doc = render_sarif(&[
             mk(RuleId::UnitMix, WaiverStatus::None),
-            mk(RuleId::CancelPoll, WaiverStatus::Waived),
+            mk(RuleId::NondetTaint, WaiverStatus::Waived),
         ]);
         assert!(doc.contains("\"version\":\"2.1.0\""));
         assert!(doc.contains("\"name\":\"rampage-analysis\""));

@@ -1,8 +1,7 @@
 // Fixture: a waiver without a reason suppresses nothing and is itself a
 // finding. Never compiled.
-use std::collections::HashMap;
-
-pub fn sum(m: &HashMap<u64, u64>) -> u64 {
-    // lint: allow(hash-iter)
-    m.values().sum()
+pub fn half(x: u64) -> u64 {
+    // lint: allow(panic-doc)
+    assert!(x % 2 == 0);
+    x / 2
 }

@@ -1,7 +1,13 @@
-// Fixture: `#[cfg(test)]` items are exempt from every rule even in a
-// library file. Never compiled.
+// Fixture: test-only items (`#[test]`, `#[cfg(test)]`,
+// `#[cfg(all(test, …))]`) are exempt from every rule even in a library
+// file. Never compiled.
 pub fn double(x: u64) -> u64 {
     x * 2
+}
+
+#[cfg(all(test, feature = "fault"))]
+fn odd_fault_input() -> u64 {
+    panic!("only fault-injection tests call this");
 }
 
 #[cfg(test)]

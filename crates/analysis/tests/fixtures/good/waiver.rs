@@ -1,8 +1,7 @@
 // Fixture: a reasoned waiver suppresses the finding on the next line.
 // Never compiled.
-use std::collections::HashMap;
-
-pub fn sum(m: &HashMap<u64, u64>) -> u64 {
-    // lint: allow(hash-iter) — summation is order-independent
-    m.values().sum()
+pub fn half(x: u64) -> u64 {
+    // lint: allow(panic-doc) — every caller passes an even count
+    assert!(x % 2 == 0);
+    x / 2
 }

@@ -183,6 +183,10 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `nbench` is zero or `refs_per_bench` is zero.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a constructor over `Engine::new`; sweeps still go through SweepRunner"
+    )]
     pub fn for_suite(cfg: &SystemConfig, nbench: usize, refs_per_bench: u64, seed: u64) -> Self {
         assert!(nbench > 0 && refs_per_bench > 0, "empty workload");
         let sources: Vec<Box<dyn TraceSource + Send>> = profiles::TABLE2

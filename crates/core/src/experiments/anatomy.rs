@@ -47,6 +47,10 @@ pub fn run(workload: &Workload, issue: IssueRate, sizes: &[u64]) -> Anatomy {
             // Table 5's switch trace would perturb the comparison; keep
             // both organizations on the plain workload.
             cfg.switch_trace = false;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the 3C classification lives in the RunOutcome, which a Cell does not carry"
+            )]
             let out = Engine::new(&cfg, workload.sources()).run();
             let ways = match cfg.hierarchy {
                 crate::config::HierarchyKind::Conventional(l2) => l2.ways,

@@ -336,6 +336,10 @@ impl Cell {
 /// This is the raw, uncached simulation; sweeps should go through a
 /// [`SweepRunner`] instead.
 pub fn run_config(cfg: &SystemConfig, workload: &Workload) -> Cell {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the raw simulation that SweepRunner wraps"
+    )]
     let mut engine = Engine::new(cfg, workload.sources());
     let out = engine.run();
     Cell::from_run(cfg, &out)
@@ -351,6 +355,10 @@ pub fn run_config_traced(
     workload: &Workload,
     trace_cap: usize,
 ) -> (Cell, crate::engine::RunOutcome) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the raw traced simulation that the observability suite drives"
+    )]
     let mut engine = Engine::new(cfg, workload.sources());
     engine.enable_trace(trace_cap);
     let out = engine.run();

@@ -68,9 +68,9 @@ impl CacheLoad {
 /// actually simulated.
 ///
 /// Keyed by a `BTreeMap` so every walk over the cache (serialization,
-/// reporting) is fingerprint-ordered by construction — the static
-/// analyzer's hash-iter rule is about exactly this class of ordering
-/// leak.
+/// reporting) is fingerprint-ordered by construction — the hash
+/// iteration that the root `clippy.toml` denies in library code is
+/// exactly this class of ordering leak.
 ///
 /// [`Job::fingerprint`]: super::Job::fingerprint
 #[derive(Debug, Default)]

@@ -37,8 +37,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Milliseconds since the Unix epoch — lease freshness timestamps.
-/// Wall-clock is legitimate here: the journal lives in the runner's
-/// reporting/persistence layer, never in a simulated path.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lease timestamps live in the journal's persistence layer, never in a simulated path"
+)]
 pub(crate) fn wall_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -18,10 +18,15 @@
 //!   slower than the TTL can still look stale to a *different host* —
 //!   the pid check prevents that on one machine, which is the supported
 //!   drain topology.
+//!
+//! The read-back is a type: appending a chunk's claims yields
+//! [`PendingClaims`], whose only consumer, [`PendingClaims::confirm`],
+//! yields the [`Confirmed`] set the runner's executor requires.
 
 use super::journal::{JournalOp, JournalRecord};
 use crate::experiments::common::Cell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Milliseconds after an owner's last journal record before its leases
 /// may be reclaimed (TTL tier).
@@ -182,6 +187,97 @@ impl JournalState {
             saw_stale = true;
         }
         ClaimDecision::Claimable { reclaim: saw_stale }
+    }
+}
+
+/// The claims one chunk of a batch just appended, not yet read back.
+#[must_use = "a claim counts only once `confirm` reads it back"]
+#[derive(Debug)]
+pub(super) struct PendingClaims {
+    /// `(batch index, fingerprint, attempt number written)` per claim.
+    claims: Vec<(usize, u64, u32)>,
+}
+
+/// Batch indices this runner may compute: its claims that won the
+/// file-order race, or every index of an unjournaled batch.
+#[derive(Debug)]
+pub(super) struct Confirmed(Vec<usize>);
+
+impl PendingClaims {
+    /// Append a `claim` record through `append` for each `(index, fp,
+    /// reclaim)` in `chunk`, numbering its attempt after the claims
+    /// `state` already holds for that cell.
+    pub(super) fn append(
+        chunk: &[(usize, u64, bool)],
+        state: &JournalState,
+        label: &str,
+        mut append: impl FnMut(JournalOp),
+    ) -> PendingClaims {
+        let claims = chunk
+            .iter()
+            .map(|&(k, fp, reclaim)| {
+                let attempt = state.claims_total(fp) + 1;
+                append(JournalOp::Claim {
+                    fp,
+                    attempt,
+                    reclaim,
+                    label: label.to_string(),
+                });
+                (k, fp, attempt)
+            })
+            .collect();
+        PendingClaims { claims }
+    }
+
+    /// Keep the claims that `readback`, a rescan taken after the append,
+    /// shows `lease` winning: the cell has no `done` record and the first
+    /// live claim on it in file order is ours.
+    ///
+    /// If not one claim reads back (each cell's claim count is below the
+    /// attempt just written), the journal was unlinked, replaced or made
+    /// unreadable under the open handle, and no claim can ever win. Then
+    /// one error is counted in `errors` and the whole chunk is
+    /// confirmed: a journal failure costs resumability, not the sweep. A
+    /// torn line hides at most one claim, so it cannot trigger this for
+    /// a chunk of two or more.
+    pub(super) fn confirm(
+        self,
+        readback: &JournalState,
+        lease: &LeaseConfig,
+        now_ms: u64,
+        errors: &AtomicU64,
+    ) -> Confirmed {
+        let lost = !self.claims.is_empty()
+            && self
+                .claims
+                .iter()
+                .all(|&(_, fp, attempt)| readback.claims_total(fp) < attempt);
+        if lost {
+            errors.fetch_add(1, Ordering::Relaxed);
+        }
+        Confirmed(
+            self.claims
+                .into_iter()
+                .filter(|&(_, fp, _)| {
+                    lost || (readback.done_cell(fp).is_none()
+                        && readback.decide(fp, lease, now_ms) == ClaimDecision::Ours)
+                })
+                .map(|(k, ..)| k)
+                .collect(),
+        )
+    }
+}
+
+impl Confirmed {
+    /// Every index of an unjournaled batch of `len` jobs: with no journal
+    /// there is no other owner to race.
+    pub(super) fn unjournaled(len: usize) -> Confirmed {
+        Confirmed((0..len).collect())
+    }
+
+    /// The confirmed batch indices.
+    pub(super) fn indices(&self) -> &[usize] {
+        &self.0
     }
 }
 

@@ -39,6 +39,8 @@ mod cache;
 mod journal;
 mod lease;
 
+use lease::{Confirmed, PendingClaims};
+
 pub use cache::{CacheLoad, CellCache, CACHE_FORMAT_VERSION};
 pub use journal::{
     scan_path as scan_journal, Journal, JournalOp, JournalOpenReport, JournalRecord,
@@ -794,6 +796,10 @@ impl SweepRunner {
             }
             None => jobs,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "batch wall time feeds only the `wall` subtree of metrics.json"
+        )]
         let batch_start = std::time::Instant::now();
         let mut slots: Vec<Option<Cell>> = vec![None; jobs.len()];
         // First occurrence of each uncached fingerprint, in order.
@@ -913,6 +919,10 @@ impl SweepRunner {
     /// configuration, then simulate behind a panic boundary, retrying a
     /// panicking cell once (a second identical panic is considered
     /// deterministic and recorded).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runner is where sweep cells are simulated"
+    )]
     fn compute_cell(&self, job: &Job, fp: u64) -> JobOutcome {
         const MAX_ATTEMPTS: u32 = 2;
         if let Err(e) = job.cfg.validate() {
@@ -958,22 +968,23 @@ impl SweepRunner {
     /// slots were already served from the cache (reported to the
     /// progress callback).
     fn execute(&self, pending: &[(u64, Job)], cached: usize) -> Vec<(usize, JobOutcome)> {
-        let ks: Vec<usize> = (0..pending.len()).collect();
-        self.execute_slice(pending, &ks, cached, pending.len(), &SliceState::default())
+        let all = Confirmed::unjournaled(pending.len());
+        self.execute_slice(pending, &all, cached, pending.len(), &SliceState::default())
     }
 
-    /// Simulate the pending-batch indices `ks` on the worker pool. The
-    /// journaled path calls this once per claimed chunk, with `shared`
-    /// carrying the done/mean accumulators across chunks so progress
-    /// and ETA describe the whole batch of `total` cells.
+    /// Simulate the pending-batch indices in `claimed` on the worker
+    /// pool. The journaled path calls this once per claimed chunk, with
+    /// `shared` carrying the done/mean accumulators across chunks so
+    /// progress and ETA describe the whole batch of `total` cells.
     fn execute_slice(
         &self,
         pending: &[(u64, Job)],
-        ks: &[usize],
+        claimed: &Confirmed,
         cached: usize,
         total: usize,
         shared: &SliceState,
     ) -> Vec<(usize, JobOutcome)> {
+        let ks = claimed.indices();
         if ks.is_empty() {
             return Vec::new();
         }
@@ -983,6 +994,10 @@ impl SweepRunner {
                 return (k, JobOutcome::Interrupted);
             }
             let (fp, job) = &pending[k];
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "cell wall time feeds only progress updates and the `wall` subtree"
+            )]
             let t0 = std::time::Instant::now();
             let outcome = self.compute_cell(job, *fp);
             let secs = t0.elapsed().as_secs_f64();
@@ -1083,7 +1098,7 @@ impl SweepRunner {
             // Claim a chunk of free cells. `Ours` without an in-flight
             // compute means a stale claim from a previous incarnation
             // of this owner id — recompute it.
-            let mut to_claim: Vec<(usize, bool)> = Vec::new();
+            let mut to_claim: Vec<(usize, u64, bool)> = Vec::new();
             for &k in &remaining {
                 if to_claim.len() >= chunk_target {
                     break;
@@ -1091,8 +1106,8 @@ impl SweepRunner {
                 let (fp, _) = pending[k];
                 match state.decide(fp, &durable.lease, now) {
                     ClaimDecision::Theirs(_) => {}
-                    ClaimDecision::Ours => to_claim.push((k, false)),
-                    ClaimDecision::Claimable { reclaim } => to_claim.push((k, reclaim)),
+                    ClaimDecision::Ours => to_claim.push((k, fp, false)),
+                    ClaimDecision::Claimable { reclaim } => to_claim.push((k, fp, reclaim)),
                 }
             }
             if to_claim.is_empty() {
@@ -1100,38 +1115,33 @@ impl SweepRunner {
                 // so our own leases stay fresh, then wait for their
                 // `done` records to land.
                 durable.maybe_heartbeat();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "this loop checks `shutdown_requested()` at the top of every iteration"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(WAIT_MS));
                 continue;
             }
-            for &(k, reclaim) in &to_claim {
-                let (fp, _) = pending[k];
-                durable.claims.fetch_add(1, Ordering::Relaxed);
-                if reclaim {
-                    durable.reclaims.fetch_add(1, Ordering::Relaxed);
-                }
-                durable.append(JournalOp::Claim {
-                    fp,
-                    attempt: state.claims_total(fp) + 1,
-                    reclaim,
-                    label: label.to_string(),
-                });
-            }
+            let reclaims = to_claim.iter().filter(|&&(.., reclaim)| reclaim).count();
+            durable
+                .claims
+                .fetch_add(to_claim.len() as u64, Ordering::Relaxed);
+            durable
+                .reclaims
+                .fetch_add(reclaims as u64, Ordering::Relaxed);
+            let claims = PendingClaims::append(&to_claim, &state, label, |op| durable.append(op));
             #[cfg(feature = "fault")]
             crate::experiments::fault::die_after_claim_point();
             // Read back: the first live claim in file order wins. A
             // lost race stays in `remaining`; the winner's result is
             // adopted by the rescan at the top of the loop.
             let readback = JournalState::replay(&durable.scan());
-            let now = journal::wall_ms();
-            let winners: Vec<usize> = to_claim
-                .iter()
-                .map(|&(k, _)| k)
-                .filter(|&k| {
-                    let (fp, _) = pending[k];
-                    readback.done_cell(fp).is_none()
-                        && readback.decide(fp, &durable.lease, now) == ClaimDecision::Ours
-                })
-                .collect();
+            let winners = claims.confirm(
+                &readback,
+                &durable.lease,
+                journal::wall_ms(),
+                &durable.errors,
+            );
             for (k, outcome) in self.execute_slice(pending, &winners, cached, total, &shared) {
                 let (fp, _) = pending[k];
                 match &outcome {

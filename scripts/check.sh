@@ -17,19 +17,62 @@ step() {
   timeout --kill-after=30 "${STEP_TIMEOUT}" "$@"
 }
 
+# Temp dirs for the CLI drills below, removed on any exit.
+BANKED_TMP=$(mktemp -d)
+CORPUS_TMP=$(mktemp -d)
+DRILL_TMP=$(mktemp -d)
+trap 'rm -rf "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}"' EXIT
+
 step cargo fmt --all --check
 
-step cargo clippy --workspace --all-targets --all-features -- -D warnings
+# Tests, binaries and examples may call what the root clippy.toml
+# disallows (clocks, the environment, sleeps, direct simulation, hash
+# iteration); the library pass below denies it.
+step cargo clippy --workspace --all-targets --all-features -- \
+  -D warnings -A clippy::disallowed_methods
 
 # Library code must not unwrap/expect: every fallible path either
 # returns a typed error or panics via a documented invariant assert.
 # It must not print either: all human-facing output goes through the
 # binaries or rendered reports, never stray println!/eprintln! in a
 # library. Tests are exempt (unwrap is the right tool there).
+# The root clippy.toml's disallowed methods are errors here too, and
+# iter_over_hash_type catches the `for` loops over a HashMap/HashSet
+# that method paths miss (EXPERIMENTS.md § Static analysis).
 # `--all-features` also checks every `#[cfg(feature = "fault")]` block.
-step cargo clippy -q --workspace --lib --all-features -- \
-  -D warnings -D clippy::unwrap_used -D clippy::expect_used \
-  -D clippy::print_stdout -D clippy::print_stderr
+LIB_CLIPPY=(-D warnings -D clippy::unwrap_used -D clippy::expect_used
+  -D clippy::print_stdout -D clippy::print_stderr -D clippy::iter_over_hash_type)
+step cargo clippy -q --workspace --lib --all-features -- "${LIB_CLIPPY[@]}"
+
+# The clippy canary, a workspace of its own, breaks every clippy.toml
+# rule once. Clippy only warns about a path it cannot resolve, so a typo
+# would switch a rule off silently: require a report for every path in
+# clippy.toml (a path the canary never calls fails too) and for the
+# hash-loop lint.
+echo "==> clippy canary (every clippy.toml path must be reported)"
+CANARY=crates/analysis/tests/fixtures/clippy/Cargo.toml
+if CANARY_OUT=$(CARGO_TARGET_DIR=target timeout --kill-after=30 "${STEP_TIMEOUT}" \
+  cargo clippy -q --manifest-path "${CANARY}" --lib -- "${LIB_CLIPPY[@]}" 2>&1); then
+  echo "FAIL: the clippy canary linted clean" >&2
+  exit 1
+fi
+CANARY_PATHS=$(sed -n 's/.*path = "\([^"]*\)".*/\1/p' clippy.toml)
+if [[ -z "${CANARY_PATHS}" ]]; then
+  echo "FAIL: no disallowed-methods path found in clippy.toml" >&2
+  exit 1
+fi
+for path in ${CANARY_PATHS}; do
+  if ! grep -qF "use of a disallowed method \`${path}\`" <<<"${CANARY_OUT}"; then
+    echo "${CANARY_OUT}" >&2
+    echo "FAIL: clippy did not report \`${path}\` in the canary" >&2
+    exit 1
+  fi
+done
+if ! grep -qF "iteration over unordered hash-based type" <<<"${CANARY_OUT}"; then
+  echo "${CANARY_OUT}" >&2
+  echo "FAIL: clippy::iter_over_hash_type did not fire in the canary" >&2
+  exit 1
+fi
 
 # Rustdoc: a broken or private intra-doc link fails the gate, so a
 # deletion cannot leave docs pointing at an item that is gone.
@@ -44,52 +87,41 @@ step cargo build --release
 echo "==> ledger tests (the one performance harness)"
 CARGO_TARGET_DIR=target step cargo test -q --release --manifest-path ledger/Cargo.toml
 
-# The in-tree static analyzer, every rule in one pass: determinism
-# lints, panic discipline, journal protocol, and unit consistency
-# (EXPERIMENTS.md § Static analysis). Hard gate — any unwaived finding
-# fails the build.
+# The in-tree static analyzer, every rule in one pass: panic
+# discipline, error matches, raw journal writes, unit consistency and
+# nondeterminism taint (EXPERIMENTS.md § Static analysis). Hard gate —
+# any unwaived finding fails the build.
 step ./target/release/repro lint --quiet
 
 # Model-check every experiment preset's sweep grid against
 # SystemConfig::validate(), so a bad preset fails here, not mid-sweep.
 step ./target/release/repro lint --configs
 
+# The root package's tests (observability, snapshot, corpus, resume…)
+# run once in the tier-1 step; the workspace step adds every other
+# crate's, and the fault step reruns the root suite with injection armed.
 echo "==> cargo test -q (tier-1)"
 step cargo test -q
 
-step cargo test -q --workspace
-
-echo "==> cargo test -q --test observability --test snapshot_golden (observability gate)"
-step cargo test -q --test observability --test snapshot_golden
+step cargo test -q --workspace --exclude rampage
 
 echo "==> cargo test -q --features fault (fault-injection suite)"
 step cargo test -q --features fault
-
-echo "==> cargo test -q --test corpus (trace corpus gate: record → replay determinism)"
-step cargo test -q --test corpus
-
-echo "==> cargo test -q --test corpus --features fault (armed corrupt-block quarantine)"
-step cargo test -q --test corpus --features fault
 
 # Banked-backend smoke: the same sweep at the other DRAM fidelity, plus
 # the dramdiff ablation, whose divergence summary must land in
 # metrics.json (the tentpole contract of the banked backend).
 echo "==> banked DRAM backend smoke (--dram-backend banked + dramdiff divergence)"
-BANKED_TMP=$(mktemp -d)
 step ./target/release/repro --scale 20000 --nbench 2 --dram-backend banked \
   --out "${BANKED_TMP}" table3 dramdiff >/dev/null
 if ! grep -q '"dram_divergence"' "${BANKED_TMP}/metrics.json"; then
   echo "FAIL: dramdiff did not record dram_divergence in metrics.json" >&2
   exit 1
 fi
-rm -rf "${BANKED_TMP}"
 
 # End-to-end corrupt-block drill through the CLI: record a corpus,
 # verify it clean, smash a byte mid-file, and the verifier must fail.
 echo "==> trace corpus CLI drill (record, verify, corrupt, re-verify)"
-CORPUS_TMP=$(mktemp -d)
-DRILL_TMP=$(mktemp -d)
-trap 'rm -rf "${CORPUS_TMP}" "${DRILL_TMP}"' EXIT
 ./target/release/repro trace record --dir "${CORPUS_TMP}" --scale 20000 --nbench 2 >/dev/null
 ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null
 SHARD=$(ls "${CORPUS_TMP}"/*.rct | head -1)

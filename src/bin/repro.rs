@@ -920,8 +920,10 @@ const LINT_USAGE: &str = "usage: repro lint [--format text|sarif] [--quiet] [--r
        repro lint --configs
 
 Runs the workspace static analyzer (rampage-analysis) over every crate:
-determinism, panic-discipline, journal-protocol, and unit-consistency
-rules, all in one pass.
+panic-discipline, error-match, journal-append, unit-consistency and
+nondeterminism-taint rules, all in one pass. Hash iteration, clock and
+environment reads, sleeps and unrouted simulation calls are clippy's
+(clippy.toml); the claim read-back is a type in the sweep runner.
 
 --format FMT     text (default) or sarif (SARIF 2.1.0, for CI annotation)
 --quiet          text format: print only the summary lines

@@ -191,6 +191,45 @@ fn torn_multibyte_tail_does_not_stall_a_running_owner() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal unlinked under a running owner (say, an `rm -rf` of
+/// `--out` mid-sweep) takes the owner's appends into an orphaned inode
+/// while every rescan reads an empty file, so no claim ever reads back
+/// as won. The owner must count the lost journal and compute the chunk
+/// anyway, not re-claim it forever.
+#[cfg(unix)]
+#[test]
+fn unlinked_journal_does_not_stall_a_running_owner() {
+    use rampage_json::Json;
+    let w = Workload::quick();
+    let dir = scratch("unlinked");
+    let jpath = dir.join("journal.jsonl");
+    let sizes = [256u64];
+    let runner = SweepRunner::serial()
+        .with_journal(&jpath, LeaseConfig::new("A".into()))
+        .expect("open journal");
+    std::fs::remove_file(&jpath).expect("unlink the journal");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        table3::run(&runner, &w, &RATES, &sizes);
+        let _ = tx.send((runner.cache().to_json().pretty(), runner.telemetry_json()));
+    });
+    let (cells, telemetry) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the journaled batch finishes without its journal");
+    worker.join().expect("runner thread");
+    assert_eq!(
+        cells,
+        clean_cells(&w, &sizes),
+        "unlinked-journal run differs from a clean run"
+    );
+    let errors = telemetry
+        .get("journal")
+        .and_then(|j| j.get("errors"))
+        .and_then(Json::as_u64);
+    assert!(errors >= Some(1), "the lost journal is counted: {errors:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `cells.json` is a write-only snapshot: a rerun seeds its cache from
 /// the journal alone, so a well-formed, correctly checksummed entry
 /// added to the snapshot between runs never reaches the next snapshot,
