@@ -2,7 +2,7 @@
 
 use crate::addr::PhysAddr;
 use crate::geometry::Geometry;
-use crate::policy::{ReplacementPolicy, SetMeta};
+use crate::policy::{oldest, ReplacementPolicy};
 use crate::stats::CacheStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,10 @@ struct Line {
 pub struct Cache {
     geo: Geometry,
     lines: Vec<Line>,
-    meta: Vec<SetMeta>,
+    /// One replacement stamp per line, row-major like `lines`: the
+    /// last-touch time under LRU, the fill time under FIFO (random
+    /// replacement ignores them).
+    stamps: Vec<u64>,
     policy: ReplacementPolicy,
     rng: StdRng,
     clock: u64,
@@ -63,12 +66,11 @@ impl Cache {
     /// As [`Cache::new`] but with an explicit RNG seed for the random
     /// replacement policy, so experiments stay reproducible.
     pub fn with_seed(geo: Geometry, policy: ReplacementPolicy, seed: u64) -> Self {
-        let sets = geo.sets() as usize;
-        let ways = geo.ways();
+        let blocks = geo.blocks() as usize;
         Cache {
             geo,
-            lines: vec![Line::default(); sets * ways as usize],
-            meta: (0..sets).map(|_| SetMeta::new(ways)).collect(),
+            lines: vec![Line::default(); blocks],
+            stamps: vec![0; blocks],
             policy,
             rng: StdRng::seed_from_u64(seed),
             clock: 0,
@@ -121,7 +123,10 @@ impl Cache {
             return w;
         }
         match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.meta[set].oldest(),
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                let first = self.line_index(set, 0);
+                oldest(&self.stamps[first..first + ways])
+            }
             ReplacementPolicy::Random => self.rng.gen_range(0..ways),
         }
     }
@@ -144,7 +149,7 @@ impl Cache {
                 self.stats.read_hits += 1;
             }
             if self.policy == ReplacementPolicy::Lru {
-                self.meta[set].stamps[way] = self.clock;
+                self.stamps[idx] = self.clock;
             }
             return AccessResult {
                 hit: true,
@@ -175,7 +180,7 @@ impl Cache {
             dirty: is_write,
         };
         // LRU and FIFO both stamp at fill time.
-        self.meta[set].stamps[way] = self.clock;
+        self.stamps[idx] = self.clock;
         AccessResult {
             hit: false,
             eviction,

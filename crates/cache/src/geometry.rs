@@ -45,6 +45,10 @@ pub struct Geometry {
     size: u64,
     block: u64,
     ways: u32,
+    /// log2(block): the address bits below the set index.
+    offset_bits: u32,
+    /// log2(sets): the set-index bits, so indexing needs no division.
+    index_bits: u32,
 }
 
 impl Geometry {
@@ -71,10 +75,17 @@ impl Geometry {
         if way_bytes > size {
             return Err(GeometryError::Inconsistent);
         }
-        if size / way_bytes == 0 {
+        let sets = size / way_bytes;
+        if sets == 0 {
             return Err(GeometryError::TooSmall);
         }
-        Ok(Geometry { size, block, ways })
+        Ok(Geometry {
+            size,
+            block,
+            ways,
+            offset_bits: block.trailing_zeros(),
+            index_bits: sets.trailing_zeros(),
+        })
     }
 
     /// Fully-associative geometry: a single set of `size / block` ways.
@@ -111,7 +122,7 @@ impl Geometry {
     /// Number of sets.
     #[inline]
     pub fn sets(&self) -> u64 {
-        self.size / (self.block * self.ways as u64)
+        1 << self.index_bits
     }
 
     /// Total number of blocks (lines).
@@ -123,19 +134,19 @@ impl Geometry {
     /// Set index for an address.
     #[inline]
     pub fn set_index(&self, addr: PhysAddr) -> u64 {
-        (addr.0 >> self.block.trailing_zeros()) & (self.sets() - 1)
+        (addr.0 >> self.offset_bits) & (self.sets() - 1)
     }
 
     /// Tag for an address (the block number bits above the index).
     #[inline]
     pub fn tag(&self, addr: PhysAddr) -> u64 {
-        (addr.0 >> self.block.trailing_zeros()) / self.sets()
+        addr.0 >> (self.offset_bits + self.index_bits)
     }
 
     /// Reconstruct the base address of a block from its set and tag.
     #[inline]
     pub fn block_base(&self, set: u64, tag: u64) -> PhysAddr {
-        PhysAddr((tag * self.sets() + set) << self.block.trailing_zeros())
+        PhysAddr(((tag << self.index_bits) | set) << self.offset_bits)
     }
 
     /// Bytes of tag + state storage a hardware implementation would need,
@@ -147,9 +158,7 @@ impl Geometry {
     /// blocks needs ≈128 KB of tags, so the equivalent RAMpage SRAM main
     /// memory is 4.125 MB.
     pub fn tag_store_bytes(&self, addr_bits: u32) -> u64 {
-        let offset_bits = self.block.trailing_zeros();
-        let index_bits = self.sets().trailing_zeros();
-        let tag_bits = addr_bits.saturating_sub(offset_bits + index_bits) + 2;
+        let tag_bits = addr_bits.saturating_sub(self.offset_bits + self.index_bits) + 2;
         // Round each block's tag+state up to whole bits, then to bytes.
         (self.blocks() * tag_bits as u64).div_ceil(8)
     }

@@ -29,33 +29,16 @@ impl fmt::Display for ReplacementPolicy {
     }
 }
 
-/// Per-set replacement metadata: a monotone stamp per way.
-///
-/// * LRU — stamp is the last-touch time; evict the minimum.
-/// * FIFO — stamp is the fill time; evict the minimum.
-/// * Random — stamps unused; the cache's RNG picks the way.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SetMeta {
-    pub stamps: Vec<u64>,
-}
-
-impl SetMeta {
-    pub fn new(ways: u32) -> Self {
-        SetMeta {
-            stamps: vec![0; ways as usize],
-        }
-    }
-
-    /// Way with the smallest stamp (LRU/FIFO victim among valid ways).
-    /// [`Geometry`](crate::Geometry) guarantees at least one way, so the
-    /// zero-way fallback of 0 is unreachable in practice.
-    pub fn oldest(&self) -> usize {
-        self.stamps
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &s)| s)
-            .map_or(0, |(i, _)| i)
-    }
+/// The way with the smallest stamp in one set's stamps (the LRU or FIFO
+/// victim); the first minimum wins ties. [`Geometry`](crate::Geometry)
+/// guarantees at least one way, so the zero-way fallback of 0 is
+/// unreachable in practice.
+pub(crate) fn oldest(stamps: &[u64]) -> usize {
+    stamps
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, &s)| s)
+        .map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -64,9 +47,7 @@ mod tests {
 
     #[test]
     fn oldest_picks_min_stamp() {
-        let mut m = SetMeta::new(4);
-        m.stamps = vec![5, 2, 9, 2];
-        assert_eq!(m.oldest(), 1, "first minimum wins ties");
+        assert_eq!(oldest(&[5, 2, 9, 2]), 1, "first minimum wins ties");
     }
 
     #[test]

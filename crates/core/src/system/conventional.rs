@@ -67,13 +67,13 @@ impl Conventional {
         let os_layout = OsLayout::at(PhysAddr(KERNEL_BASE));
         // The page table sits after the OS code + PCBs in kernel space.
         let table_base = PhysAddr(KERNEL_BASE + (1 << 20));
-        let mut page_table = InvertedPageTable::new(DRAM_FRAMES, table_base);
         // Realistic OS page placement: the free list is effectively
         // random, so first-touch allocation scatters pages over the
         // physical space (the page-placement conflict problem of §3.2's
         // page-coloring citations). Sequential allocation would be
         // near-perfect page coloring and flatter the DM baseline.
-        page_table.shuffle_free(0x00a1_10c8);
+        let page_table =
+            InvertedPageTable::with_shuffled_free(DRAM_FRAMES, table_base, 0x00a1_10c8);
         Conventional {
             cycle: cfg.issue.cycle(),
             l1i: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
@@ -351,6 +351,8 @@ impl Conventional {
         }
         // Software refill: probe the page table in (cached) DRAM space.
         let lk = self.page_table.lookup(asid, vpn);
+        self.os.tlb_refill(lk.probe_addrs, &mut self.handler_buf);
+        let probes = lk.probes() as u64;
         let frame = match lk.frame {
             Some(f) => f,
             None => {
@@ -370,12 +372,10 @@ impl Conventional {
                 f
             }
         };
-        self.os.tlb_refill(&lk.probe_addrs, &mut self.handler_buf);
         let stall = self.run_handler(HandlerKind::TlbRefill, now, m);
         self.tlb.insert(asid, vpn, frame);
         m.hist.tlb.record(stall);
         let cycle = self.cycle;
-        let probes = lk.probes() as u64;
         self.trace.emit(|| Event {
             at: now,
             dur: Picos(stall * cycle.0),

@@ -46,6 +46,9 @@ pub struct Rampage {
     channel: ChannelSet,
     switch_on_miss: bool,
     handler_buf: Vec<HandlerRef>,
+    /// The table addresses the faulting TLB-miss walk probed, which the
+    /// fault handler reads again (reused across faults).
+    fault_probes: Vec<PhysAddr>,
     /// Frames pinned for OS code + page table (never replaced).
     pinned_frames: u32,
     /// Write buffer (perfect in the paper's configuration, §4.3).
@@ -116,6 +119,7 @@ impl Rampage {
             channel: ChannelSet::new(cfg.dram, cfg.dram_channels),
             switch_on_miss: cfg.switch_on_miss,
             handler_buf: Vec::with_capacity(1024),
+            fault_probes: Vec::new(),
             pinned_frames,
             wbuf: cfg
                 .write_buffer_depth
@@ -371,13 +375,13 @@ impl Rampage {
         }
     }
 
-    /// Handle a page fault: find a frame, run the fault handler, transfer
-    /// the page from DRAM. Returns `(frame, stall, blocked_until)`.
+    /// Handle a page fault: find a frame, run the fault handler (which
+    /// re-reads `fault_probes`), transfer the page from DRAM. Returns
+    /// `(frame, stall, blocked_until)`.
     fn page_fault(
         &mut self,
         asid: Asid,
         vpn: Vpn,
-        probe_addrs: &[PhysAddr],
         now: Picos,
         m: &mut Metrics,
     ) -> (FrameId, u64, Option<Picos>) {
@@ -395,7 +399,7 @@ impl Rampage {
                 // handler with no scan and a single table update.
                 let update = self.ipt.entry_addr(e.frame);
                 self.os
-                    .page_fault(probe_addrs, &[], &[update], &mut self.handler_buf);
+                    .page_fault(&self.fault_probes, &[], &[update], &mut self.handler_buf);
                 stall += self.run_handler(HandlerKind::Fault, now, m);
                 self.tlb.insert(asid, vpn, e.frame);
                 m.hist.fault.record(stall);
@@ -417,8 +421,12 @@ impl Rampage {
         // Fault-handler software (the DRAM-side translation lookup is
         // folded into the handler instruction budget — see DESIGN.md).
         let updates = [self.ipt.entry_addr(frame)];
-        self.os
-            .page_fault(probe_addrs, &scan_addrs, &updates, &mut self.handler_buf);
+        self.os.page_fault(
+            &self.fault_probes,
+            &scan_addrs,
+            &updates,
+            &mut self.handler_buf,
+        );
         stall += self.run_handler(HandlerKind::Fault, now, m);
 
         // Optional §3.2 extension: also bring in the next virtual page.
@@ -516,12 +524,17 @@ impl MemorySystem for Rampage {
             None => {
                 // TLB refill entirely within SRAM (§2.3).
                 let lk = self.ipt.lookup(asid, vpn);
-                self.os.tlb_refill(&lk.probe_addrs, &mut self.handler_buf);
+                self.os.tlb_refill(lk.probe_addrs, &mut self.handler_buf);
+                let probes = lk.probes() as u64;
+                let found = lk.frame;
+                if found.is_none() {
+                    self.fault_probes.clear();
+                    self.fault_probes.extend_from_slice(lk.probe_addrs);
+                }
                 let refill = self.run_handler(HandlerKind::TlbRefill, now, m);
                 stall += refill;
                 m.hist.tlb.record(refill);
                 let cycle = self.cycle;
-                let probes = lk.probes() as u64;
                 self.trace.emit(|| Event {
                     at: now,
                     dur: Picos(refill * cycle.0),
@@ -529,7 +542,7 @@ impl MemorySystem for Rampage {
                     asid: asid.0,
                     arg: probes,
                 });
-                match lk.frame {
+                match found {
                     Some(f) => {
                         if self.prefetched.remove(&(asid, vpn)) {
                             m.counts.prefetches_useful += 1;
@@ -539,8 +552,7 @@ impl MemorySystem for Rampage {
                     }
                     None => {
                         let at = now + Picos(stall * self.cycle.0);
-                        let (f, fault_stall, blocked) =
-                            self.page_fault(asid, vpn, &lk.probe_addrs, at, m);
+                        let (f, fault_stall, blocked) = self.page_fault(asid, vpn, at, m);
                         stall += fault_stall;
                         blocked_until = blocked;
                         f

@@ -4,6 +4,10 @@ use crate::error::VmError;
 use crate::page::{FrameId, Vpn};
 use rampage_cache::PhysAddr;
 use rampage_trace::Asid;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 /// What a frame currently holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,15 +29,16 @@ pub struct Mapping {
 /// entry per chain step. The TLB-miss handler in [`crate::os`] replays
 /// these through the simulated hierarchy, so longer chains genuinely cost
 /// more.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IptLookup {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IptLookup<'a> {
     /// The mapped frame, or `None` (page fault).
     pub frame: Option<FrameId>,
-    /// Physical addresses probed, in order.
-    pub probe_addrs: Vec<PhysAddr>,
+    /// Physical addresses probed, in order. They live in a buffer the
+    /// table reuses on its next lookup, so a lookup allocates nothing.
+    pub probe_addrs: &'a [PhysAddr],
 }
 
-impl IptLookup {
+impl IptLookup<'_> {
     /// How many table reads the walk performed (the HAT slot plus one
     /// per chain step) — the cost figure observability events carry.
     pub fn probes(&self) -> usize {
@@ -41,11 +46,169 @@ impl IptLookup {
     }
 }
 
+/// A hash-chain link, 4 bytes like the HAT entry it models: the frame
+/// index plus one, so the all-zero value ends the chain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Link(Option<NonZeroU32>);
+
+impl Link {
+    fn to(frame: FrameId) -> Self {
+        Link(NonZeroU32::new(frame.0 + 1))
+    }
+
+    fn frame(self) -> Option<FrameId> {
+        self.0.map(|n| FrameId(n.get() - 1))
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     mapping: Option<Mapping>,
     /// Next frame on the same hash chain.
-    next: Option<FrameId>,
+    next: Link,
+    /// Handed out of the free pool and not yet returned to it.
+    taken: bool,
+}
+
+/// Entries per storage chunk of a large [`Paged`] array.
+const CHUNK: usize = 256;
+
+/// Arrays of up to this many entries are allocated in full. That covers
+/// the RAMpage table (33,792 frames and 65,536 buckets at 128-byte
+/// pages), which maps most of its frames, so its lookups skip the chunk
+/// directory. The conventional table's 2^18 DRAM frames are paged in.
+const FLAT_MAX: usize = 1 << 16;
+
+/// A fixed-length array whose entries read as `T::default()` until
+/// written. Above [`FLAT_MAX`] entries, storage is allocated one
+/// [`CHUNK`] at a time on first write, so memory and construction time
+/// follow what has been written, not the length, and a read of an
+/// entry never written allocates nothing.
+#[derive(Debug)]
+struct Paged<T> {
+    len: usize,
+    /// Per chunk, the index in `data` where its entries start; 0, the
+    /// all-default chunk at the front of `data`, until the chunk is
+    /// first written. Empty when `data` holds every entry in order.
+    dir: Vec<usize>,
+    data: Vec<T>,
+}
+
+impl<T: Copy + Default> Paged<T> {
+    fn new(len: usize) -> Self {
+        if len <= FLAT_MAX {
+            return Paged {
+                len,
+                dir: Vec::new(),
+                data: vec![T::default(); len],
+            };
+        }
+        Paged {
+            len,
+            dir: vec![0; len.div_ceil(CHUNK)],
+            data: vec![T::default(); CHUNK],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range, as indexing a slice does.
+    #[inline]
+    fn get(&self, i: usize) -> &T {
+        if self.dir.is_empty() {
+            return &self.data[i];
+        }
+        assert!(i < self.len, "index {i} out of range for {}", self.len);
+        &self.data[self.dir[i / CHUNK] + i % CHUNK]
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range, as indexing a slice does.
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        if self.dir.is_empty() {
+            return &mut self.data[i];
+        }
+        assert!(i < self.len, "index {i} out of range for {}", self.len);
+        let start = &mut self.dir[i / CHUNK];
+        if *start == 0 {
+            *start = self.data.len();
+            self.data.resize(*start + CHUNK, T::default());
+        }
+        &mut self.data[*start + i % CHUNK]
+    }
+}
+
+/// The free-frame pool.
+///
+/// It behaves as a list that starts with every frame in descending
+/// order, hands frames out from its back and takes returned frames back
+/// on top, so low frames go first. A shuffled pool first runs
+/// `rand::seq::SliceRandom::shuffle` over that list. That Fisher–Yates
+/// shuffle swaps top-down: step *i* swaps position *i* with a uniform
+/// position `j <= i` and never touches *i* again. So this pool runs step
+/// *i*, with its one draw, only when position *i* is handed out, and
+/// keeps only the values earlier steps moved into lower positions. It
+/// hands out the same frames in the same order as the eager shuffle, at
+/// a cost that follows the frames handed out, not the table size.
+#[derive(Debug)]
+struct FreePool {
+    frames: u32,
+    /// Positions `0..unpopped` of the list have never been handed out.
+    unpopped: u32,
+    /// Never-popped positions whose value a shuffle step replaced;
+    /// every other position `k` still holds its initial `frames - 1 - k`.
+    displaced: BTreeMap<u32, u32>,
+    /// The shuffle's generator; `None` keeps the list in order.
+    rng: Option<StdRng>,
+    /// Frames returned to the pool, last in first out.
+    returned: Vec<FrameId>,
+}
+
+impl FreePool {
+    fn new(frames: u32, shuffle_seed: Option<u64>) -> Self {
+        FreePool {
+            frames,
+            unpopped: frames,
+            displaced: BTreeMap::new(),
+            rng: shuffle_seed.map(StdRng::seed_from_u64),
+            returned: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.unpopped as usize + self.returned.len()
+    }
+
+    fn pop(&mut self) -> Option<FrameId> {
+        if let Some(f) = self.returned.pop() {
+            return Some(f);
+        }
+        let i = self.unpopped.checked_sub(1)?;
+        self.unpopped = i;
+        let initial = |k: u32| self.frames - 1 - k;
+        let Some(rng) = self.rng.as_mut() else {
+            return Some(FrameId(initial(i)));
+        };
+        let top = self.displaced.remove(&i).unwrap_or(initial(i));
+        // The shuffle's step i swaps positions i and j <= i; there is no
+        // step 0, and so no draw for it.
+        let j = if i == 0 { 0 } else { rng.gen_range(0..i + 1) };
+        if j == i {
+            return Some(FrameId(top));
+        }
+        let below = self.displaced.insert(j, top).unwrap_or(initial(j));
+        Some(FrameId(below))
+    }
+
+    fn push(&mut self, frame: FrameId) {
+        self.returned.push(frame);
+    }
 }
 
 /// An inverted page table: one entry per physical frame, reached through a
@@ -59,14 +222,20 @@ struct Slot {
 ///
 /// The table knows its own physical layout (`table_base`): the HAT is an
 /// array of 4-byte frame indices, followed by 16-byte entries, so lookups
-/// report the exact addresses a software handler would touch.
+/// report the exact addresses a software handler would touch. Those
+/// addresses follow from bucket and frame indices alone; the host-side
+/// storage of a large table is allocated only as entries are written.
 #[derive(Debug)]
 pub struct InvertedPageTable {
-    slots: Vec<Slot>,
-    hat: Vec<Option<FrameId>>,
-    free: Vec<FrameId>,
+    slots: Paged<Slot>,
+    hat: Paged<Link>,
+    /// `64 - log2(buckets)`: the hash bits above it pick the bucket.
+    bucket_shift: u32,
+    free: FreePool,
     table_base: PhysAddr,
     mapped: u32,
+    /// The last lookup's probe addresses (reused, never shrunk).
+    probes: Vec<PhysAddr>,
 }
 
 /// Bytes per hash-anchor-table slot (a frame index).
@@ -76,24 +245,52 @@ pub(crate) const ENTRY_BYTES: u64 = 16;
 
 impl InvertedPageTable {
     /// Create a table covering `num_frames` frames, resident at
-    /// `table_base` in the physical space it maps.
+    /// `table_base` in the physical space it maps. The free pool hands
+    /// out low frame numbers first.
     ///
     /// # Panics
     ///
     /// Panics if `num_frames` is zero.
     pub fn new(num_frames: u32, table_base: PhysAddr) -> Self {
+        Self::build(num_frames, table_base, None)
+    }
+
+    /// As [`new`](Self::new), but the free pool hands frames out in an
+    /// order shuffled deterministically by `seed`: the order of
+    /// `rand::seq::SliceRandom::shuffle` over the unshuffled pool.
+    ///
+    /// A real OS's free list is effectively randomly ordered, which is
+    /// what makes large direct-mapped caches suffer page-placement
+    /// conflicts (the problem the paper's §3.2 cites page-coloring work
+    /// [KH92b, BLRC94] for). Sequential allocation would amount to
+    /// perfect page coloring and unrealistically flatter the baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_frames` is zero.
+    pub fn with_shuffled_free(num_frames: u32, table_base: PhysAddr, seed: u64) -> Self {
+        Self::build(num_frames, table_base, Some(seed))
+    }
+
+    /// The table of both constructors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_frames` is zero.
+    fn build(num_frames: u32, table_base: PhysAddr, shuffle_seed: Option<u64>) -> Self {
         assert!(num_frames > 0, "a paged memory needs frames");
         // One bucket per frame (rounded up to a power of two): the
         // classic inverted-table load factor, and it keeps the pinned
         // table within the paper's §4.5 OS-region budget.
         let buckets = (num_frames as usize).next_power_of_two();
         InvertedPageTable {
-            slots: vec![Slot::default(); num_frames as usize],
-            hat: vec![None; buckets],
-            // Allocate low frames first: pop from the back.
-            free: (0..num_frames).rev().map(FrameId).collect(),
+            slots: Paged::new(num_frames as usize),
+            hat: Paged::new(buckets),
+            bucket_shift: 64 - buckets.trailing_zeros(),
+            free: FreePool::new(num_frames, shuffle_seed),
             table_base,
             mapped: 0,
+            probes: Vec::new(),
         }
     }
 
@@ -122,7 +319,8 @@ impl InvertedPageTable {
     fn bucket_of(&self, asid: Asid, vpn: Vpn) -> usize {
         let key = ((asid.0 as u64) << 48) ^ vpn.0;
         let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> (64 - self.hat.len().trailing_zeros())) as usize
+        // A one-bucket table shifts by 64, which leaves no bits: bucket 0.
+        h.checked_shr(self.bucket_shift).unwrap_or(0) as usize
     }
 
     fn hat_addr(&self, bucket: usize) -> PhysAddr {
@@ -141,13 +339,15 @@ impl InvertedPageTable {
 
     /// Look up `(asid, vpn)`, recording the probe addresses. On a hit the
     /// referenced bit is set (feeding the clock algorithm).
-    pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> IptLookup {
+    pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> IptLookup<'_> {
         let bucket = self.bucket_of(asid, vpn);
-        let mut probe_addrs = vec![self.hat_addr(bucket)];
-        let mut cur = self.hat[bucket];
+        self.probes.clear();
+        self.probes.push(self.hat_addr(bucket));
+        let mut cur = self.hat.get(bucket).frame();
+        let mut frame = None;
         while let Some(f) = cur {
-            probe_addrs.push(self.entry_addr(f));
-            let slot = &mut self.slots[f.0 as usize];
+            self.probes.push(self.entry_addr(f));
+            let slot = self.slots.get_mut(f.0 as usize);
             let Some(m) = slot.mapping.as_mut() else {
                 // invariant: frames on a collision chain always hold a
                 // mapping; unmapped frames are unlinked on free.
@@ -155,52 +355,40 @@ impl InvertedPageTable {
             };
             if m.asid == asid && m.vpn == vpn {
                 m.referenced = true;
-                return IptLookup {
-                    frame: Some(f),
-                    probe_addrs,
-                };
+                frame = Some(f);
+                break;
             }
-            cur = slot.next;
+            cur = slot.next.frame();
         }
         IptLookup {
-            frame: None,
-            probe_addrs,
+            frame,
+            probe_addrs: &self.probes,
         }
     }
 
     /// Behavioural lookup: no probe recording, no referenced-bit update.
     pub fn frame_of(&self, asid: Asid, vpn: Vpn) -> Option<FrameId> {
         let bucket = self.bucket_of(asid, vpn);
-        let mut cur = self.hat[bucket];
+        let mut cur = self.hat.get(bucket).frame();
         while let Some(f) = cur {
-            let slot = &self.slots[f.0 as usize];
+            let slot = self.slots.get(f.0 as usize);
             let m = slot.mapping.as_ref()?;
             if m.asid == asid && m.vpn == vpn {
                 return Some(f);
             }
-            cur = slot.next;
+            cur = slot.next.frame();
         }
         None
     }
 
-    /// Take a frame from the free pool (low frame numbers first, unless
-    /// shuffled with [`shuffle_free`](Self::shuffle_free)).
+    /// Take a frame from the free pool: the most recently returned frame
+    /// if any, else the next in the pool's initial order (low frame
+    /// numbers first, unless built with
+    /// [`with_shuffled_free`](Self::with_shuffled_free)).
     pub fn alloc_free(&mut self) -> Option<FrameId> {
-        self.free.pop()
-    }
-
-    /// Shuffle the free pool (deterministically, by `seed`).
-    ///
-    /// A real OS's free list is effectively randomly ordered, which is
-    /// what makes large direct-mapped caches suffer page-placement
-    /// conflicts (the problem the paper's §3.2 cites page-coloring work
-    /// [KH92b, BLRC94] for). Sequential allocation would amount to
-    /// perfect page coloring and unrealistically flatter the baseline.
-    pub fn shuffle_free(&mut self, seed: u64) {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.free.shuffle(&mut rng);
+        let f = self.free.pop()?;
+        self.slots.get_mut(f.0 as usize).taken = true;
+        Some(f)
     }
 
     /// Number of unmapped frames remaining.
@@ -216,24 +404,23 @@ impl InvertedPageTable {
     /// when the frame or the pair is already in use (both are OS bugs in
     /// a real system); the table is unchanged on error.
     pub fn try_insert(&mut self, frame: FrameId, asid: Asid, vpn: Vpn) -> Result<(), VmError> {
-        if self.slots[frame.0 as usize].mapping.is_some() {
+        if self.slots.get(frame.0 as usize).mapping.is_some() {
             return Err(VmError::FrameAlreadyMapped { frame });
         }
         if self.frame_of(asid, vpn).is_some() {
             return Err(VmError::PageAlreadyMapped { asid, vpn });
         }
-        let bucket = self.bucket_of(asid, vpn);
-        self.slots[frame.0 as usize] = Slot {
-            mapping: Some(Mapping {
-                asid,
-                vpn,
-                referenced: true,
-                dirty: false,
-                pinned: false,
-            }),
-            next: self.hat[bucket],
-        };
-        self.hat[bucket] = Some(frame);
+        let head = self.hat.get_mut(self.bucket_of(asid, vpn));
+        let slot = self.slots.get_mut(frame.0 as usize);
+        slot.mapping = Some(Mapping {
+            asid,
+            vpn,
+            referenced: true,
+            dirty: false,
+            pinned: false,
+        });
+        slot.next = *head;
+        *head = Link::to(frame);
         self.mapped += 1;
         Ok(())
     }
@@ -259,7 +446,7 @@ impl InvertedPageTable {
     /// As [`insert`](Self::insert).
     pub fn insert_pinned(&mut self, frame: FrameId, asid: Asid, vpn: Vpn) {
         self.insert(frame, asid, vpn);
-        if let Some(m) = self.slots[frame.0 as usize].mapping.as_mut() {
+        if let Some(m) = self.slots.get_mut(frame.0 as usize).mapping.as_mut() {
             m.pinned = true;
         }
     }
@@ -272,7 +459,7 @@ impl InvertedPageTable {
     /// Panics if the frame is pinned.
     pub fn remove(&mut self, frame: FrameId) -> Option<Mapping> {
         let m = self.remove_reserved(frame)?;
-        self.free.push(frame);
+        self.return_to_pool(frame);
         Some(m)
     }
 
@@ -285,28 +472,31 @@ impl InvertedPageTable {
     /// [`VmError::PinnedFrame`] if the frame is pinned (pinned frames
     /// hold the OS and the table itself; replacing one is a kernel bug).
     pub fn try_remove_reserved(&mut self, frame: FrameId) -> Result<Option<Mapping>, VmError> {
-        let Some(m) = self.slots[frame.0 as usize].mapping else {
+        let Slot {
+            mapping: Some(m),
+            next: after,
+            ..
+        } = *self.slots.get(frame.0 as usize)
+        else {
             return Ok(None);
         };
         if m.pinned {
             return Err(VmError::PinnedFrame { frame });
         }
-        let bucket = self.bucket_of(m.asid, m.vpn);
-        // Unlink from the chain.
-        if self.hat[bucket] == Some(frame) {
-            self.hat[bucket] = self.slots[frame.0 as usize].next;
-        } else {
-            let mut cur = self.hat[bucket];
-            while let Some(f) = cur {
-                let next = self.slots[f.0 as usize].next;
-                if next == Some(frame) {
-                    self.slots[f.0 as usize].next = self.slots[frame.0 as usize].next;
-                    break;
-                }
-                cur = next;
-            }
+        // Unlink from the chain: point whichever link names `frame` past it.
+        let link = Link::to(frame);
+        let mut prev = self.hat.get_mut(self.bucket_of(m.asid, m.vpn));
+        while *prev != link {
+            let Some(f) = prev.frame() else {
+                // invariant: a mapped frame is on its bucket's chain.
+                unreachable!("IPT invariant: mapped {frame} is on its chain")
+            };
+            prev = &mut self.slots.get_mut(f.0 as usize).next;
         }
-        self.slots[frame.0 as usize] = Slot::default();
+        *prev = after;
+        let slot = self.slots.get_mut(frame.0 as usize);
+        slot.mapping = None;
+        slot.next = Link::default();
         self.mapped -= 1;
         Ok(Some(m))
     }
@@ -330,19 +520,23 @@ impl InvertedPageTable {
     ///
     /// # Panics
     ///
-    /// Panics if the frame is still mapped.
+    /// Panics if the frame is still mapped, or is already in the free
+    /// pool (a double release).
     pub fn release(&mut self, frame: FrameId) {
-        assert!(
-            self.slots[frame.0 as usize].mapping.is_none(),
-            "releasing a mapped frame {frame}"
-        );
-        debug_assert!(!self.free.contains(&frame), "double release of {frame}");
+        let slot = self.slots.get(frame.0 as usize);
+        assert!(slot.mapping.is_none(), "releasing a mapped frame {frame}");
+        assert!(slot.taken, "double release of {frame}");
+        self.return_to_pool(frame);
+    }
+
+    fn return_to_pool(&mut self, frame: FrameId) {
+        self.slots.get_mut(frame.0 as usize).taken = false;
         self.free.push(frame);
     }
 
     /// The mapping currently in `frame`, if any.
     pub fn mapping(&self, frame: FrameId) -> Option<&Mapping> {
-        self.slots[frame.0 as usize].mapping.as_ref()
+        self.slots.get(frame.0 as usize).mapping.as_ref()
     }
 
     /// Set the dirty bit of a mapped frame (on write-back into the page).
@@ -352,7 +546,7 @@ impl InvertedPageTable {
     /// Panics if the frame is unmapped (the caller just resolved the
     /// frame through the TLB or table, so this is an internal invariant).
     pub fn set_dirty(&mut self, frame: FrameId) {
-        match self.slots[frame.0 as usize].mapping.as_mut() {
+        match self.slots.get_mut(frame.0 as usize).mapping.as_mut() {
             Some(m) => m.dirty = true,
             None => panic!("VM invariant: dirtying unmapped {frame}"),
         }
@@ -360,7 +554,7 @@ impl InvertedPageTable {
 
     /// Clear the referenced bit (the clock hand sweeping past).
     pub(crate) fn clear_referenced(&mut self, frame: FrameId) {
-        if let Some(m) = self.slots[frame.0 as usize].mapping.as_mut() {
+        if let Some(m) = self.slots.get_mut(frame.0 as usize).mapping.as_mut() {
             m.referenced = false;
         }
     }
@@ -551,6 +745,45 @@ mod tests {
         let f = t.alloc_free().unwrap();
         t.insert(f, Asid(1), Vpn(1));
         t.release(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn double_release_is_a_bug() {
+        let mut t = table(2);
+        let f = t.alloc_free().unwrap();
+        t.insert(f, Asid(1), Vpn(1));
+        t.remove_reserved(f);
+        t.release(f);
+        t.release(f);
+    }
+
+    #[test]
+    fn large_table_storage_follows_what_is_written() {
+        let mut t = InvertedPageTable::with_shuffled_free(1 << 18, PhysAddr(0), 7);
+        let chunks = |t: &InvertedPageTable| (t.slots.data.len() / CHUNK, t.hat.data.len() / CHUNK);
+        // Only the shared all-default chunk exists, and reads never
+        // written allocate nothing.
+        assert_eq!(chunks(&t), (1, 1));
+        for vpn in 0..1000 {
+            assert_eq!(t.lookup(Asid(1), Vpn(vpn)).frame, None);
+        }
+        assert!((0..1 << 18).all(|f| t.mapping(FrameId(f)).is_none()));
+        assert_eq!(chunks(&t), (1, 1));
+        // One mapping pages in one chunk of entries and one of buckets.
+        let f = t.alloc_free().unwrap();
+        t.insert(f, Asid(1), Vpn(5));
+        assert_eq!(chunks(&t), (2, 2));
+        assert_eq!(t.frame_of(Asid(1), Vpn(5)), Some(f));
+        assert_eq!(t.table_bytes(), (1 << 18) * (HAT_ENTRY_BYTES + ENTRY_BYTES));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn large_table_rejects_frames_past_its_end() {
+        // 65,537 frames: the last chunk is mostly past the end.
+        let t = InvertedPageTable::new((1 << 16) + 1, PhysAddr(0));
+        t.mapping(FrameId((1 << 16) + 1));
     }
 
     #[test]

@@ -87,6 +87,15 @@ step cargo build --release
 echo "==> ledger tests (the one performance harness)"
 CARGO_TARGET_DIR=target step cargo test -q --release --manifest-path ledger/Cargo.toml
 
+# The ledger's tests run every workload at a tiny size only. One warm-up
+# repetition of each at full size checks its inputs and cells against
+# the digests pinned in ledger/golden/ (exit 0 only when all match).
+echo "==> ledger golden digests (every workload at full size)"
+for workload in grid_synth solo_corpus paging_switch sweep_journaled; do
+  CARGO_TARGET_DIR=target step cargo run -q --release --manifest-path ledger/Cargo.toml \
+    --bin ledger -- run --workload "${workload}" --seconds 0
+done
+
 # The in-tree static analyzer, every rule in one pass: panic
 # discipline, error matches, raw journal writes, unit consistency and
 # nondeterminism taint (EXPERIMENTS.md § Static analysis). Hard gate —

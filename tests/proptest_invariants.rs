@@ -10,6 +10,7 @@ use rampage::dram::{DirectRambus, MemoryDevice, Picos};
 use rampage::vm::{ClockReplacer, FrameId, InvertedPageTable, Tlb, Vpn};
 use rampage_trace::Asid;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 
@@ -120,7 +121,9 @@ fn geometry_index_tag_roundtrip() {
 fn ipt_matches_map_model() {
     let mut rng = StdRng::seed_from_u64(0x11a4);
     for _ in 0..64 {
-        let mut ipt = InvertedPageTable::new(32, PhysAddr(0x1000));
+        // One frame is one bucket: the hash keeps no bits at all.
+        let frames = pick(&mut rng, &[1u32, 2, 32]);
+        let mut ipt = InvertedPageTable::new(frames, PhysAddr(0x1000));
         let mut model: HashMap<u64, FrameId> = HashMap::new();
         let asid = Asid(1);
         let nops = rng.gen_range(1..300usize);
@@ -152,7 +155,7 @@ fn ipt_matches_map_model() {
                 }
             }
             assert_eq!(ipt.mapped_frames() as usize, model.len());
-            assert_eq!(ipt.free_frames(), 32 - model.len());
+            assert_eq!(ipt.free_frames(), frames as usize - model.len());
         }
         // Final coherence: every model entry resolves through the chains.
         for (vpn_raw, f) in &model {
@@ -161,6 +164,90 @@ fn ipt_matches_map_model() {
             assert_eq!(m.vpn, Vpn(*vpn_raw));
         }
     }
+}
+
+// ---------- The lazily shuffled free pool vs the eager shuffle ----------
+
+/// The free pool as an eager list: every frame in descending order,
+/// shuffled in full with `SliceRandom`, handed out from the back, with
+/// returned frames pushed on top.
+fn eager_pool(frames: u32, shuffle_seed: Option<u64>) -> Vec<FrameId> {
+    let mut pool: Vec<FrameId> = (0..frames).rev().map(FrameId).collect();
+    if let Some(seed) = shuffle_seed {
+        pool.shuffle(&mut StdRng::seed_from_u64(seed));
+    }
+    pool
+}
+
+#[test]
+fn lazy_free_pool_matches_the_eager_shuffle() {
+    let mut rng = StdRng::seed_from_u64(0x11aa);
+    for frames in [1u32, 2, 3, 64, 4096] {
+        for shuffle_seed in [None, Some(0x00a1_10c8), Some(rng.gen::<u64>())] {
+            for _ in 0..8 {
+                let mut ipt = match shuffle_seed {
+                    Some(seed) => InvertedPageTable::with_shuffled_free(frames, PhysAddr(0), seed),
+                    None => InvertedPageTable::new(frames, PhysAddr(0)),
+                };
+                let mut model = eager_pool(frames, shuffle_seed);
+                // Frames out of the pool: mapped (at vpn = frame) or reserved.
+                let mut mapped: Vec<FrameId> = Vec::new();
+                let mut reserved: Vec<FrameId> = Vec::new();
+                let nops = rng.gen_range(1..4 * frames as usize + 16);
+                for _ in 0..nops {
+                    match rng.gen_range(0..4u8) {
+                        0 | 1 => {
+                            let got = ipt.alloc_free();
+                            assert_eq!(got, model.pop(), "{frames} frames, {shuffle_seed:?}");
+                            if let Some(f) = got {
+                                ipt.insert(f, Asid(1), Vpn(f.0 as u64));
+                                mapped.push(f);
+                            }
+                        }
+                        2 if !mapped.is_empty() => {
+                            let f = mapped.swap_remove(rng.gen_range(0..mapped.len()));
+                            if rng.gen::<bool>() {
+                                assert_eq!(ipt.remove(f).map(|m| m.vpn), Some(Vpn(f.0 as u64)));
+                                model.push(f);
+                            } else {
+                                assert!(ipt.remove_reserved(f).is_some());
+                                reserved.push(f);
+                            }
+                        }
+                        3 if !reserved.is_empty() => {
+                            let f = reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                            ipt.release(f);
+                            model.push(f);
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(ipt.free_frames(), model.len());
+                }
+                // The rest of the pool comes out in the eager order too.
+                while let Some(f) = model.pop() {
+                    assert_eq!(ipt.alloc_free(), Some(f));
+                }
+                assert_eq!(ipt.alloc_free(), None);
+                assert_eq!(ipt.free_frames(), 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn conventional_free_order_is_pinned() {
+    // The first frames the conventional hierarchy's pool (2^18 DRAM
+    // frames, seed 0x00a1_10c8) hands out, as the eager shuffle of the
+    // whole pool gave them.
+    let mut ipt = InvertedPageTable::with_shuffled_free(1 << 18, PhysAddr(0), 0x00a1_10c8);
+    let first: Vec<u32> = (0..16).map(|_| ipt.alloc_free().unwrap().0).collect();
+    assert_eq!(
+        first,
+        [
+            203435, 42718, 248031, 204287, 649, 224924, 44125, 238339, 197973, 27323, 182816,
+            247694, 95874, 239792, 128364, 135646
+        ]
+    );
 }
 
 // ---------- TLB ----------
