@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
 use crate::report::TableBuilder;
-use crate::system::{self, MemorySystem};
+use crate::system::MemorySystem;
 use rampage_dram::Picos;
 use rampage_trace::{profiles, AccessKind, Asid, TraceSource};
 use std::fmt::Write as _;
@@ -121,7 +121,7 @@ pub struct ProcessSummary {
 ///   runnable.
 pub struct Engine {
     cfg: SystemConfig,
-    system: Box<dyn MemorySystem + Send>,
+    system: MemorySystem,
     processes: Vec<Process>,
     current: usize,
     used_in_quantum: u64,
@@ -130,7 +130,6 @@ pub struct Engine {
     now: Picos,
     cycle: Picos,
     metrics: Metrics,
-    trace: TraceSink,
 }
 
 impl Engine {
@@ -157,7 +156,7 @@ impl Engine {
             .collect();
         Engine {
             cfg: *cfg,
-            system: system::build(cfg),
+            system: MemorySystem::new(cfg),
             processes,
             current: 0,
             used_in_quantum: 0,
@@ -165,16 +164,15 @@ impl Engine {
             now: Picos::ZERO,
             cycle: cfg.issue.cycle(),
             metrics: Metrics::default(),
-            trace: TraceSink::disabled(),
         }
     }
 
-    /// Turn on event tracing into a fresh ring bounded at `cap` events;
-    /// the memory system shares the same ring. The recorded events come
-    /// back in [`RunOutcome::events`].
+    /// Turn on event tracing into a fresh ring bounded at `cap` events.
+    /// The memory system owns the ring and records the engine's switch
+    /// and idle events in it too; they come back in
+    /// [`RunOutcome::events`].
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = TraceSink::bounded(cap);
-        self.system.attach_trace(self.trace.clone());
+        *self.system.trace() = TraceSink::bounded(cap);
     }
 
     /// Convenience: the first `nbench` programs of the paper's Table 2
@@ -239,7 +237,7 @@ impl Engine {
         }
         let dur = self.now.saturating_sub(at);
         let from_asid = self.processes[self.current].asid;
-        self.trace.emit(|| Event {
+        self.system.trace().emit(|| Event {
             at,
             dur,
             kind: if m_switch_on_miss {
@@ -295,7 +293,7 @@ impl Engine {
             self.metrics.time.idle_cycles += idle;
             let at = self.now;
             let cycle = self.cycle;
-            self.trace.emit(|| Event {
+            self.system.trace().emit(|| Event {
                 at,
                 dur: Picos(idle * cycle.0),
                 kind: EventKind::Idle,
@@ -352,7 +350,7 @@ impl Engine {
             }
         }
         self.system.finalize(&mut self.metrics);
-        let (events, events_dropped) = self.trace.drain();
+        let (events, events_dropped) = self.system.trace().drain();
         RunOutcome {
             metrics: self.metrics,
             events,

@@ -3,11 +3,16 @@
 //! prove at lint time that no grid cell would die in
 //! [`SystemConfig::validate`] mid-sweep.
 //!
-//! Each grid here mirrors — cell for cell — the configs its experiment
-//! module builds (`table3::run_paper`, `timeslice::run` with the default
-//! slice, the `diag` artifact loop, …). When an experiment grows a new
-//! axis, extend its grid here; the meta-test in
-//! `tests/config_model_check.rs` cross-checks the shapes.
+//! Each grid here lists the configs its experiment module builds
+//! (`table3::run_paper`, `timeslice::run` with the default slice, the
+//! `diag` artifact loop, …), with one known difference: the `anatomy`
+//! grid holds the plain `baseline` and `two_way` presets, while
+//! `anatomy::run` also sets `classify_l2` and clears `switch_trace`.
+//! Neither flag changes what [`SystemConfig::validate`] checks. The grid
+//! stays as it is because the ledger's `sweep_journaled` workload pins
+//! `preset_grids()`. When an experiment grows a new axis, extend its grid
+//! here; `grid_shapes_match_their_experiments` below cross-checks the
+//! cell counts.
 
 use crate::config::SystemConfig;
 use crate::error::ConfigError;
@@ -153,7 +158,8 @@ pub fn preset_grids() -> Vec<PresetGrid> {
         cells,
     });
 
-    // anatomy: direct-mapped and 2-way conventional at 1 GHz.
+    // anatomy: direct-mapped and 2-way conventional at 1 GHz (the run
+    // itself adds classify_l2 and drops the switch trace; see above).
     let mut cells = Vec::new();
     for &size in &PAPER_SIZES {
         cells.push((

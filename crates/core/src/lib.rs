@@ -1,17 +1,18 @@
 //! The RAMpage memory-hierarchy simulator.
 //!
 //! This crate assembles the substrates (`rampage-trace`, `rampage-cache`,
-//! `rampage-dram`, `rampage-vm`) into the two systems the paper compares:
+//! `rampage-dram`, `rampage-vm`) into the two systems the paper compares,
+//! one [`system::MemorySystem`] front end (16 KB L1 I/D caches, a TLB,
+//! write buffer, OS handlers and Direct Rambus DRAM) over one of two
+//! levels below L1:
 //!
-//! * [`system::Conventional`] — 16 KB L1 I/D caches, a 4 MB L2 cache
-//!   (direct-mapped baseline or 2-way "more realistic"), a TLB translating
-//!   to DRAM-physical addresses, inclusion between L1 and L2, Direct
-//!   Rambus DRAM;
-//! * [`system::Rampage`] — the same L1s over an SRAM *main memory* managed
-//!   as a paged store (no tags, full associativity by paging): pinned
-//!   inverted page table, TLB translating to SRAM-physical addresses,
-//!   clock replacement, DRAM as a paging device, optional context switch
-//!   on miss.
+//! * conventional — a 4 MB L2 cache (direct-mapped baseline or 2-way
+//!   "more realistic"), a TLB translating to DRAM-physical addresses,
+//!   inclusion between L1 and L2;
+//! * RAMpage — an SRAM *main memory* managed as a paged store (no tags,
+//!   full associativity by paging): pinned inverted page table, TLB
+//!   translating to SRAM-physical addresses, clock replacement, DRAM as a
+//!   paging device, optional context switch on miss.
 //!
 //! The [`Engine`] drives interleaved multiprogrammed traces through a
 //! system with the paper's 500 000-reference quantum, accounting simulated

@@ -90,7 +90,9 @@ impl ToJson for Event {
 
 /// A bounded ring of [`Event`]s: when full, the oldest event is dropped
 /// (and counted), so a trace of a long run keeps its tail — the part a
-/// timeline viewer usually wants — at a fixed memory ceiling.
+/// timeline viewer usually wants — at a fixed memory ceiling. Storage
+/// grows with the events actually recorded, so a generous cap costs
+/// nothing until a run fills it.
 #[derive(Debug)]
 pub struct EventRing {
     buf: VecDeque<Event>,
@@ -101,10 +103,9 @@ pub struct EventRing {
 impl EventRing {
     /// A ring holding at most `cap` events (`cap` is clamped to ≥ 1).
     pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
         EventRing {
-            buf: VecDeque::with_capacity(cap),
-            cap,
+            buf: VecDeque::new(),
+            cap: cap.max(1),
             dropped: 0,
         }
     }
@@ -178,6 +179,16 @@ mod tests {
         r.push(ev(1, EventKind::Idle));
         assert_eq!(r.len(), 1);
         assert_eq!(r.dropped(), 1);
+    }
+
+    #[test]
+    fn huge_cap_allocates_on_demand_and_drops_nothing() {
+        let mut r = EventRing::new(usize::MAX);
+        for i in 0..1000 {
+            r.push(ev(i, EventKind::DramTransfer));
+        }
+        assert_eq!(r.len(), 1000);
+        assert_eq!(r.dropped(), 0);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Three pillars, all provably non-perturbing (see
 //! `tests/observability.rs`):
 //!
-//! * **Event tracing** — a [`TraceSink`] handle shared by the engine and
-//!   its memory system feeds a bounded [`EventRing`] of simulated-time
-//!   [`Event`]s. Disabled by default: the hot path pays exactly one
-//!   `Option` discriminant check per potential event, and the event value
-//!   itself is never even constructed (the emit closure is not called).
+//! * **Event tracing** — the memory system's [`TraceSink`] owns a bounded
+//!   [`EventRing`] of simulated-time [`Event`]s, which the engine's
+//!   switch and idle events also go through. Disabled by default: the hot
+//!   path pays exactly one `Option` discriminant check per potential
+//!   event, and the event value itself is never even constructed (the
+//!   emit closure is not called).
 //! * **Latency histograms** — [`LatencyHistograms`] inside
 //!   [`crate::Metrics`] record log2-bucketed distributions of DRAM
 //!   service time, page-fault service, and TLB-walk cost. Always on:
@@ -28,27 +29,24 @@ pub use event::{Event, EventKind, EventRing, ASID_NONE};
 pub use export::{chrome_trace, to_jsonl};
 pub use hist::{Hist, LatencyHistograms};
 
-use std::sync::{Arc, Mutex};
-
-/// A cloneable handle onto a shared [`EventRing`], or nothing.
+/// An [`EventRing`], or nothing.
 ///
-/// The engine owns one and hands a clone to its memory system, so both
-/// emit into the same bounded ring. The disabled handle is a `None`: an
-/// [`emit`](TraceSink::emit) call is a single branch and the closure
-/// building the [`Event`] never runs, which is what makes tracing
+/// The memory system owns the one sink of a run. The disabled sink is a
+/// `None`: an [`emit`](TraceSink::emit) call is a single branch and the
+/// closure building the [`Event`] never runs, which is what makes tracing
 /// zero-cost when off.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Arc<Mutex<EventRing>>>);
+#[derive(Debug, Default)]
+pub struct TraceSink(Option<EventRing>);
 
 impl TraceSink {
-    /// The disabled sink (what every engine starts with).
+    /// The disabled sink (what every memory system starts with).
     pub fn disabled() -> Self {
         TraceSink(None)
     }
 
     /// An enabled sink over a fresh ring holding at most `cap` events.
     pub fn bounded(cap: usize) -> Self {
-        TraceSink(Some(Arc::new(Mutex::new(EventRing::new(cap)))))
+        TraceSink(Some(EventRing::new(cap)))
     }
 
     /// Whether events are being recorded.
@@ -59,22 +57,18 @@ impl TraceSink {
     /// Record the event `f` produces — but only when enabled; `f` is not
     /// called otherwise.
     #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> Event) {
-        if let Some(ring) = &self.0 {
-            let mut guard = ring.lock().unwrap_or_else(|p| p.into_inner());
-            guard.push(f());
+    pub fn emit(&mut self, f: impl FnOnce() -> Event) {
+        if let Some(ring) = &mut self.0 {
+            ring.push(f());
         }
     }
 
     /// Take everything recorded so far: `(events oldest-first, dropped)`.
     /// The ring is left empty. Returns `(vec![], 0)` when disabled.
-    pub fn drain(&self) -> (Vec<Event>, u64) {
-        match &self.0 {
+    pub fn drain(&mut self) -> (Vec<Event>, u64) {
+        match &mut self.0 {
             None => (Vec::new(), 0),
-            Some(ring) => {
-                let mut guard = ring.lock().unwrap_or_else(|p| p.into_inner());
-                (guard.drain(), guard.dropped())
-            }
+            Some(ring) => (ring.drain(), ring.dropped()),
         }
     }
 }
@@ -96,7 +90,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_never_calls_the_closure() {
-        let sink = TraceSink::disabled();
+        let mut sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         let mut called = false;
         sink.emit(|| {
@@ -108,20 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_ring() {
-        let a = TraceSink::bounded(8);
-        let b = a.clone();
-        a.emit(|| ev(1));
-        b.emit(|| ev(2));
-        let (events, dropped) = a.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(dropped, 0);
-        assert_eq!(events[0].at, Picos(1));
-    }
-
-    #[test]
     fn bounded_sink_reports_drops() {
-        let sink = TraceSink::bounded(2);
+        let mut sink = TraceSink::bounded(2);
         for i in 0..5 {
             sink.emit(|| ev(i));
         }

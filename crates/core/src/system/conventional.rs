@@ -1,15 +1,14 @@
-//! The conventional two-level cache hierarchy (paper §4.4, §4.7).
+//! The conventional level below L1: an L2 cache over DRAM (paper §4.4,
+//! §4.7).
 
-use crate::channel::ChannelSet;
-use crate::config::{HierarchyKind, SystemConfig, DRAM_PAGE_SIZE, L1_MISS_PENALTY};
+use super::FrontEnd;
+use crate::config::{L2Config, SystemConfig, DRAM_PAGE_SIZE, L1_MISS_PENALTY};
 use crate::metrics::Metrics;
-use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
-use crate::system::{AccessOutcome, MemorySystem};
-use rampage_cache::{Cache, PhysAddr, ReplacementPolicy, ShadowTracker, VictimCache, WriteBuffer};
+use crate::obs::{Event, EventKind, ASID_NONE};
+use rampage_cache::{Cache, Eviction, PhysAddr, ShadowTracker, VictimCache};
 use rampage_dram::Picos;
-use rampage_trace::{AccessKind, Asid, TraceRecord, VirtAddr};
-use rampage_vm::os::{HandlerRef, OsLayout, OsModel};
-use rampage_vm::{InvertedPageTable, PageSize, Tlb};
+use rampage_trace::{AccessKind, Asid};
+use rampage_vm::{FrameId, InvertedPageTable, Vpn};
 
 /// DRAM frames modelled (1 GiB of 4 KB pages — "infinite DRAM ... with no
 /// misses to disk", §4.3; exceeding this is a configuration error).
@@ -20,51 +19,24 @@ const DRAM_FRAMES: u32 = 1 << 18;
 /// user frames, but still cached normally in L1/L2 — the conventional
 /// hierarchy's TLB-miss handler *can* go all the way to DRAM (§2.3's
 /// contrast).
-const KERNEL_BASE: u64 = 1 << 40;
+pub(super) const KERNEL_BASE: u64 = 1 << 40;
 
-/// Which software activity a handler run is charged to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum HandlerKind {
-    TlbRefill,
-    Switch,
-}
-
-/// The conventional system: L1 I/D → L2 cache → DRAM, with a TLB over
-/// DRAM-physical translations and inclusion maintained between L1 and L2.
-pub struct Conventional {
-    cycle: Picos,
-    l1i: Cache,
-    l1d: Cache,
+/// The conventional level: an L2 cache over DRAM, with the TLB (in the
+/// front end) over DRAM-physical translations and inclusion maintained
+/// between L1 and L2.
+pub(super) struct Conventional {
     l2: Cache,
-    tlb: Tlb,
+    l2_block: u64,
     /// DRAM-level page table (inverted, like the paper, §2.4).
     page_table: InvertedPageTable,
-    os: OsModel,
-    channel: ChannelSet,
-    handler_buf: Vec<HandlerRef>,
-    l2_block: u64,
     /// Optional Jouppi victim buffer between L1 and L2 (§3.2 ablation).
     victim: Option<VictimCache>,
-    /// Write buffer (perfect in the paper's configuration, §4.3).
-    wbuf: WriteBuffer,
     /// Optional 3C classification of L2 misses.
     classifier: Option<ShadowTracker>,
-    /// Event-trace sink shared with the engine (disabled by default).
-    trace: TraceSink,
 }
 
 impl Conventional {
-    /// Build from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.hierarchy` is not [`HierarchyKind::Conventional`].
-    pub fn new(cfg: &SystemConfig) -> Self {
-        let l2cfg = match cfg.hierarchy {
-            HierarchyKind::Conventional(l2) => l2,
-            HierarchyKind::Rampage(_) => panic!("conventional system given a RAMpage config"),
-        };
-        let os_layout = OsLayout::at(PhysAddr(KERNEL_BASE));
+    pub(super) fn new(cfg: &SystemConfig, l2cfg: L2Config) -> Self {
         // The page table sits after the OS code + PCBs in kernel space.
         let table_base = PhysAddr(KERNEL_BASE + (1 << 20));
         // Realistic OS page placement: the free list is effectively
@@ -75,42 +47,67 @@ impl Conventional {
         let page_table =
             InvertedPageTable::with_shuffled_free(DRAM_FRAMES, table_base, 0x00a1_10c8);
         Conventional {
-            cycle: cfg.issue.cycle(),
-            l1i: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
-            l1d: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
             l2: Cache::new(l2cfg.geometry(), l2cfg.policy),
-            tlb: Tlb::new(cfg.tlb.sets, cfg.tlb.ways, 0x71b_5eed),
-            page_table,
-            os: OsModel::new(cfg.os_costs, os_layout),
-            channel: ChannelSet::new(cfg.dram, cfg.dram_channels),
-            handler_buf: Vec::with_capacity(1024),
             l2_block: l2cfg.block,
+            page_table,
             victim: cfg
                 .l1_victim_blocks
                 .map(|n| VictimCache::new(n, cfg.l1.block)),
-            wbuf: cfg
-                .write_buffer_depth
-                .map(WriteBuffer::with_depth)
-                .unwrap_or_default(),
             classifier: cfg
                 .classify_l2
                 .then(|| ShadowTracker::new(l2cfg.geometry().blocks() as usize, l2cfg.block)),
-            trace: TraceSink::disabled(),
         }
     }
 
-    /// The DRAM page size used for translation.
-    fn dram_page(&self) -> PageSize {
-        let Some(p) = PageSize::new(DRAM_PAGE_SIZE) else {
-            // invariant: DRAM_PAGE_SIZE is a power-of-two constant.
-            unreachable!("DRAM_PAGE_SIZE is a valid power-of-two constant");
-        };
-        p
+    /// Serve an L1 miss on `pa` whose fill displaced `eviction`. `now` is
+    /// the absolute time the reference started stalling. Returns the
+    /// stall cycles and whether they drain the write buffer (a
+    /// victim-buffer swap-back does not).
+    pub(super) fn l1_miss(
+        &mut self,
+        fe: &mut FrontEnd,
+        pa: PhysAddr,
+        kind: AccessKind,
+        eviction: Option<Eviction>,
+        now: Picos,
+        m: &mut Metrics,
+    ) -> (u64, bool) {
+        // Victim-cache probe: a swap-back serves the miss in one cycle
+        // without touching L2 (Jouppi's design, §3.2).
+        if let Some(hit) = self.victim.as_mut().and_then(|vc| vc.take(pa)) {
+            m.counts.victim_hits += 1;
+            m.time.l2_sram_cycles += 1;
+            if hit.dirty {
+                fe.l1(kind).mark_dirty(pa);
+            }
+            let mut stall = 1;
+            if let Some(ev) = eviction {
+                stall += self.stash_victim(ev, m);
+            }
+            return (stall, false);
+        }
+        // Write the dirty L1 victim back into L2 *before* the fill: the
+        // fill's L2 eviction might otherwise displace the very block the
+        // victim belongs to. At this point inclusion still holds, so the
+        // write-back must hit (with a victim cache, the displaced block
+        // goes to the buffer instead).
+        let mut stall = 0;
+        if let Some(ev) = eviction {
+            if self.victim.is_some() {
+                stall += self.stash_victim(ev, m);
+            } else if ev.dirty {
+                stall += L1_MISS_PENALTY;
+                m.time.l2_sram_cycles += L1_MISS_PENALTY;
+                let wb = self.l2.access(ev.addr, true);
+                debug_assert!(wb.hit, "inclusion guarantees L1 victims are in L2");
+            }
+        }
+        (stall + self.l2_service(fe, pa, now, m), true)
     }
 
     /// Service a block from L2 (and DRAM below it). Returns stall cycles.
     /// `now` is the absolute time the reference started stalling.
-    fn l2_service(&mut self, pa: PhysAddr, now: Picos, m: &mut Metrics) -> u64 {
+    fn l2_service(&mut self, fe: &mut FrontEnd, pa: PhysAddr, now: Picos, m: &mut Metrics) -> u64 {
         // L1 miss penalty covers the L2 tag check + transfer to L1.
         let mut stall = L1_MISS_PENALTY;
         m.time.l2_sram_cycles += L1_MISS_PENALTY;
@@ -123,178 +120,48 @@ impl Conventional {
         }
         // L2 miss: maintain inclusion over the victim, then fetch.
         if let Some(ev) = res.eviction {
-            let mut victim_dirty = ev.dirty;
-            let mut wb_cycles = 0u64;
-            let mut probes = 0u64;
-            for l1 in [&mut self.l1i, &mut self.l1d] {
-                probes += l1.invalidate_region(ev.addr, self.l2_block, |e| {
-                    if e.dirty {
-                        // Dirty L1 data folds into the outgoing L2 block.
-                        victim_dirty = true;
-                        wb_cycles += L1_MISS_PENALTY;
-                    }
-                });
-            }
+            let (swept, l1_dirty) = fe.sweep_l1(ev.addr, self.l2_block, m);
+            stall += swept;
+            // Dirty L1 data folds into the outgoing L2 block.
+            let mut victim_dirty = ev.dirty || l1_dirty;
             if let Some(vc) = self.victim.as_mut() {
                 // The victim buffer obeys inclusion too: its blocks are
                 // L2-backed, so the outgoing L2 block sweeps it as well.
+                let mut wb_cycles = 0;
                 vc.invalidate_region(ev.addr, self.l2_block, |e| {
                     if e.dirty {
                         victim_dirty = true;
                         wb_cycles += L1_MISS_PENALTY;
                     }
                 });
+                m.time.l2_sram_cycles += wb_cycles;
+                stall += wb_cycles;
             }
-            // Inclusion probes cost one (L1 hit-time) cycle each, split
-            // between the two caches for attribution.
-            m.counts.inclusion_probes += probes;
-            m.time.l1i_cycles += probes / 2;
-            m.time.l1d_cycles += probes - probes / 2;
-            m.time.l2_sram_cycles += wb_cycles;
-            stall += probes + wb_cycles;
             if victim_dirty {
-                let at = now + Picos(stall * self.cycle.0);
-                let tr =
-                    self.channel
-                        .request(at, self.l2_block, ev.addr.block_number(self.l2_block));
-                let wb_stall = tr.done.saturating_sub(now).cycles_ceil(self.cycle) - stall;
-                m.time.dram_cycles += wb_stall;
+                let block = ev.addr.block_number(self.l2_block);
+                let tr = fe.dram(now, stall, self.l2_block, block, m);
+                stall += fe.dram_wait(tr.done, now, stall, m);
                 m.counts.dram_writebacks += 1;
-                m.hist
-                    .dram
-                    .record(tr.done.saturating_sub(at).cycles_ceil(self.cycle));
-                let block = self.l2_block;
-                self.trace.emit(|| Event {
-                    at: tr.start,
-                    dur: tr.done.saturating_sub(tr.start),
-                    kind: EventKind::DramTransfer,
-                    asid: ASID_NONE,
-                    arg: block,
-                });
-                stall += wb_stall;
             }
         }
         // Fetch the needed block from DRAM.
-        let at = now + Picos(stall * self.cycle.0);
-        let tr = self
-            .channel
-            .request(at, self.l2_block, pa.block_number(self.l2_block));
-        let fetch_stall = tr.done.saturating_sub(now).cycles_ceil(self.cycle) - stall;
-        m.time.dram_cycles += fetch_stall;
+        let tr = fe.dram(now, stall, self.l2_block, pa.block_number(self.l2_block), m);
+        stall += fe.dram_wait(tr.done, now, stall, m);
         m.counts.dram_block_fetches += 1;
-        m.hist
-            .dram
-            .record(tr.done.saturating_sub(at).cycles_ceil(self.cycle));
-        let block = self.l2_block;
-        self.trace.emit(|| Event {
-            at: tr.start,
-            dur: tr.done.saturating_sub(tr.start),
-            kind: EventKind::DramTransfer,
-            asid: ASID_NONE,
-            arg: block,
-        });
-        let total = stall + fetch_stall;
-        let cycle = self.cycle;
-        self.trace.emit(|| Event {
+        let cycle = fe.cycle;
+        fe.trace.emit(|| Event {
             at: now,
-            dur: Picos(total * cycle.0),
+            dur: Picos(stall * cycle.0),
             kind: EventKind::L2Miss,
             asid: ASID_NONE,
             arg: pa.0,
         });
-        total
-    }
-
-    /// One physical reference through L1 → L2 → DRAM. Returns stall
-    /// cycles beyond the base issue cycle.
-    fn access_phys(&mut self, pa: PhysAddr, kind: AccessKind, now: Picos, m: &mut Metrics) -> u64 {
-        let l1 = match kind {
-            AccessKind::InstrFetch => &mut self.l1i,
-            _ => &mut self.l1d,
-        };
-        let res = l1.access(pa, kind.is_write());
-        if res.hit {
-            // Read/fetch hits are pipelined. Write hits are absorbed by
-            // the write buffer — perfect (free) in the paper's
-            // configuration; a finite buffer charges a drain stall when
-            // full (the ablation checking §4.3's assumption).
-            if kind.is_write() && !self.wbuf.push() {
-                m.counts.write_buffer_stalls += 1;
-                m.time.l2_sram_cycles += L1_MISS_PENALTY;
-                self.wbuf.drain(1);
-                let ok = self.wbuf.push();
-                debug_assert!(ok, "buffer has space after draining");
-                return L1_MISS_PENALTY;
-            }
-            return 0;
-        }
-        // Victim-cache probe: a swap-back serves the miss in one cycle
-        // without touching L2 (Jouppi's design, §3.2).
-        if let Some(vc) = self.victim.as_mut() {
-            if let Some(hit) = vc.take(pa) {
-                m.counts.victim_hits += 1;
-                m.time.l2_sram_cycles += 1;
-                if hit.dirty {
-                    let l1 = match kind {
-                        AccessKind::InstrFetch => &mut self.l1i,
-                        _ => &mut self.l1d,
-                    };
-                    l1.mark_dirty(pa);
-                }
-                let mut stall = 1;
-                if let Some(ev) = res.eviction {
-                    stall += self.stash_victim(ev, m);
-                }
-                let cycle = self.cycle;
-                self.trace.emit(|| Event {
-                    at: now,
-                    dur: Picos(stall * cycle.0),
-                    kind: match kind {
-                        AccessKind::InstrFetch => EventKind::L1iMiss,
-                        _ => EventKind::L1dMiss,
-                    },
-                    asid: ASID_NONE,
-                    arg: pa.0,
-                });
-                return stall;
-            }
-        }
-        // Write the dirty L1 victim back into L2 *before* the fill: the
-        // fill's L2 eviction might otherwise displace the very block the
-        // victim belongs to. At this point inclusion still holds, so the
-        // write-back must hit (with a victim cache, the displaced block
-        // goes to the buffer instead).
-        let mut stall = 0;
-        if let Some(ev) = res.eviction {
-            if self.victim.is_some() {
-                stall += self.stash_victim(ev, m);
-            } else if ev.dirty {
-                stall += L1_MISS_PENALTY;
-                m.time.l2_sram_cycles += L1_MISS_PENALTY;
-                let wb = self.l2.access(ev.addr, true);
-                debug_assert!(wb.hit, "inclusion guarantees L1 victims are in L2");
-            }
-        }
-        stall += self.l2_service(pa, now, m);
-        let cycle = self.cycle;
-        self.trace.emit(|| Event {
-            at: now,
-            dur: Picos(stall * cycle.0),
-            kind: match kind {
-                AccessKind::InstrFetch => EventKind::L1iMiss,
-                _ => EventKind::L1dMiss,
-            },
-            asid: ASID_NONE,
-            arg: pa.0,
-        });
-        // Stall cycles are drain opportunities for the write buffer.
-        self.wbuf.drain((stall / L1_MISS_PENALTY) as usize);
         stall
     }
 
     /// Push an L1 eviction into the victim buffer; an overflowing dirty
     /// block is written back to L2. Returns stall cycles.
-    fn stash_victim(&mut self, ev: rampage_cache::Eviction, m: &mut Metrics) -> u64 {
+    fn stash_victim(&mut self, ev: Eviction, m: &mut Metrics) -> u64 {
         let Some(vc) = self.victim.as_mut() else {
             // invariant: stash_victim is only called after the caller
             // checked that a victim buffer is configured.
@@ -312,51 +179,22 @@ impl Conventional {
         stall
     }
 
-    /// Run buffered handler references through the hierarchy. Handler
-    /// instruction fetches cost their base cycle too (they are extra
-    /// instructions the CPU must issue).
-    fn run_handler(&mut self, kind: HandlerKind, now: Picos, m: &mut Metrics) -> u64 {
-        let refs = std::mem::take(&mut self.handler_buf);
-        let mut stall = 0u64;
-        for r in &refs {
-            if r.kind == AccessKind::InstrFetch {
-                stall += 1;
-                m.time.l1i_cycles += 1;
-            }
-            let at = now + Picos(stall * self.cycle.0);
-            stall += self.access_phys(r.addr, r.kind, at, m);
-        }
-        match kind {
-            HandlerKind::TlbRefill => m.counts.tlb_handler_refs += refs.len() as u64,
-            HandlerKind::Switch => m.counts.switch_refs += refs.len() as u64,
-        }
-        self.handler_buf = refs;
-        self.handler_buf.clear();
-        stall
-    }
-
-    /// Translate a virtual address, running the TLB-miss handler when
-    /// needed. Returns the physical address and handler stall cycles.
-    fn translate(
+    /// The TLB-miss walk: probe the page table in (cached) DRAM space,
+    /// queue the refill handler's references, and allocate a frame on
+    /// first touch ("infinite DRAM"). Returns the probes walked and the
+    /// frame, which is always found.
+    pub(super) fn walk(
         &mut self,
+        fe: &mut FrontEnd,
         asid: Asid,
-        va: VirtAddr,
-        now: Picos,
-        m: &mut Metrics,
-    ) -> (PhysAddr, u64) {
-        let page = self.dram_page();
-        let vpn = page.vpn(va);
-        if let Some(frame) = self.tlb.lookup(asid, vpn) {
-            return (PhysAddr(frame.base_addr(page).0 + page.offset(va)), 0);
-        }
-        // Software refill: probe the page table in (cached) DRAM space.
+        vpn: Vpn,
+    ) -> (u64, Option<FrameId>) {
         let lk = self.page_table.lookup(asid, vpn);
-        self.os.tlb_refill(lk.probe_addrs, &mut self.handler_buf);
+        fe.os.tlb_refill(lk.probe_addrs, &mut fe.handler_buf);
         let probes = lk.probes() as u64;
         let frame = match lk.frame {
             Some(f) => f,
             None => {
-                // First touch: allocate a DRAM frame ("infinite DRAM").
                 // Exhaustion is a genuine capacity failure, not a logic
                 // bug: keep it a panic with an actionable message (the
                 // sweep runner converts it into a recorded FailedCell).
@@ -372,74 +210,35 @@ impl Conventional {
                 f
             }
         };
-        let stall = self.run_handler(HandlerKind::TlbRefill, now, m);
-        self.tlb.insert(asid, vpn, frame);
-        m.hist.tlb.record(stall);
-        let cycle = self.cycle;
-        self.trace.emit(|| Event {
-            at: now,
-            dur: Picos(stall * cycle.0),
-            kind: EventKind::TlbMiss,
-            asid: asid.0,
-            arg: probes,
-        });
-        (PhysAddr(frame.base_addr(page).0 + page.offset(va)), stall)
-    }
-}
-
-impl MemorySystem for Conventional {
-    fn access_user(
-        &mut self,
-        asid: Asid,
-        rec: TraceRecord,
-        now: Picos,
-        m: &mut Metrics,
-    ) -> AccessOutcome {
-        let (pa, mut stall) = self.translate(asid, rec.addr, now, m);
-        let at = now + Picos(stall * self.cycle.0);
-        stall += self.access_phys(pa, rec.kind, at, m);
-        AccessOutcome {
-            stall_cycles: stall,
-            blocked_until: None,
-        }
+        (probes, Some(frame))
     }
 
-    fn run_switch(&mut self, from: usize, to: usize, now: Picos, m: &mut Metrics) -> u64 {
-        self.os.context_switch(from, to, &mut self.handler_buf);
-        self.run_handler(HandlerKind::Switch, now, m)
-    }
-
-    fn finalize(&mut self, m: &mut Metrics) {
-        m.counts.l1i = self.l1i.stats();
-        m.counts.l1d = self.l1d.stats();
+    /// Copy the L2's statistics (and miss profile) into the metrics.
+    pub(super) fn finalize(&self, m: &mut Metrics) {
         m.counts.l2 = self.l2.stats();
-        m.counts.tlb = self.tlb.stats();
         if let Some(c) = &self.classifier {
             m.counts.l2_miss_profile = c.profile();
         }
     }
 
-    fn label(&self) -> String {
+    pub(super) fn label(&self) -> String {
         format!(
             "conventional ({}-way L2, {} B blocks)",
             self.l2.geometry().ways(),
             self.l2_block
         )
     }
-
-    fn attach_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::system::MemorySystem;
     use crate::time::IssueRate;
+    use rampage_trace::TraceRecord;
 
-    fn system(block: u64) -> Conventional {
-        Conventional::new(&SystemConfig::baseline(IssueRate::GHZ1, block))
+    fn system(block: u64) -> MemorySystem {
+        MemorySystem::new(&SystemConfig::baseline(IssueRate::GHZ1, block))
     }
 
     fn metrics() -> Metrics {
@@ -555,7 +354,7 @@ mod tests {
     fn victim_cache_serves_conflict_misses_without_dram() {
         let mut cfg = SystemConfig::baseline(IssueRate::GHZ1, 4096);
         cfg.l1_victim_blocks = Some(16);
-        let mut s = Conventional::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = metrics();
         // Physical placement is shuffled, so force conflicts by
         // pigeonhole: 8 page-aligned blocks can only occupy 4 distinct
@@ -585,7 +384,7 @@ mod tests {
     fn finite_write_buffer_eventually_stalls() {
         let mut cfg = SystemConfig::baseline(IssueRate::GHZ1, 128);
         cfg.write_buffer_depth = Some(2);
-        let mut s = Conventional::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = metrics();
         // Warm one block, then hammer write hits with no stalls to drain.
         s.access_user(Asid(1), TraceRecord::write(0x40), Picos::ZERO, &mut m);
@@ -602,7 +401,7 @@ mod tests {
     fn classify_l2_profiles_misses() {
         let mut cfg = SystemConfig::baseline(IssueRate::GHZ1, 128);
         cfg.classify_l2 = true;
-        let mut s = Conventional::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = metrics();
         for i in 0..4000u64 {
             s.access_user(Asid(1), TraceRecord::read(i * 4096), Picos::ZERO, &mut m);
@@ -616,7 +415,7 @@ mod tests {
             "classifier agrees with the L2's own accounting"
         );
         // Diagnosis is free in simulated time: rerun without it.
-        let mut s2 = Conventional::new(&SystemConfig::baseline(IssueRate::GHZ1, 128));
+        let mut s2 = MemorySystem::new(&SystemConfig::baseline(IssueRate::GHZ1, 128));
         let mut m2 = metrics();
         for i in 0..4000u64 {
             s2.access_user(Asid(1), TraceRecord::read(i * 4096), Picos::ZERO, &mut m2);

@@ -1,28 +1,26 @@
-//! The RAMpage hierarchy: SRAM main memory over a DRAM paging device
-//! (paper §2, §4.5, §4.6).
+//! The RAMpage level below L1: SRAM main memory over a DRAM paging
+//! device (paper §2, §4.5, §4.6).
 
-use crate::channel::ChannelSet;
-use crate::config::{HierarchyKind, SystemConfig, L1_MISS_PENALTY, RAMPAGE_WRITEBACK_PENALTY};
+use super::{Below, FrontEnd, HandlerKind, MemorySystem};
+use crate::config::{RampageConfig, SystemConfig, L1_MISS_PENALTY, RAMPAGE_WRITEBACK_PENALTY};
 use crate::metrics::Metrics;
-use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
-use crate::system::{AccessOutcome, MemorySystem};
-use rampage_cache::{Cache, PhysAddr, ReplacementPolicy, WriteBuffer};
+use crate::obs::{Event, EventKind, ASID_NONE};
+use rampage_cache::{Eviction, PhysAddr};
 use rampage_dram::Picos;
-use rampage_trace::{AccessKind, Asid, TraceRecord};
-use rampage_vm::os::{HandlerRef, OsLayout, OsModel};
-use rampage_vm::{ClockReplacer, FrameId, InvertedPageTable, PageSize, StandbyList, Tlb, Vpn};
+use rampage_trace::Asid;
+use rampage_vm::os::OsLayout;
+use rampage_vm::{
+    ClockReplacer, FrameId, InvertedPageTable, PageSize, StandbyEntry, StandbyList, Vpn,
+};
+use std::collections::HashSet;
 
 /// ASID reserved for the pinned OS region.
 const KERNEL_ASID: Asid = Asid(u16::MAX);
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum HandlerKind {
-    TlbRefill,
-    Fault,
-    Switch,
-}
+/// Physical base of the OS handlers and PCBs: SRAM address 0, pinned.
+pub(super) const KERNEL_BASE: u64 = 0;
 
-/// The RAMpage system.
+/// The RAMpage level.
 ///
 /// The SRAM level has no tags: a page is "present" iff the inverted page
 /// table (itself pinned in SRAM, along with the OS handlers) maps it, so
@@ -33,53 +31,38 @@ enum HandlerKind {
 /// updates) and transfer whole SRAM pages over the Rambus channel; with
 /// [`SystemConfig::switch_on_miss`] the faulting process blocks and the
 /// CPU switches to another process instead of stalling (§4.6).
-pub struct Rampage {
-    cycle: Picos,
-    l1i: Cache,
-    l1d: Cache,
-    tlb: Tlb,
+pub(super) struct Rampage {
     ipt: InvertedPageTable,
     clock: ClockReplacer,
     standby: Option<StandbyList>,
     page: PageSize,
-    os: OsModel,
-    channel: ChannelSet,
     switch_on_miss: bool,
-    handler_buf: Vec<HandlerRef>,
     /// The table addresses the faulting TLB-miss walk probed, which the
     /// fault handler reads again (reused across faults).
     fault_probes: Vec<PhysAddr>,
     /// Frames pinned for OS code + page table (never replaced).
     pinned_frames: u32,
-    /// Write buffer (perfect in the paper's configuration, §4.3).
-    wbuf: WriteBuffer,
     /// Sequential next-page prefetch on faults (§3.2 extension).
     prefetch_next: bool,
     /// Prefetched pages not yet referenced, for usefulness accounting.
-    prefetched: std::collections::HashSet<(Asid, Vpn)>,
-    /// Event-trace sink shared with the engine (disabled by default).
-    trace: TraceSink,
+    prefetched: HashSet<(Asid, Vpn)>,
 }
 
 impl Rampage {
-    /// Build from a configuration.
+    /// Pin the OS region and set up the page table and replacement.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.hierarchy` is not [`HierarchyKind::Rampage`], or if
-    /// the OS pinned region would leave no user frames.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        let rcfg = match cfg.hierarchy {
-            HierarchyKind::Rampage(r) => r,
-            HierarchyKind::Conventional(_) => panic!("RAMpage system given a cache config"),
-        };
+    /// Panics if the OS pinned region would leave no user frames, or the
+    /// standby list is too large for them.
+    pub(super) fn new(cfg: &SystemConfig, rcfg: RampageConfig) -> Self {
         let page = rcfg.page_size;
         let num_frames = rcfg.num_frames();
 
         // OS residency (§4.5): handler code + PCBs at SRAM physical 0,
         // then the inverted page table; everything rounded up to whole
         // pages and pinned.
-        let os_layout = OsLayout::at(PhysAddr(0));
+        let os_layout = OsLayout::at(PhysAddr(KERNEL_BASE));
         let os_code_bytes = os_layout.code_bytes + 16 * 1024; // code + PCB array
         let table_base = PhysAddr(os_code_bytes);
         let mut ipt = InvertedPageTable::new(num_frames, table_base);
@@ -107,123 +90,76 @@ impl Rampage {
         }
 
         Rampage {
-            cycle: cfg.issue.cycle(),
-            l1i: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
-            l1d: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
-            tlb: Tlb::new(cfg.tlb.sets, cfg.tlb.ways, 0x71b_5eed),
             ipt,
             clock: ClockReplacer::new(),
             standby: rcfg.standby_pages.map(StandbyList::new),
             page,
-            os: OsModel::new(cfg.os_costs, os_layout),
-            channel: ChannelSet::new(cfg.dram, cfg.dram_channels),
             switch_on_miss: cfg.switch_on_miss,
-            handler_buf: Vec::with_capacity(1024),
             fault_probes: Vec::new(),
             pinned_frames,
-            wbuf: cfg
-                .write_buffer_depth
-                .map(WriteBuffer::with_depth)
-                .unwrap_or_default(),
             prefetch_next: rcfg.prefetch_next,
-            prefetched: std::collections::HashSet::new(),
-            trace: TraceSink::disabled(),
+            prefetched: HashSet::new(),
         }
     }
 
-    /// Frames pinned for the OS (reproduces the paper's §4.5 numbers).
-    pub fn pinned_frames(&self) -> u32 {
-        self.pinned_frames
-    }
-
-    /// Total SRAM frames.
-    pub fn total_frames(&self) -> u32 {
-        self.ipt.num_frames()
-    }
-
-    /// One physical reference through L1 → SRAM main memory. Never goes
-    /// to DRAM (presence was established by translation). `at` is the
-    /// absolute time the reference issues (event timestamps only — the
-    /// SRAM service itself is time-independent). Returns stall cycles.
-    fn access_phys(&mut self, pa: PhysAddr, kind: AccessKind, at: Picos, m: &mut Metrics) -> u64 {
-        let l1 = match kind {
-            AccessKind::InstrFetch => &mut self.l1i,
-            _ => &mut self.l1d,
-        };
-        let res = l1.access(pa, kind.is_write());
-        if res.hit {
-            // Write hits go to the write buffer — free when perfect
-            // (§4.3), a drain stall when a finite buffer is full.
-            if kind.is_write() && !self.wbuf.push() {
-                m.counts.write_buffer_stalls += 1;
-                m.time.l2_sram_cycles += RAMPAGE_WRITEBACK_PENALTY;
-                self.wbuf.drain(1);
-                let ok = self.wbuf.push();
-                debug_assert!(ok, "buffer has space after draining");
-                return RAMPAGE_WRITEBACK_PENALTY;
-            }
-            return 0;
-        }
-        // L1 miss: a plain SRAM read, no tag check — 12 cycles (§4.3).
+    /// Serve an L1 miss from SRAM main memory. Never goes to DRAM
+    /// (presence was established by translation). Returns stall cycles.
+    pub(super) fn l1_miss(&mut self, eviction: Option<Eviction>, m: &mut Metrics) -> u64 {
+        // A plain SRAM read, no tag check — 12 cycles (§4.3).
         let mut stall = L1_MISS_PENALTY;
         m.time.l2_sram_cycles += L1_MISS_PENALTY;
-        if let Some(ev) = res.eviction {
-            if ev.dirty {
-                // Write-back into SRAM: 9 cycles, "since there is no L2
-                // tag to update" (§4.3). The page becomes dirty.
-                stall += RAMPAGE_WRITEBACK_PENALTY;
-                m.time.l2_sram_cycles += RAMPAGE_WRITEBACK_PENALTY;
-                let frame = FrameId((ev.addr.0 >> self.page.bits()) as u32);
-                if self.ipt.mapping(frame).is_some() {
-                    self.ipt.set_dirty(frame);
+        if let Some(ev) = eviction.filter(|ev| ev.dirty) {
+            // Write-back into SRAM: 9 cycles, "since there is no L2
+            // tag to update" (§4.3). The page becomes dirty.
+            stall += RAMPAGE_WRITEBACK_PENALTY;
+            m.time.l2_sram_cycles += RAMPAGE_WRITEBACK_PENALTY;
+            let frame = FrameId((ev.addr.0 >> self.page.bits()) as u32);
+            if self.ipt.mapping(frame).is_some() {
+                self.ipt.set_dirty(frame);
+            }
+        }
+        stall
+    }
+
+    /// The TLB-miss walk, entirely within SRAM (§2.3): probe the inverted
+    /// page table and queue the refill handler's references. A miss keeps
+    /// the probed addresses for the fault handler; a hit on a prefetched
+    /// page proves the prefetch useful. Returns the probes walked and the
+    /// frame, if the page is resident.
+    pub(super) fn walk(
+        &mut self,
+        fe: &mut FrontEnd,
+        asid: Asid,
+        vpn: Vpn,
+        m: &mut Metrics,
+    ) -> (u64, Option<FrameId>) {
+        let lk = self.ipt.lookup(asid, vpn);
+        fe.os.tlb_refill(lk.probe_addrs, &mut fe.handler_buf);
+        let probes = lk.probes() as u64;
+        match lk.frame {
+            Some(_) => {
+                if self.prefetched.remove(&(asid, vpn)) {
+                    m.counts.prefetches_useful += 1;
                 }
             }
-        }
-        let cycle = self.cycle;
-        self.trace.emit(|| Event {
-            at,
-            dur: Picos(stall * cycle.0),
-            kind: match kind {
-                AccessKind::InstrFetch => EventKind::L1iMiss,
-                _ => EventKind::L1dMiss,
-            },
-            asid: ASID_NONE,
-            arg: pa.0,
-        });
-        // Stall cycles are drain opportunities for the write buffer.
-        self.wbuf
-            .drain((stall / RAMPAGE_WRITEBACK_PENALTY) as usize);
-        stall
-    }
-
-    /// Run buffered handler references (all SRAM-resident by
-    /// construction: handler code and tables are pinned). `now` is the
-    /// handler's entry time (event timestamps only).
-    fn run_handler(&mut self, kind: HandlerKind, now: Picos, m: &mut Metrics) -> u64 {
-        let refs = std::mem::take(&mut self.handler_buf);
-        let mut stall = 0u64;
-        for r in &refs {
-            if r.kind == AccessKind::InstrFetch {
-                stall += 1;
-                m.time.l1i_cycles += 1;
+            None => {
+                self.fault_probes.clear();
+                self.fault_probes.extend_from_slice(lk.probe_addrs);
             }
-            let at = now + Picos(stall * self.cycle.0);
-            stall += self.access_phys(r.addr, r.kind, at, m);
         }
-        match kind {
-            HandlerKind::TlbRefill => m.counts.tlb_handler_refs += refs.len() as u64,
-            HandlerKind::Fault => m.counts.fault_handler_refs += refs.len() as u64,
-            HandlerKind::Switch => m.counts.switch_refs += refs.len() as u64,
-        }
-        self.handler_buf = refs;
-        self.handler_buf.clear();
-        stall
+        (probes, lk.frame)
     }
 
-    /// Evict the page in `victim`, invalidating its L1 blocks (charged as
-    /// probes) and scheduling a DRAM write-back if dirty. Returns extra
-    /// stall cycles. The frame is left unmapped and free.
-    fn evict_page(&mut self, victim: FrameId, now: Picos, m: &mut Metrics) -> u64 {
+    /// Evict the page in `victim`, invalidating its L1 blocks and
+    /// scheduling a DRAM write-back of whatever dirty page leaves SRAM.
+    /// Returns extra stall cycles. The frame is left unmapped.
+    fn evict_page(
+        &mut self,
+        fe: &mut FrontEnd,
+        victim: FrameId,
+        now: Picos,
+        m: &mut Metrics,
+    ) -> u64 {
         let Some(&mapping) = self.ipt.mapping(victim) else {
             // Replacement invariant: the clock hand only selects frames
             // the IPT currently maps.
@@ -231,85 +167,33 @@ impl Rampage {
         };
         // A prefetched page dying unreferenced was wasted bandwidth.
         self.prefetched.remove(&(mapping.asid, mapping.vpn));
-        self.tlb.flush_page(mapping.asid, mapping.vpn);
-        let base = victim.base_addr(self.page);
-        let mut stall = 0u64;
-        let mut dirty = mapping.dirty;
-        let mut wb_cycles = 0u64;
-        let mut probes = 0u64;
-        for l1 in [&mut self.l1i, &mut self.l1d] {
-            probes += l1.invalidate_region(base, self.page.get(), |e| {
-                if e.dirty {
-                    dirty = true;
-                    wb_cycles += RAMPAGE_WRITEBACK_PENALTY;
-                }
-            });
-        }
-        m.counts.inclusion_probes += probes;
-        m.time.l1i_cycles += probes / 2;
-        m.time.l1d_cycles += probes - probes / 2;
-        m.time.l2_sram_cycles += wb_cycles;
-        stall += probes + wb_cycles;
-
-        if let Some(standby) = self.standby.as_mut() {
-            // Software victim cache: the page stands by instead of dying.
-            let Some(removed) = self.ipt.remove_reserved(victim) else {
-                // Same replacement invariant: the mapping was read above.
-                unreachable!("RAMpage eviction: victim {victim} is mapped");
-            };
-            let out = standby.push(rampage_vm::StandbyEntry {
-                asid: removed.asid,
-                vpn: removed.vpn,
-                frame: victim,
-                dirty: dirty || removed.dirty,
-            });
-            if let Some(discarded) = out {
-                if discarded.dirty {
-                    let at = now + Picos(stall * self.cycle.0);
-                    let tr = self
-                        .channel
-                        .request(at, self.page.get(), discarded.frame.0 as u64);
-                    let wb = tr.done.saturating_sub(now).cycles_ceil(self.cycle) - stall;
-                    m.time.dram_cycles += wb;
-                    m.counts.dram_writebacks += 1;
-                    m.hist
-                        .dram
-                        .record(tr.done.saturating_sub(at).cycles_ceil(self.cycle));
-                    let page_bytes = self.page.get();
-                    self.trace.emit(|| Event {
-                        at: tr.start,
-                        dur: tr.done.saturating_sub(tr.start),
-                        kind: EventKind::DramTransfer,
-                        asid: ASID_NONE,
-                        arg: page_bytes,
-                    });
-                    stall += wb;
-                }
-                self.ipt.release(discarded.frame);
-            }
-        } else {
-            // Reserve rather than free: the caller maps the incoming page
-            // straight into this frame.
-            self.ipt.remove_reserved(victim);
-            if dirty {
-                let at = now + Picos(stall * self.cycle.0);
-                let tr = self.channel.request(at, self.page.get(), victim.0 as u64);
-                let wb = tr.done.saturating_sub(now).cycles_ceil(self.cycle) - stall;
-                m.time.dram_cycles += wb;
-                m.counts.dram_writebacks += 1;
-                m.hist
-                    .dram
-                    .record(tr.done.saturating_sub(at).cycles_ceil(self.cycle));
-                let page_bytes = self.page.get();
-                self.trace.emit(|| Event {
-                    at: tr.start,
-                    dur: tr.done.saturating_sub(tr.start),
-                    kind: EventKind::DramTransfer,
-                    asid: ASID_NONE,
-                    arg: page_bytes,
-                });
-                stall += wb;
-            }
+        fe.tlb.flush_page(mapping.asid, mapping.vpn);
+        let (mut stall, l1_dirty) = fe.sweep_l1(victim.base_addr(self.page), self.page.get(), m);
+        let dirty = mapping.dirty || l1_dirty;
+        self.ipt.remove_reserved(victim);
+        let leaving = match self.standby.as_mut() {
+            // Software victim cache: the page stands by instead of dying,
+            // and only the page the list's overflow discards leaves SRAM;
+            // its frame returns to the free pool.
+            Some(standby) => standby
+                .push(StandbyEntry {
+                    asid: mapping.asid,
+                    vpn: mapping.vpn,
+                    frame: victim,
+                    dirty,
+                })
+                .map(|discarded| {
+                    self.ipt.release(discarded.frame);
+                    (discarded.frame, discarded.dirty)
+                }),
+            // Reserved rather than freed: the caller maps the incoming
+            // page straight into this frame.
+            None => Some((victim, dirty)),
+        };
+        if let Some((frame, true)) = leaving {
+            let tr = fe.dram(now, stall, self.page.get(), frame.0 as u64, m);
+            stall += fe.dram_wait(tr.done, now, stall, m);
+            m.counts.dram_writebacks += 1;
         }
         stall
     }
@@ -320,6 +204,7 @@ impl Rampage {
     /// addresses the scan read.
     fn clock_scan(
         &mut self,
+        fe: &mut FrontEnd,
         stall: &mut u64,
         now: Picos,
         m: &mut Metrics,
@@ -330,14 +215,14 @@ impl Rampage {
         let scan_addrs: Vec<PhysAddr> = (0..scanned)
             .map(|i| self.ipt.entry_addr(FrameId((hand0 + i) % n)))
             .collect();
-        self.trace.emit(|| Event {
+        fe.trace.emit(|| Event {
             at: now,
             dur: Picos::ZERO,
             kind: EventKind::ClockSweep,
             asid: ASID_NONE,
             arg: scanned as u64,
         });
-        *stall += self.evict_page(victim, now, m);
+        *stall += self.evict_page(fe, victim, now, m);
         (victim, scan_addrs)
     }
 
@@ -352,6 +237,7 @@ impl Rampage {
     /// frame and the table addresses any clock scans read.
     fn acquire_frame(
         &mut self,
+        fe: &mut FrontEnd,
         stall: &mut u64,
         now: Picos,
         m: &mut Metrics,
@@ -360,14 +246,14 @@ impl Rampage {
             return (f, Vec::new());
         }
         if self.standby.is_none() {
-            return self.clock_scan(stall, now, m);
+            return self.clock_scan(fe, stall, now, m);
         }
         let mut scan_addrs = Vec::new();
         loop {
             // The victim lands on the standby list (its frame is not
             // reusable — the contents are standing by); an overflow
             // releases the oldest frame into the free pool.
-            let (_victim, scans) = self.clock_scan(stall, now, m);
+            let (_victim, scans) = self.clock_scan(fe, stall, now, m);
             scan_addrs.extend(scans);
             if let Some(f) = self.ipt.alloc_free() {
                 return (f, scan_addrs);
@@ -375,60 +261,69 @@ impl Rampage {
         }
     }
 
-    /// Handle a page fault: find a frame, run the fault handler (which
-    /// re-reads `fault_probes`), transfer the page from DRAM. Returns
-    /// `(frame, stall, blocked_until)`.
-    fn page_fault(
+    /// Soft fault: if the page still stands on the standby list, map it
+    /// back and queue the fault handler's short software path (no scan,
+    /// a single table update). Returns its frame.
+    fn reclaim(
         &mut self,
+        fe: &mut FrontEnd,
         asid: Asid,
         vpn: Vpn,
+        m: &mut Metrics,
+    ) -> Option<FrameId> {
+        let e = self.standby.as_mut()?.reclaim(asid, vpn)?;
+        m.counts.soft_faults += 1;
+        self.ipt.insert(e.frame, asid, vpn);
+        if e.dirty {
+            self.ipt.set_dirty(e.frame);
+        }
+        let update = self.ipt.entry_addr(e.frame);
+        fe.os
+            .page_fault(&self.fault_probes, &[], &[update], &mut fe.handler_buf);
+        Some(e.frame)
+    }
+
+    /// Hard fault, before its handler runs: find a frame (free pool
+    /// first, then replacement) and queue the fault handler, which
+    /// re-reads the faulting walk's probes and any scanned table entries
+    /// (the DRAM-side translation lookup is folded into the handler
+    /// instruction budget — see DESIGN.md).
+    fn begin_fault(
+        &mut self,
+        fe: &mut FrontEnd,
+        stall: &mut u64,
         now: Picos,
         m: &mut Metrics,
-    ) -> (FrameId, u64, Option<Picos>) {
-        let mut stall = 0u64;
-
-        // Soft fault: the page is still on the standby list.
-        if let Some(standby) = self.standby.as_mut() {
-            if let Some(e) = standby.reclaim(asid, vpn) {
-                m.counts.soft_faults += 1;
-                self.ipt.insert(e.frame, asid, vpn);
-                if e.dirty {
-                    self.ipt.set_dirty(e.frame);
-                }
-                // Only the (short) software path runs: reuse the fault
-                // handler with no scan and a single table update.
-                let update = self.ipt.entry_addr(e.frame);
-                self.os
-                    .page_fault(&self.fault_probes, &[], &[update], &mut self.handler_buf);
-                stall += self.run_handler(HandlerKind::Fault, now, m);
-                self.tlb.insert(asid, vpn, e.frame);
-                m.hist.fault.record(stall);
-                let cycle = self.cycle;
-                self.trace.emit(|| Event {
-                    at: now,
-                    dur: Picos(stall * cycle.0),
-                    kind: EventKind::SoftFault,
-                    asid: asid.0,
-                    arg: vpn.0,
-                });
-                return (e.frame, stall, None);
-            }
-        }
-
-        // Choose a frame: free pool first, then replacement.
-        let (frame, scan_addrs) = self.acquire_frame(&mut stall, now, m);
-
-        // Fault-handler software (the DRAM-side translation lookup is
-        // folded into the handler instruction budget — see DESIGN.md).
+    ) -> FrameId {
+        let (frame, scan_addrs) = self.acquire_frame(fe, stall, now, m);
         let updates = [self.ipt.entry_addr(frame)];
-        self.os.page_fault(
+        fe.os.page_fault(
             &self.fault_probes,
             &scan_addrs,
             &updates,
-            &mut self.handler_buf,
+            &mut fe.handler_buf,
         );
-        stall += self.run_handler(HandlerKind::Fault, now, m);
+        frame
+    }
 
+    /// Hard fault, after its handler ran for `stall` cycles in total:
+    /// transfer the page into `frame` (and maybe prefetch the next one).
+    /// Returns the total stall and, with switch-on-miss, when the
+    /// process can run again.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fault's state crosses its handler run, which only the front end can make"
+    )]
+    fn finish_fault(
+        &mut self,
+        fe: &mut FrontEnd,
+        asid: Asid,
+        vpn: Vpn,
+        frame: FrameId,
+        mut stall: u64,
+        now: Picos,
+        m: &mut Metrics,
+    ) -> (u64, Option<Picos>) {
         // Optional §3.2 extension: also bring in the next virtual page.
         // The prefetch frame is acquired *before* the demand mapping is
         // inserted (so replacement can never steal the demand frame),
@@ -445,32 +340,21 @@ impl Rampage {
                 .as_ref()
                 .is_none_or(|sb| !sb.contains(asid, next))
         {
-            Some(self.acquire_frame(&mut stall, now, m).0)
+            Some(self.acquire_frame(fe, &mut stall, now, m).0)
         } else {
             None
         };
 
         // The demand page transfer itself.
-        let at = now + Picos(stall * self.cycle.0);
-        let tr = self.channel.request(at, self.page.get(), frame.0 as u64);
+        let page_bytes = self.page.get();
+        let tr = fe.dram(now, stall, page_bytes, frame.0 as u64, m);
         m.counts.page_faults += 1;
         self.ipt.insert(frame, asid, vpn);
-        self.tlb.insert(asid, vpn, frame);
-        m.hist
-            .dram
-            .record(tr.done.saturating_sub(at).cycles_ceil(self.cycle));
+        fe.tlb.insert(asid, vpn, frame);
         m.hist
             .fault
-            .record(tr.done.saturating_sub(now).cycles_ceil(self.cycle));
-        let page_bytes = self.page.get();
-        self.trace.emit(|| Event {
-            at: tr.start,
-            dur: tr.done.saturating_sub(tr.start),
-            kind: EventKind::DramTransfer,
-            asid: ASID_NONE,
-            arg: page_bytes,
-        });
-        self.trace.emit(|| Event {
+            .record(tr.done.saturating_sub(now).cycles_ceil(fe.cycle));
+        fe.trace.emit(|| Event {
             at: now,
             dur: tr.done.saturating_sub(now),
             kind: EventKind::PageFault,
@@ -479,113 +363,29 @@ impl Rampage {
         });
 
         if let Some(pf) = prefetch_frame {
-            let ptr = self.channel.request(tr.done, self.page.get(), pf.0 as u64);
+            fe.dram(tr.done, 0, page_bytes, pf.0 as u64, m);
             self.ipt.insert(pf, asid, next);
             self.prefetched.insert((asid, next));
             m.counts.prefetches += 1;
-            m.hist
-                .dram
-                .record(ptr.done.saturating_sub(tr.done).cycles_ceil(self.cycle));
-            self.trace.emit(|| Event {
-                at: ptr.start,
-                dur: ptr.done.saturating_sub(ptr.start),
-                kind: EventKind::DramTransfer,
-                asid: ASID_NONE,
-                arg: page_bytes,
-            });
         }
 
         if self.switch_on_miss {
             // The process blocks until the transfer completes; the CPU
             // will run someone else (§4.6). Software time already stalled.
-            (frame, stall, Some(tr.done))
+            (stall, Some(tr.done))
         } else {
-            let total = tr.done.saturating_sub(now).cycles_ceil(self.cycle);
-            let dram = total.saturating_sub(stall);
-            m.time.dram_cycles += dram;
-            (frame, stall + dram, None)
-        }
-    }
-}
-
-impl MemorySystem for Rampage {
-    fn access_user(
-        &mut self,
-        asid: Asid,
-        rec: TraceRecord,
-        now: Picos,
-        m: &mut Metrics,
-    ) -> AccessOutcome {
-        let vpn = self.page.vpn(rec.addr);
-        let mut stall = 0u64;
-        let mut blocked_until = None;
-        let frame = match self.tlb.lookup(asid, vpn) {
-            Some(f) => f,
-            None => {
-                // TLB refill entirely within SRAM (§2.3).
-                let lk = self.ipt.lookup(asid, vpn);
-                self.os.tlb_refill(lk.probe_addrs, &mut self.handler_buf);
-                let probes = lk.probes() as u64;
-                let found = lk.frame;
-                if found.is_none() {
-                    self.fault_probes.clear();
-                    self.fault_probes.extend_from_slice(lk.probe_addrs);
-                }
-                let refill = self.run_handler(HandlerKind::TlbRefill, now, m);
-                stall += refill;
-                m.hist.tlb.record(refill);
-                let cycle = self.cycle;
-                self.trace.emit(|| Event {
-                    at: now,
-                    dur: Picos(refill * cycle.0),
-                    kind: EventKind::TlbMiss,
-                    asid: asid.0,
-                    arg: probes,
-                });
-                match found {
-                    Some(f) => {
-                        if self.prefetched.remove(&(asid, vpn)) {
-                            m.counts.prefetches_useful += 1;
-                        }
-                        self.tlb.insert(asid, vpn, f);
-                        f
-                    }
-                    None => {
-                        let at = now + Picos(stall * self.cycle.0);
-                        let (f, fault_stall, blocked) = self.page_fault(asid, vpn, at, m);
-                        stall += fault_stall;
-                        blocked_until = blocked;
-                        f
-                    }
-                }
-            }
-        };
-        let pa = PhysAddr(frame.base_addr(self.page).0 + self.page.offset(rec.addr));
-        let at = now + Picos(stall * self.cycle.0);
-        stall += self.access_phys(pa, rec.kind, at, m);
-        AccessOutcome {
-            stall_cycles: stall,
-            blocked_until,
+            (stall + fe.dram_wait(tr.done, now, stall, m), None)
         }
     }
 
-    fn run_switch(&mut self, from: usize, to: usize, now: Picos, m: &mut Metrics) -> u64 {
-        // Switch code and PCBs are pinned in SRAM (§4.6), so the whole
-        // sequence is SRAM-resident.
-        self.os.context_switch(from, to, &mut self.handler_buf);
-        self.run_handler(HandlerKind::Switch, now, m)
-    }
-
-    fn finalize(&mut self, m: &mut Metrics) {
-        m.counts.l1i = self.l1i.stats();
-        m.counts.l1d = self.l1d.stats();
-        m.counts.tlb = self.tlb.stats();
+    /// Copy the standby list's soft-fault count into the metrics.
+    pub(super) fn finalize(&self, m: &mut Metrics) {
         if let Some(sb) = &self.standby {
             m.counts.soft_faults = sb.soft_faults();
         }
     }
 
-    fn label(&self) -> String {
+    pub(super) fn label(&self) -> String {
         format!(
             "RAMpage ({} pages, {} frames, {} pinned)",
             self.page,
@@ -593,20 +393,76 @@ impl MemorySystem for Rampage {
             self.pinned_frames
         )
     }
+}
 
-    fn attach_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
+impl MemorySystem {
+    /// The front end and the RAMpage level, which is the only one that
+    /// page-faults.
+    fn rampage(&mut self) -> (&mut FrontEnd, &mut Rampage) {
+        match &mut self.below {
+            Below::Rampage(r) => (&mut self.fe, r),
+            // invariant: only the RAMpage walk reports a missing mapping.
+            Below::Conventional(_) => unreachable!("only the RAMpage level page-faults"),
+        }
+    }
+
+    /// Handle a RAMpage page fault at `now`: a soft fault from the
+    /// standby list, or a hard fault's frame, handler and DRAM transfer.
+    /// Returns `(frame, stall, blocked_until)`.
+    pub(super) fn page_fault(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        now: Picos,
+        m: &mut Metrics,
+    ) -> (FrameId, u64, Option<Picos>) {
+        let (fe, r) = self.rampage();
+        if let Some(frame) = r.reclaim(fe, asid, vpn, m) {
+            let stall = self.run_handler(HandlerKind::Fault, now, m);
+            self.fe.tlb.insert(asid, vpn, frame);
+            m.hist.fault.record(stall);
+            let cycle = self.fe.cycle;
+            self.fe.trace.emit(|| Event {
+                at: now,
+                dur: Picos(stall * cycle.0),
+                kind: EventKind::SoftFault,
+                asid: asid.0,
+                arg: vpn.0,
+            });
+            return (frame, stall, None);
+        }
+        let mut stall = 0;
+        let frame = r.begin_fault(fe, &mut stall, now, m);
+        stall += self.run_handler(HandlerKind::Fault, now, m);
+        let (fe, r) = self.rampage();
+        let (stall, blocked) = r.finish_fault(fe, asid, vpn, frame, stall, now, m);
+        (frame, stall, blocked)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::HierarchyKind;
     use crate::time::IssueRate;
+    use rampage_trace::TraceRecord;
 
-    fn system(page: u64) -> Rampage {
-        Rampage::new(&SystemConfig::rampage(IssueRate::GHZ1, page))
+    fn system(page: u64) -> MemorySystem {
+        MemorySystem::new(&SystemConfig::rampage(IssueRate::GHZ1, page))
+    }
+
+    /// The RAMpage level below a system's front end.
+    fn level(s: &MemorySystem) -> &Rampage {
+        match &s.below {
+            Below::Rampage(r) => r,
+            Below::Conventional(_) => unreachable!("a RAMpage configuration"),
+        }
+    }
+
+    /// Frames left for user pages once the OS region is pinned.
+    fn user_frames(s: &MemorySystem) -> u64 {
+        let r = level(s);
+        u64::from(r.ipt.num_frames() - r.pinned_frames)
     }
 
     #[test]
@@ -614,17 +470,12 @@ mod tests {
         // §4.5: "6 pages of the SRAM main memory when simulating a
         // 4 Kbyte SRAM page ... up to 5336 pages for a 128 byte block
         // size". Our OS model reproduces the order of magnitude.
-        let big = system(4096);
+        let big = level(&system(4096)).pinned_frames;
+        assert!((5..=16).contains(&big), "4 KB pages pin {big} frames");
+        let small = level(&system(128)).pinned_frames;
         assert!(
-            (5..=16).contains(&big.pinned_frames()),
-            "4 KB pages pin {} frames",
-            big.pinned_frames()
-        );
-        let small = system(128);
-        assert!(
-            (4000..=8000).contains(&small.pinned_frames()),
-            "128 B pages pin {} frames",
-            small.pinned_frames()
+            (4000..=8000).contains(&small),
+            "128 B pages pin {small} frames"
         );
     }
 
@@ -677,7 +528,7 @@ mod tests {
         // more pages than that with writes to force dirty replacements.
         let mut s = system(4096);
         let mut m = Metrics::default();
-        let user_frames = (s.total_frames() - s.pinned_frames()) as u64;
+        let user_frames = user_frames(&s);
         for i in 0..(user_frames + 50) {
             s.access_user(Asid(1), TraceRecord::write(i * 4096), Picos::ZERO, &mut m);
         }
@@ -696,7 +547,7 @@ mod tests {
     fn replacing_a_tlb_resident_page_flushes_its_entry() {
         let mut s = system(4096);
         let mut m = Metrics::default();
-        let user_frames = (s.total_frames() - s.pinned_frames()) as u64;
+        let user_frames = user_frames(&s);
         // Fill memory, then re-touch the first 32 pages so they are both
         // TLB-resident and clock-victims-to-be (referenced bits get a
         // second chance, but the sweep clears them and later picks them).
@@ -724,7 +575,7 @@ mod tests {
     fn switch_on_miss_blocks_instead_of_stalling() {
         let mut cfg = SystemConfig::rampage_switching(IssueRate::GHZ1, 4096);
         cfg.switch_trace = true;
-        let mut s = Rampage::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = Metrics::default();
         let out = s.access_user(Asid(1), TraceRecord::read(0x4000), Picos::ZERO, &mut m);
         let ready = out.blocked_until.expect("fault must block");
@@ -744,9 +595,9 @@ mod tests {
         if let HierarchyKind::Rampage(ref mut r) = cfg.hierarchy {
             r.standby_pages = Some(64);
         }
-        let mut s = Rampage::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = Metrics::default();
-        let user_frames = (s.total_frames() - s.pinned_frames()) as u64;
+        let user_frames = user_frames(&s);
         // Fill all user frames, then touch a few more to push the first
         // pages onto the standby list.
         for i in 0..(user_frames + 8) {
@@ -779,7 +630,7 @@ mod tests {
         );
         // Now replace every page and count write-backs: page 0x8000 was
         // dirtied purely by the L1 write-back path.
-        let user_frames = (s.total_frames() - s.pinned_frames()) as u64;
+        let user_frames = user_frames(&s);
         for i in 2..(user_frames + 2) {
             s.access_user(
                 Asid(1),
@@ -800,7 +651,7 @@ mod tests {
         if let HierarchyKind::Rampage(ref mut r) = cfg.hierarchy {
             r.prefetch_next = true;
         }
-        let mut s = Rampage::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = Metrics::default();
         // A pure sequential page walk: after the first fault, every next
         // page should already be prefetched (only odd-indexed pages
@@ -835,9 +686,9 @@ mod tests {
             r.prefetch_next = true;
             r.standby_pages = Some(32);
         }
-        let mut s = Rampage::new(&cfg);
+        let mut s = MemorySystem::new(&cfg);
         let mut m = Metrics::default();
-        let user_frames = (s.total_frames() - s.pinned_frames()) as u64;
+        let user_frames = user_frames(&s);
         for i in 0..(2 * user_frames) {
             s.access_user(Asid(1), TraceRecord::read(i * 4096), Picos::ZERO, &mut m);
         }

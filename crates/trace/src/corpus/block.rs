@@ -239,6 +239,9 @@ pub(crate) enum BlockDecodeError {
     BadKind { at_record: u32 },
     /// Payload held a different number of records than the header said.
     CountMismatch { decoded: u32, expected: u32 },
+    /// The header claimed more records than the payload has bytes (every
+    /// record encodes to at least one).
+    CountExceedsPayload { expected: u32, bytes: usize },
 }
 
 impl std::fmt::Display for BlockDecodeError {
@@ -253,6 +256,12 @@ impl std::fmt::Display for BlockDecodeError {
             BlockDecodeError::CountMismatch { decoded, expected } => {
                 write!(f, "decoded {decoded} records, header says {expected}")
             }
+            BlockDecodeError::CountExceedsPayload { expected, bytes } => {
+                write!(
+                    f,
+                    "header claims {expected} records in {bytes} payload bytes"
+                )
+            }
         }
     }
 }
@@ -263,7 +272,7 @@ pub(crate) fn decode_block(
     payload: &[u8],
     expected: u32,
 ) -> Result<Vec<TraceRecord>, BlockDecodeError> {
-    let mut out = Vec::with_capacity(expected as usize);
+    let mut out = Vec::new();
     decode_block_into(payload, expected, &mut out)?;
     Ok(out)
 }
@@ -311,6 +320,14 @@ pub(crate) fn decode_block_into(
     const STOPS: u64 = 0x8080_8080_8080_8080;
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     out.clear();
+    // The header count is untrusted: bound it by the payload before
+    // reserving room for it.
+    if expected as usize > payload.len() {
+        return Err(BlockDecodeError::CountExceedsPayload {
+            expected,
+            bytes: payload.len(),
+        });
+    }
     out.reserve(expected as usize);
     let mut prev = [0u64; 3];
     let mut pos = 0usize;
@@ -490,6 +507,11 @@ mod tests {
         // Truncated mid-varint (the first record's address spans bytes).
         let cut = &payload[..1];
         assert!(decode_block(cut, 1).is_err());
+        // More records claimed than there are bytes to hold them.
+        assert!(matches!(
+            decode_block(&payload[..4], u32::MAX),
+            Err(BlockDecodeError::CountExceedsPayload { bytes: 4, .. })
+        ));
     }
 }
 

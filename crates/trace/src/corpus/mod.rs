@@ -1,4 +1,5 @@
-//! On-disk trace corpora: compressed, seekable, checksummed shard files.
+//! On-disk trace corpora: compressed, block-indexed, checksummed shard
+//! files.
 //!
 //! The paper's evaluation consumed 1.1 billion references of Tracebase
 //! R2000 traces. This module is the data-loading layer that lets the
@@ -34,9 +35,9 @@
 //! into the low bits, and the per-kind bases reset at every block start.
 //! Blocks close at [`DEFAULT_BLOCK_BYTES`] (~64 KiB) of payload, so a
 //! reader can decode any block knowing nothing but its bytes — which is
-//! what makes the end-of-file index useful: [`CorpusReader`] seeks to
-//! any reference number in `O(log blocks)`, and the verifier checks
-//! shards in parallel.
+//! what makes the end-of-file index useful: [`CorpusReader`] frames every
+//! block from it (so a corrupt block cannot derail the next one), and
+//! the verifier checks shards in parallel.
 //!
 //! A block whose checksum or encoding fails to verify is **quarantined
 //! and skipped**: the reader records a [`CorpusWarning`] and resumes at

@@ -1,4 +1,4 @@
-//! Replaying shards: the seekable, prefetching [`CorpusReader`].
+//! Replaying shards: the prefetching [`CorpusReader`].
 
 use super::block::{block_checksum, decode_block_into};
 use super::{CorpusError, CORPUS_FOOTER_MAGIC, CORPUS_MAGIC};
@@ -16,14 +16,13 @@ use std::thread::JoinHandle;
 struct BlockEntry {
     /// File offset of the block header.
     offset: u64,
-    /// Record number of the block's first record.
-    first: u64,
     /// Records in the block.
     count: u32,
 }
 
-/// A shard's decoded index: everything needed to seek without touching
-/// the blocks themselves.
+/// A shard's decoded index: where each block starts and how many
+/// records it holds, so a reader can frame every block (and step over a
+/// corrupt one) without trusting the blocks themselves.
 #[derive(Debug)]
 pub(crate) struct ShardIndex {
     blocks: Vec<BlockEntry>,
@@ -31,19 +30,6 @@ pub(crate) struct ShardIndex {
     /// Where block data ends (the index begins here); blocks must stay
     /// inside it.
     data_end: u64,
-}
-
-impl ShardIndex {
-    /// The block containing `record`, or `None` past the end.
-    fn locate(&self, record: u64) -> Option<usize> {
-        if record >= self.total {
-            return None;
-        }
-        let i = self
-            .blocks
-            .partition_point(|b| b.first + u64::from(b.count) <= record);
-        (i < self.blocks.len()).then_some(i)
-    }
 }
 
 fn bad_index(path: &Path, reason: impl Into<String>) -> CorpusError {
@@ -108,11 +94,7 @@ fn load_index(path: &Path) -> Result<ShardIndex, CorpusError> {
             ));
         }
         expect_first = first + u64::from(count);
-        entries.push(BlockEntry {
-            offset,
-            first,
-            count,
-        });
+        entries.push(BlockEntry { offset, count });
     }
     if expect_first != total {
         return Err(bad_index(
@@ -205,40 +187,21 @@ fn read_block_into(
     decode_block_into(payload, count, out).map_err(|e| e.to_string())
 }
 
-/// The background decode loop: read blocks in order from `start_block`,
-/// skip `skip` records of the first one, and hand decoded buffers to the
-/// consumer over a bounded channel (capacity 2 — one buffer being
-/// consumed, one ready, one being decoded: double buffering).
-#[allow(clippy::too_many_arguments)]
+/// The background decode loop: read every block in order and hand the
+/// decoded buffers to the consumer over a bounded channel (capacity 2 —
+/// one buffer being consumed, one ready, one being decoded: double
+/// buffering). The caller opened `f`.
 fn prefetch(
-    path: PathBuf,
+    mut f: File,
     index: Arc<ShardIndex>,
-    start_block: usize,
-    skip: usize,
     shard: String,
     warnings: Arc<Mutex<Vec<CorpusWarning>>>,
     tx: SyncSender<Vec<TraceRecord>>,
 ) {
-    let mut f = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            push_warning(
-                &warnings,
-                CorpusWarning {
-                    shard,
-                    block: start_block as u64,
-                    records_lost: index.total - index.blocks[start_block].first,
-                    reason: format!("could not reopen shard: {e}"),
-                },
-            );
-            return;
-        }
-    };
-    let mut skip = skip;
     let mut payload = Vec::new();
-    for (i, entry) in index.blocks.iter().enumerate().skip(start_block) {
+    for (i, entry) in index.blocks.iter().enumerate() {
         let mut records = Vec::new();
-        match read_block_into(
+        if let Err(reason) = read_block_into(
             &mut f,
             entry,
             i as u64,
@@ -246,24 +209,16 @@ fn prefetch(
             &mut payload,
             &mut records,
         ) {
-            Ok(()) => {}
-            Err(reason) => {
-                push_warning(
-                    &warnings,
-                    CorpusWarning {
-                        shard: shard.clone(),
-                        block: i as u64,
-                        records_lost: u64::from(entry.count) - skip as u64,
-                        reason,
-                    },
-                );
-                skip = 0;
-                continue;
-            }
-        };
-        if skip > 0 {
-            records.drain(..skip.min(records.len()));
-            skip = 0;
+            push_warning(
+                &warnings,
+                CorpusWarning {
+                    shard: shard.clone(),
+                    block: i as u64,
+                    records_lost: u64::from(entry.count),
+                    reason,
+                },
+            );
+            continue;
         }
         if tx.send(records).is_err() {
             return; // consumer dropped — stop reading
@@ -285,14 +240,10 @@ enum Feed {
         rx: Receiver<Vec<TraceRecord>>,
         handle: JoinHandle<()>,
     },
-    /// Decode-on-demand: the open file plus the next block to read and
-    /// how many records of it to skip.
-    Inline {
-        file: File,
-        next_block: usize,
-        skip: usize,
-    },
-    /// Exhausted (or never started: opened at/past the end).
+    /// Decode-on-demand: the open file plus the next block to read.
+    Inline { file: File, next_block: usize },
+    /// Exhausted (or never started: an empty shard or one that could
+    /// not be reopened).
     Done,
 }
 
@@ -300,9 +251,7 @@ enum Feed {
 ///
 /// Blocks are read and decoded ahead of the consumer on a background
 /// prefetch thread when a spare core exists (inline, on demand, when
-/// not — see `Feed`). The reader can start at any record number
-/// ([`open_at`](Self::open_at)) and reposition in `O(log blocks)`
-/// ([`seek`](Self::seek)).
+/// not — see `Feed`). Replay always starts at the first record.
 ///
 /// A block that fails its checksum or decode is **skipped**: its records
 /// vanish from the stream, and a [`CorpusWarning`] is recorded
@@ -331,15 +280,6 @@ impl CorpusReader {
     /// [`CorpusError::BadMagic`] / [`CorpusError::BadIndex`] when the
     /// file is not a readable shard, or any I/O failure.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CorpusError> {
-        Self::open_at(path, 0)
-    }
-
-    /// Open a shard positioned at record number `record` (0-based).
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn open_at(path: impl AsRef<Path>, record: u64) -> Result<Self, CorpusError> {
         let path = path.as_ref().to_path_buf();
         let index = Arc::new(load_index(&path)?);
         let name = path
@@ -356,7 +296,7 @@ impl CorpusReader {
             pos: 0,
             payload: Vec::new(),
         };
-        reader.start(record);
+        reader.start();
         Ok(reader)
     }
 
@@ -377,16 +317,6 @@ impl CorpusReader {
         self.index.blocks.len() as u64
     }
 
-    /// Reposition the stream to record number `record` (0-based; at or
-    /// past the end yields an exhausted stream). The prefetch thread is
-    /// restarted at the containing block.
-    pub fn seek(&mut self, record: u64) {
-        self.stop();
-        self.buf.clear();
-        self.pos = 0;
-        self.start(record);
-    }
-
     /// Warnings recorded so far (corrupt blocks quarantined and
     /// skipped during this replay).
     pub fn warnings(&self) -> Vec<CorpusWarning> {
@@ -396,44 +326,38 @@ impl CorpusReader {
             .clone()
     }
 
-    fn start(&mut self, record: u64) {
-        let Some(block) = self.index.locate(record) else {
-            return; // at/past the end: stay exhausted
+    fn start(&mut self) {
+        if self.index.blocks.is_empty() {
+            return; // an empty shard: stay exhausted
+        }
+        let file = match File::open(&self.path) {
+            Ok(file) => file,
+            Err(e) => {
+                push_warning(
+                    &self.warnings,
+                    CorpusWarning {
+                        shard: self.name.clone(),
+                        block: 0,
+                        records_lost: self.index.total,
+                        reason: format!("could not reopen shard: {e}"),
+                    },
+                );
+                return;
+            }
         };
-        let skip = (record - self.index.blocks[block].first) as usize;
         let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         if spare_core {
             let (tx, rx) = sync_channel(2);
-            let path = self.path.clone();
             let index = Arc::clone(&self.index);
             let warnings = Arc::clone(&self.warnings);
             let shard = self.name.clone();
-            let handle = std::thread::spawn(move || {
-                prefetch(path, index, block, skip, shard, warnings, tx);
-            });
+            let handle = std::thread::spawn(move || prefetch(file, index, shard, warnings, tx));
             self.feed = Feed::Threaded { rx, handle };
         } else {
-            match File::open(&self.path) {
-                Ok(file) => {
-                    self.feed = Feed::Inline {
-                        file,
-                        next_block: block,
-                        skip,
-                    };
-                }
-                Err(e) => {
-                    push_warning(
-                        &self.warnings,
-                        CorpusWarning {
-                            shard: self.name.clone(),
-                            block: block as u64,
-                            records_lost: self.index.total - self.index.blocks[block].first,
-                            reason: format!("could not reopen shard: {e}"),
-                        },
-                    );
-                    self.feed = Feed::Done;
-                }
-            }
+            self.feed = Feed::Inline {
+                file,
+                next_block: 0,
+            };
         }
     }
 
@@ -454,7 +378,6 @@ impl CorpusReader {
         let Feed::Inline {
             ref mut file,
             ref mut next_block,
-            ref mut skip,
         } = self.feed
         else {
             return false;
@@ -463,7 +386,6 @@ impl CorpusReader {
             let i = *next_block;
             *next_block += 1;
             let entry = self.index.blocks[i];
-            let drop_now = std::mem::take(skip);
             match read_block_into(
                 file,
                 &entry,
@@ -473,9 +395,7 @@ impl CorpusReader {
                 &mut self.buf,
             ) {
                 Ok(()) => {
-                    // Skip within the buffer by starting past the
-                    // records an `open_at` position dropped.
-                    self.pos = drop_now.min(self.buf.len());
+                    self.pos = 0;
                     return true;
                 }
                 Err(reason) => {
@@ -486,7 +406,7 @@ impl CorpusReader {
                         CorpusWarning {
                             shard: self.name.clone(),
                             block: i as u64,
-                            records_lost: u64::from(entry.count) - drop_now as u64,
+                            records_lost: u64::from(entry.count),
                             reason,
                         },
                     );
@@ -510,15 +430,11 @@ impl TraceSource for CorpusReader {
                         self.stop();
                         return None;
                     }
-                    // Loop: the refill may start past every record (a
-                    // fully skipped `open_at` position).
                 }
                 Feed::Threaded { ref rx, .. } => match rx.recv().ok() {
                     Some(b) => {
                         self.buf = b;
                         self.pos = 0;
-                        // Loop: the buffer may be empty (fully skipped
-                        // block).
                     }
                     None => {
                         self.stop();
@@ -592,23 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn open_at_and_seek_resume_anywhere() {
-        let dir = tmp("seek");
-        let records = sample_records(3000);
-        let path = write_shard(&dir, "t", &records, 128);
-        // open_at every tricky position: block starts, mid-block, ends.
-        let mut r = CorpusReader::open(&path).unwrap();
-        for &at in &[0u64, 1, 7, 999, 1000, 2500, 2999, 3000, 4000] {
-            r.seek(at);
-            let expect: Vec<_> = records.iter().skip(at as usize).copied().collect();
-            assert_eq!(drain(&mut r), expect, "seek to {at}");
-        }
-        let mut r2 = CorpusReader::open_at(&path, 1234).unwrap();
-        assert_eq!(drain(&mut r2), records[1234..].to_vec());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_block_is_skipped_with_warning() {
         let dir = tmp("corrupt");
         let records = sample_records(900);
@@ -617,10 +516,12 @@ mod tests {
         // byte of it on disk.
         let clean = CorpusReader::open(&path).unwrap();
         let lost_block = 1usize;
-        let (offset, count, first) = {
-            let b = clean.index.blocks[lost_block];
-            (b.offset, b.count, b.first)
-        };
+        let blocks = &clean.index.blocks;
+        let (offset, count) = (blocks[lost_block].offset, blocks[lost_block].count);
+        let first: u64 = blocks[..lost_block]
+            .iter()
+            .map(|b| u64::from(b.count))
+            .sum();
         drop(clean);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[offset as usize + 16] ^= 0x55; // first payload byte

@@ -30,7 +30,7 @@ pub struct ShardSummary {
 ///
 /// Records are delta+varint encoded into ~64 KiB blocks (each with a
 /// count and checksum); `finish` writes the block index and footer that
-/// make the shard seekable. The writer needs only `Write` — offsets are
+/// readers frame the blocks by. The writer needs only `Write` — offsets are
 /// tracked by byte accounting, so it can target pipes and in-memory
 /// buffers as well as files.
 #[derive(Debug)]
@@ -61,8 +61,8 @@ impl<W: Write> CorpusWriter<W> {
     }
 
     /// As [`new`](Self::new) with an explicit block payload target
-    /// (small targets force many blocks — useful for exercising seeks
-    /// and block-boundary behaviour in tests).
+    /// (small targets force many blocks — useful for exercising
+    /// block-boundary behaviour in tests).
     ///
     /// # Errors
     ///

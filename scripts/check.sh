@@ -21,7 +21,8 @@ step() {
 BANKED_TMP=$(mktemp -d)
 CORPUS_TMP=$(mktemp -d)
 DRILL_TMP=$(mktemp -d)
-trap 'rm -rf "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}"' EXIT
+TRACE_TMP=$(mktemp -d)
+trap 'rm -rf "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}" "${TRACE_TMP}"' EXIT
 
 step cargo fmt --all --check
 
@@ -125,6 +126,26 @@ step ./target/release/repro --scale 20000 --nbench 2 --dram-backend banked \
   --out "${BANKED_TMP}" table3 dramdiff >/dev/null
 if ! grep -q '"dram_divergence"' "${BANKED_TMP}/metrics.json"; then
   echo "FAIL: dramdiff did not record dram_divergence in metrics.json" >&2
+  exit 1
+fi
+
+# Event-trace export through the CLI: one traced run must write both the
+# JSONL and the Chrome trace_event file, with one Chrome event per JSONL
+# line. The huge --trace-cap checks that the ring allocates as events
+# arrive instead of reserving its whole cap up front.
+echo "==> event trace export smoke (--trace-events, JSONL + Chrome)"
+step ./target/release/repro --scale 20000 --nbench 2 \
+  --trace-events "${TRACE_TMP}/ev.jsonl" --trace-cap 1000000000000 >/dev/null
+for f in "${TRACE_TMP}/ev.jsonl" "${TRACE_TMP}/ev.jsonl.chrome.json"; do
+  if [[ ! -s "${f}" ]]; then
+    echo "FAIL: --trace-events did not write ${f}" >&2
+    exit 1
+  fi
+done
+JSONL_EVENTS=$(wc -l <"${TRACE_TMP}/ev.jsonl")
+CHROME_EVENTS=$(grep -c '"ph": "X"' "${TRACE_TMP}/ev.jsonl.chrome.json")
+if [[ "${JSONL_EVENTS}" -ne "${CHROME_EVENTS}" ]]; then
+  echo "FAIL: ${JSONL_EVENTS} JSONL event(s) but ${CHROME_EVENTS} Chrome traceEvents" >&2
   exit 1
 fi
 

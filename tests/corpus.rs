@@ -16,7 +16,8 @@ use rampage_core::experiments::{
 use rampage_core::{Engine, IssueRate, SystemConfig};
 use rampage_json::ToJson;
 use rampage_trace::corpus::{
-    fidelity_tolerance, record_profiles, verify_dir, CorpusReader, Manifest,
+    fidelity_tolerance, record_profiles, verify_dir, CorpusReader, Manifest, CORPUS_FOOTER_MAGIC,
+    CORPUS_MAGIC,
 };
 use rampage_trace::{profiles, TraceRecord, TraceSource};
 use std::path::PathBuf;
@@ -337,39 +338,58 @@ fn sample_fixture_verifies_and_replays() {
     }
 }
 
-/// Seek + resume across block boundaries: `open_at` from any record
-/// number must continue exactly where a full replay would be.
-#[test]
-fn seek_resume_matches_full_replay() {
-    let _shards = reading_shards();
-    let dir = tmp_dir("seek");
-    std::fs::remove_dir_all(&dir).ok();
-    let p = &profiles::TABLE2[0];
-    let manifest = record_profiles(&dir, &profiles::TABLE2[..1], QUICK_SCALE, QUICK_SEED, 256)
-        .expect("record");
-    let meta = manifest.find(p.name).expect("shard");
-    assert!(meta.blocks > 4, "small blocks force many");
-    let path = dir.join(&meta.file);
-
-    let mut full = CorpusReader::open(&path).expect("open");
-    let all = drain(&mut full);
-    assert_eq!(all.len() as u64, meta.records);
-
-    for at in [
-        0,
-        1,
-        meta.records / 3,
-        meta.records / 2,
-        meta.records - 1,
-        meta.records,
-    ] {
-        let mut r = CorpusReader::open_at(&path, at).expect("open_at");
-        assert_eq!(
-            drain(&mut r),
-            all[at as usize..],
-            "open_at({at}) must resume exactly"
-        );
+/// A shard's block checksum (the format's length-seeded FNV-1a over
+/// little-endian words), restated so a test can forge a valid block.
+fn block_checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h ^= u64::from_le_bytes(word);
+        h = h.wrapping_mul(PRIME);
     }
+    h
+}
+
+/// A block whose header claims `u32::MAX` records over a 4-byte payload,
+/// with a valid checksum and a self-consistent index and footer: every
+/// record encodes to at least one byte, so the reader must quarantine
+/// it as a normal warning instead of reserving room for the claimed
+/// count (about 64 GiB) and aborting the process.
+#[test]
+fn block_claiming_more_records_than_bytes_is_quarantined() {
+    let _shards = reading_shards();
+    let dir = tmp_dir("count");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let path = dir.join("forged.rct");
+
+    let count = u32::MAX;
+    let payload = [0u8; 4];
+    let mut shard = CORPUS_MAGIC.to_vec();
+    let block_offset = shard.len() as u64;
+    shard.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    shard.extend_from_slice(&count.to_le_bytes());
+    shard.extend_from_slice(&block_checksum(&payload).to_le_bytes());
+    shard.extend_from_slice(&payload);
+    let index_offset = shard.len() as u64;
+    shard.extend_from_slice(&1u32.to_le_bytes());
+    shard.extend_from_slice(&block_offset.to_le_bytes());
+    shard.extend_from_slice(&0u64.to_le_bytes());
+    shard.extend_from_slice(&count.to_le_bytes());
+    shard.extend_from_slice(&index_offset.to_le_bytes());
+    shard.extend_from_slice(&u64::from(count).to_le_bytes());
+    shard.extend_from_slice(&CORPUS_FOOTER_MAGIC);
+    assert_eq!(shard.len(), 76);
+    std::fs::write(&path, &shard).expect("write shard");
+
+    let mut reader = CorpusReader::open(&path).expect("the index is self-consistent");
+    assert_eq!(reader.records(), u64::from(count));
+    assert!(drain(&mut reader).is_empty(), "no record survives");
+    let warnings = reader.warnings();
+    assert_eq!(warnings.len(), 1, "the block is quarantined: {warnings:?}");
+    assert_eq!(warnings[0].block, 0);
+    assert_eq!(warnings[0].records_lost, u64::from(count));
     std::fs::remove_dir_all(&dir).ok();
 }
 

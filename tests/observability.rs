@@ -5,10 +5,12 @@
 //! and that both export formats (JSONL and Chrome `trace_event`) are
 //! well-formed.
 
+use rampage_core::experiments::ablations::Knob;
 use rampage_core::experiments::{run_config, run_config_traced, Workload};
 use rampage_core::obs::{chrome_trace, to_jsonl, EventKind};
-use rampage_core::{Engine, IssueRate, SystemConfig};
+use rampage_core::{DramKind, Engine, IssueRate, SystemConfig};
 use rampage_json::{Json, ToJson};
+use rampage_trace::corpus::fnv1a;
 
 /// Every hierarchy preset the simulator models, at the quick workload.
 fn presets() -> Vec<(&'static str, SystemConfig)> {
@@ -223,4 +225,464 @@ fn histograms_reconcile_with_counters_on_every_preset() {
             assert_eq!(hist.bucket_sum(), hist.count(), "{name}: bucket sums");
         }
     }
+}
+
+/// Every preset under every ablation knob, at both DRAM fidelities, plus
+/// the 3C classifier on both conventional presets: the configurations
+/// whose whole simulation [`DIGESTS`] pins.
+fn digest_configs() -> Vec<(String, SystemConfig)> {
+    let mut cells = Vec::new();
+    for (name, preset) in presets() {
+        for knob in Knob::ALL {
+            let flat = knob.apply(preset);
+            let banked = SystemConfig {
+                dram: DramKind::banked(),
+                ..flat
+            };
+            cells.push((format!("{name}/{knob:?}/flat"), flat));
+            cells.push((format!("{name}/{knob:?}/banked"), banked));
+        }
+    }
+    for (name, preset) in presets().into_iter().take(2) {
+        let classified = SystemConfig {
+            classify_l2: true,
+            ..preset
+        };
+        cells.push((format!("{name}/classify_l2"), classified));
+    }
+    cells
+}
+
+/// FNV-1a of the JSONL event trace and of the `Metrics` `Debug` rendering
+/// (time, counters and every histogram sample), per configuration, over
+/// [`Workload::quick`]. Cells only pin derived figures; these pin event
+/// order, event timing and histogram samples too, so any refactor of the
+/// memory systems that moves one of them fails here.
+const DIGESTS: &[(&str, u64, u64)] = &[
+    ("baseline/Base/flat", 0x469b14265003b719, 0xaf94fce14eb8e580),
+    (
+        "baseline/Base/banked",
+        0xc1ca7b8e5ea03ffc,
+        0x5476f9a87a847af1,
+    ),
+    (
+        "baseline/LargeTlb/flat",
+        0x8d9f551a0086b26e,
+        0xda2b6e36a593c8c1,
+    ),
+    (
+        "baseline/LargeTlb/banked",
+        0xdc6f65b13b70c5e1,
+        0xab4872e6e6277b1b,
+    ),
+    (
+        "baseline/AggressiveL1/flat",
+        0x818105b6b5736254,
+        0xfa249543d4fbe2e6,
+    ),
+    (
+        "baseline/AggressiveL1/banked",
+        0x924633af87bc7069,
+        0x8ffbf2bb76d3bed6,
+    ),
+    (
+        "baseline/PipelinedRambus/flat",
+        0x469b14265003b719,
+        0xaf94fce14eb8e580,
+    ),
+    (
+        "baseline/PipelinedRambus/banked",
+        0xc1ca7b8e5ea03ffc,
+        0x5476f9a87a847af1,
+    ),
+    (
+        "baseline/StandbyList/flat",
+        0x469b14265003b719,
+        0xaf94fce14eb8e580,
+    ),
+    (
+        "baseline/StandbyList/banked",
+        0xc1ca7b8e5ea03ffc,
+        0x5476f9a87a847af1,
+    ),
+    (
+        "baseline/SdramDevice/flat",
+        0x469b14265003b719,
+        0xaf94fce14eb8e580,
+    ),
+    (
+        "baseline/SdramDevice/banked",
+        0xc1ca7b8e5ea03ffc,
+        0x5476f9a87a847af1,
+    ),
+    (
+        "baseline/VictimCache16/flat",
+        0xc83bdb247fc0a7ef,
+        0x0fe9ec18b62eb0dc,
+    ),
+    (
+        "baseline/VictimCache16/banked",
+        0x8ef5de59920c230b,
+        0x5f499a02bb934462,
+    ),
+    (
+        "baseline/FiniteWriteBuffer8/flat",
+        0x9751ef0064ed35e0,
+        0x6610a992b73017d7,
+    ),
+    (
+        "baseline/FiniteWriteBuffer8/banked",
+        0x890a9b7f14159695,
+        0x005ab62e6dc02002,
+    ),
+    (
+        "baseline/DualChannel/flat",
+        0x469b14265003b719,
+        0xaf94fce14eb8e580,
+    ),
+    (
+        "baseline/DualChannel/banked",
+        0x90ce3831722a0dc2,
+        0x3408fc564aabd4a1,
+    ),
+    (
+        "baseline/PrefetchNext/flat",
+        0x469b14265003b719,
+        0xaf94fce14eb8e580,
+    ),
+    (
+        "baseline/PrefetchNext/banked",
+        0xc1ca7b8e5ea03ffc,
+        0x5476f9a87a847af1,
+    ),
+    ("two_way/Base/flat", 0x502916963662e67c, 0xcc59fa248a44df2d),
+    (
+        "two_way/Base/banked",
+        0xfc3a2c60713fabd0,
+        0x5150b3d6322dcde3,
+    ),
+    (
+        "two_way/LargeTlb/flat",
+        0x37c20f6105facf67,
+        0x1766802ad552ff53,
+    ),
+    (
+        "two_way/LargeTlb/banked",
+        0x22ce4a3501ce01f3,
+        0xa069d659c70d858f,
+    ),
+    (
+        "two_way/AggressiveL1/flat",
+        0x2c169c5b7e55efad,
+        0x90b8b2808a91a18a,
+    ),
+    (
+        "two_way/AggressiveL1/banked",
+        0xc3bbd34c2049b409,
+        0xa83afb51ac056518,
+    ),
+    (
+        "two_way/PipelinedRambus/flat",
+        0x502916963662e67c,
+        0xcc59fa248a44df2d,
+    ),
+    (
+        "two_way/PipelinedRambus/banked",
+        0xfc3a2c60713fabd0,
+        0x5150b3d6322dcde3,
+    ),
+    (
+        "two_way/StandbyList/flat",
+        0x502916963662e67c,
+        0xcc59fa248a44df2d,
+    ),
+    (
+        "two_way/StandbyList/banked",
+        0xfc3a2c60713fabd0,
+        0x5150b3d6322dcde3,
+    ),
+    (
+        "two_way/SdramDevice/flat",
+        0x502916963662e67c,
+        0xcc59fa248a44df2d,
+    ),
+    (
+        "two_way/SdramDevice/banked",
+        0xfc3a2c60713fabd0,
+        0x5150b3d6322dcde3,
+    ),
+    (
+        "two_way/VictimCache16/flat",
+        0x9e3ef5690629a60d,
+        0xda0141ffca7f9fe3,
+    ),
+    (
+        "two_way/VictimCache16/banked",
+        0xac9412b113a36a44,
+        0x5fc884058bc992c5,
+    ),
+    (
+        "two_way/FiniteWriteBuffer8/flat",
+        0x729de6e8b7cc9818,
+        0x94fc57ea52345db0,
+    ),
+    (
+        "two_way/FiniteWriteBuffer8/banked",
+        0x32d74e78871dd969,
+        0xf7f7fd4340936ad2,
+    ),
+    (
+        "two_way/DualChannel/flat",
+        0x502916963662e67c,
+        0xcc59fa248a44df2d,
+    ),
+    (
+        "two_way/DualChannel/banked",
+        0x69598af8a3622f89,
+        0xb54f743f2e22c73c,
+    ),
+    (
+        "two_way/PrefetchNext/flat",
+        0x502916963662e67c,
+        0xcc59fa248a44df2d,
+    ),
+    (
+        "two_way/PrefetchNext/banked",
+        0xfc3a2c60713fabd0,
+        0x5150b3d6322dcde3,
+    ),
+    ("rampage/Base/flat", 0xcf5b2280871dc640, 0x19b11393d6be8d90),
+    (
+        "rampage/Base/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/LargeTlb/flat",
+        0xa1b33092cc87d27d,
+        0x3e4cf231434372d8,
+    ),
+    (
+        "rampage/LargeTlb/banked",
+        0x069d523c9a570d0f,
+        0xc6a66881c7bd5faa,
+    ),
+    (
+        "rampage/AggressiveL1/flat",
+        0x1bb333557d9d8f5e,
+        0xab6ce00b425f19c0,
+    ),
+    (
+        "rampage/AggressiveL1/banked",
+        0x6e887749a8df14ad,
+        0xc172501a35db21fc,
+    ),
+    (
+        "rampage/PipelinedRambus/flat",
+        0xcf5b2280871dc640,
+        0x19b11393d6be8d90,
+    ),
+    (
+        "rampage/PipelinedRambus/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/StandbyList/flat",
+        0xcf5b2280871dc640,
+        0x19b11393d6be8d90,
+    ),
+    (
+        "rampage/StandbyList/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/SdramDevice/flat",
+        0xcf5b2280871dc640,
+        0x19b11393d6be8d90,
+    ),
+    (
+        "rampage/SdramDevice/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/VictimCache16/flat",
+        0xcf5b2280871dc640,
+        0x19b11393d6be8d90,
+    ),
+    (
+        "rampage/VictimCache16/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/FiniteWriteBuffer8/flat",
+        0x9cb49bc1343c1728,
+        0xe65af24135b1cef3,
+    ),
+    (
+        "rampage/FiniteWriteBuffer8/banked",
+        0x6b97d35b19a56ae4,
+        0xe90ffee49f4f94a1,
+    ),
+    (
+        "rampage/DualChannel/flat",
+        0xcf5b2280871dc640,
+        0x19b11393d6be8d90,
+    ),
+    (
+        "rampage/DualChannel/banked",
+        0xb888a9490150cb5a,
+        0x22f21b0074ae2416,
+    ),
+    (
+        "rampage/PrefetchNext/flat",
+        0xf268033d4ff56874,
+        0x3b4ff4ac760e3cfa,
+    ),
+    (
+        "rampage/PrefetchNext/banked",
+        0xa9ef9bf80abdffbe,
+        0xa282a4531d1cdce6,
+    ),
+    (
+        "rampage_switching/Base/flat",
+        0xb3876c0aa8a88958,
+        0xa54e38a3ed09e58f,
+    ),
+    (
+        "rampage_switching/Base/banked",
+        0x8244607873a29242,
+        0x2e4d16ed67b5ee47,
+    ),
+    (
+        "rampage_switching/LargeTlb/flat",
+        0x4cabbfc59060ec9d,
+        0x3b64395b80bf0d97,
+    ),
+    (
+        "rampage_switching/LargeTlb/banked",
+        0x53f20485769f3843,
+        0xbf30ceb480d717fa,
+    ),
+    (
+        "rampage_switching/AggressiveL1/flat",
+        0xac6ca712e4df90eb,
+        0x76619b62b7865c7c,
+    ),
+    (
+        "rampage_switching/AggressiveL1/banked",
+        0x9e056da7ebad5368,
+        0x8b575ed01dc48b2a,
+    ),
+    (
+        "rampage_switching/PipelinedRambus/flat",
+        0xb3876c0aa8a88958,
+        0xa54e38a3ed09e58f,
+    ),
+    (
+        "rampage_switching/PipelinedRambus/banked",
+        0x8244607873a29242,
+        0x2e4d16ed67b5ee47,
+    ),
+    (
+        "rampage_switching/StandbyList/flat",
+        0xb3876c0aa8a88958,
+        0xa54e38a3ed09e58f,
+    ),
+    (
+        "rampage_switching/StandbyList/banked",
+        0x8244607873a29242,
+        0x2e4d16ed67b5ee47,
+    ),
+    (
+        "rampage_switching/SdramDevice/flat",
+        0xb3876c0aa8a88958,
+        0xa54e38a3ed09e58f,
+    ),
+    (
+        "rampage_switching/SdramDevice/banked",
+        0x8244607873a29242,
+        0x2e4d16ed67b5ee47,
+    ),
+    (
+        "rampage_switching/VictimCache16/flat",
+        0xb3876c0aa8a88958,
+        0xa54e38a3ed09e58f,
+    ),
+    (
+        "rampage_switching/VictimCache16/banked",
+        0x8244607873a29242,
+        0x2e4d16ed67b5ee47,
+    ),
+    (
+        "rampage_switching/FiniteWriteBuffer8/flat",
+        0x7705d1e9856f6a2f,
+        0x08aee0ae11d52f40,
+    ),
+    (
+        "rampage_switching/FiniteWriteBuffer8/banked",
+        0x0d0d717e03d2f546,
+        0xe6bd1e1d3e070dff,
+    ),
+    (
+        "rampage_switching/DualChannel/flat",
+        0xb8f54d36093bd8fe,
+        0x051b23256914d204,
+    ),
+    (
+        "rampage_switching/DualChannel/banked",
+        0x99322715f92baf1e,
+        0x6bd4832a0feae100,
+    ),
+    (
+        "rampage_switching/PrefetchNext/flat",
+        0xda1aef1d038e877c,
+        0xa5fb7cc45cdfb93b,
+    ),
+    (
+        "rampage_switching/PrefetchNext/banked",
+        0x73dde185e98e4442,
+        0x7729fee38fd0d939,
+    ),
+    (
+        "baseline/classify_l2",
+        0x469b14265003b719,
+        0x8dc8146be8eb194a,
+    ),
+    (
+        "two_way/classify_l2",
+        0x502916963662e67c,
+        0x3e23112c65bcdcc0,
+    ),
+];
+
+#[test]
+fn event_and_metrics_digests_are_pinned_on_every_knob() {
+    let w = Workload::quick();
+    let got: Vec<(String, u64, u64)> = digest_configs()
+        .into_iter()
+        .map(|(label, cfg)| {
+            let (_, out) = run_config_traced(&cfg, &w, 1 << 20);
+            assert_eq!(out.events_dropped, 0, "{label}: the ring dropped events");
+            let events = fnv1a(to_jsonl(&out.events).as_bytes());
+            let metrics = fnv1a(format!("{:?}", out.metrics).as_bytes());
+            (label, events, metrics)
+        })
+        .collect();
+    let moved: Vec<&str> = got
+        .iter()
+        .filter(|(label, e, m)| !DIGESTS.contains(&(label.as_str(), *e, *m)))
+        .map(|(label, ..)| label.as_str())
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(label, e, m)| format!("    (\"{label}\", {e:#018x}, {m:#018x}),\n"))
+        .collect();
+    assert!(
+        moved.is_empty() && got.len() == DIGESTS.len(),
+        "simulation digests moved for {moved:?}; the current table is:\n{table}"
+    );
 }
