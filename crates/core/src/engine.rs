@@ -192,8 +192,7 @@ impl Engine {
             .cycle()
             .take(nbench)
             .map(|p| {
-                let scale = (((p.refs_millions * 1e6) as u64) / refs_per_bench).max(1);
-                Box::new(p.source(scale, seed)) as Box<dyn TraceSource + Send>
+                Box::new(p.source(p.scale_for(refs_per_bench), seed)) as Box<dyn TraceSource + Send>
             })
             .collect();
         Engine::new(cfg, sources)

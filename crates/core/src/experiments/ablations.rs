@@ -7,8 +7,8 @@
 //! so the marginal effect of each design choice is isolated.
 
 use crate::config::{DramKind, HierarchyKind, L1Config, SystemConfig, TlbConfig};
-use crate::experiments::common::{Cell, Workload};
-use crate::experiments::runner::{Job, SweepRunner};
+use crate::experiments::common::{run_grid, Cell, Workload};
+use crate::experiments::runner::SweepRunner;
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
 use rampage_json::{obj, Json, ToJson};
@@ -127,7 +127,27 @@ pub struct Ablations {
     pub rows: Vec<AblationRow>,
 }
 
-/// Run every knob at one issue rate and size. The `Base` knob's pair
+/// The study's grid: each knob applied to RAMpage with switch-on-miss,
+/// then to the 2-way L2, at one issue rate and size.
+pub fn grid(issue: IssueRate, unit_bytes: u64) -> Vec<(String, SystemConfig)> {
+    Knob::ALL
+        .iter()
+        .flat_map(|&knob| {
+            [
+                (
+                    format!("{knob:?}+rampage_switching"),
+                    knob.apply(SystemConfig::rampage_switching(issue, unit_bytes)),
+                ),
+                (
+                    format!("{knob:?}+two_way"),
+                    knob.apply(SystemConfig::two_way(issue, unit_bytes)),
+                ),
+            ]
+        })
+        .collect()
+}
+
+/// Run every knob's [`grid`] pair as one batch. The `Base` knob's pair
 /// matches Table 4's and Table 5's cells at this rate/size, so a shared
 /// cell cache turns them into hits.
 pub fn run(
@@ -136,22 +156,7 @@ pub fn run(
     issue: IssueRate,
     unit_bytes: u64,
 ) -> Ablations {
-    let jobs: Vec<Job> = Knob::ALL
-        .iter()
-        .flat_map(|&knob| {
-            [
-                Job::new(
-                    knob.apply(SystemConfig::rampage_switching(issue, unit_bytes)),
-                    *workload,
-                ),
-                Job::new(
-                    knob.apply(SystemConfig::two_way(issue, unit_bytes)),
-                    *workload,
-                ),
-            ]
-        })
-        .collect();
-    let cells = runner.run_labeled("ablations", &jobs);
+    let cells = run_grid(runner, "ablations", &grid(issue, unit_bytes), workload);
     let rows = Knob::ALL
         .iter()
         .zip(cells.chunks_exact(2))

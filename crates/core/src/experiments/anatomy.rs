@@ -10,7 +10,7 @@
 
 use crate::config::SystemConfig;
 use crate::engine::Engine;
-use crate::experiments::common::Workload;
+use crate::experiments::common::{sweep_grid, Workload};
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
 use rampage_cache::MissProfile;
@@ -37,33 +37,51 @@ pub struct Anatomy {
     pub cells: Vec<AnatomyCell>,
 }
 
-/// Run the classification sweep.
+/// The study's grid: the plain direct-mapped then 2-way presets at each
+/// block size.
+///
+/// [`run`] does not submit these exact configs: it also sets
+/// `classify_l2` and clears `switch_trace`, and it builds each engine
+/// itself instead of going through a `SweepRunner`, because the 3C
+/// profile lives in the run's counters, which a `Cell` does not carry.
+/// Neither flag changes what `SystemConfig::validate` checks, so
+/// `repro lint --configs` still covers the run. The grid keeps the plain
+/// presets because the ledger's `sweep_journaled` workload pins it.
+pub fn grid(issue: IssueRate, sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+    sweep_grid(
+        &[issue],
+        sizes,
+        &[
+            ("baseline", SystemConfig::baseline),
+            ("two_way", SystemConfig::two_way),
+        ],
+    )
+}
+
+/// Run the classification sweep over the [`grid`].
 pub fn run(workload: &Workload, issue: IssueRate, sizes: &[u64]) -> Anatomy {
     let mut cells = Vec::new();
-    for &block in sizes {
-        for make in [SystemConfig::baseline, SystemConfig::two_way] {
-            let mut cfg = make(issue, block);
-            cfg.classify_l2 = true;
-            // Table 5's switch trace would perturb the comparison; keep
-            // both organizations on the plain workload.
-            cfg.switch_trace = false;
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the 3C classification lives in the RunOutcome, which a Cell does not carry"
-            )]
-            let out = Engine::new(&cfg, workload.sources()).run();
-            let ways = match cfg.hierarchy {
-                crate::config::HierarchyKind::Conventional(l2) => l2.ways,
-                // invariant: anatomy only sweeps two_way presets, which
-                // always build a Conventional hierarchy.
-                crate::config::HierarchyKind::Rampage(_) => unreachable!("conventional only"),
-            };
-            cells.push(AnatomyCell {
-                block,
-                ways,
-                profile: out.metrics.counts.l2_miss_profile,
-            });
-        }
+    for (_, mut cfg) in grid(issue, sizes) {
+        cfg.classify_l2 = true;
+        // Table 5's switch trace would perturb the comparison; keep
+        // both organizations on the plain workload.
+        cfg.switch_trace = false;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the 3C classification lives in the RunOutcome, which a Cell does not carry"
+        )]
+        let out = Engine::new(&cfg, workload.sources()).run();
+        let ways = match cfg.hierarchy {
+            crate::config::HierarchyKind::Conventional(l2) => l2.ways,
+            // invariant: the anatomy grid holds only conventional
+            // presets.
+            crate::config::HierarchyKind::Rampage(_) => unreachable!("conventional only"),
+        };
+        cells.push(AnatomyCell {
+            block: cfg.hierarchy.unit_bytes(),
+            ways,
+            profile: out.metrics.counts.l2_miss_profile,
+        });
     }
     Anatomy {
         issue_mhz: issue.mhz(),

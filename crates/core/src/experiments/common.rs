@@ -365,22 +365,68 @@ pub fn run_config_traced(
     (Cell::from_run(cfg, &out), out)
 }
 
-/// Run `make_cfg(issue, size)` over a size sweep at one issue rate,
-/// through the runner's pool and cache. `label` names the calling
-/// artifact in journaled claim records.
-pub fn sweep_sizes(
+/// A preset constructor such as [`SystemConfig::baseline`]: issue rate
+/// and L2 block or SRAM page size in, config out.
+pub(crate) type Preset = fn(IssueRate, u64) -> SystemConfig;
+
+/// A preset's labelled grid: at each `(rate, size)`, rate-major, one
+/// cell per `(kind, make)` system in order, labelled
+/// `kind@1000MHz/1024B`.
+pub(crate) fn sweep_grid(
+    rates: &[IssueRate],
+    sizes: &[u64],
+    systems: &[(&str, Preset)],
+) -> Vec<(String, SystemConfig)> {
+    let mut cells = Vec::with_capacity(rates.len() * sizes.len() * systems.len());
+    for &rate in rates {
+        for &size in sizes {
+            for &(kind, make) in systems {
+                let label = format!("{kind}@{}MHz/{size}B", rate.mhz());
+                cells.push((label, make(rate, size)));
+            }
+        }
+    }
+    cells
+}
+
+/// Submit every config of `grid` over `workload` as one batch, labelled
+/// `label` in journaled claim records; cells come back in grid order.
+pub fn run_grid(
     runner: &SweepRunner,
     label: &str,
-    make_cfg: impl Fn(IssueRate, u64) -> SystemConfig,
-    issue: IssueRate,
-    sizes: &[u64],
+    grid: &[(String, SystemConfig)],
     workload: &Workload,
 ) -> Vec<Cell> {
-    let jobs: Vec<Job> = sizes
+    let jobs: Vec<Job> = grid
         .iter()
-        .map(|&size| Job::new(make_cfg(issue, size), *workload))
+        .map(|(_, cfg)| Job::new(*cfg, *workload))
         .collect();
-    runner.run_labeled(label, jobs.as_slice())
+    runner.run_labeled(label, &jobs)
+}
+
+/// Split a flat sweep into `n` consecutive rows of `width` cells.
+pub(crate) fn rows(cells: Vec<Cell>, n: usize, width: usize) -> Vec<Vec<Cell>> {
+    let mut cells = cells.into_iter();
+    (0..n)
+        .map(|_| cells.by_ref().take(width).collect())
+        .collect()
+}
+
+/// The fastest cell of a row as `(unit_bytes, seconds)`; the first
+/// wins a tie, and an empty row gives the inert `(0, 0.0)`.
+pub(crate) fn fastest(row: &[Cell]) -> (u64, f64) {
+    row.iter()
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .map_or((0, 0.0), |c| (c.unit_bytes, c.seconds))
+}
+
+/// An issue rate as the tables print it: `200 MHz`, `4 GHz`.
+pub(crate) fn fmt_rate(mhz: u32) -> String {
+    if mhz >= 1000 && mhz.is_multiple_of(1000) {
+        format!("{} GHz", mhz / 1000)
+    } else {
+        format!("{mhz} MHz")
+    }
 }
 
 #[cfg(test)]
@@ -417,21 +463,6 @@ mod tests {
         let f = cell.fractions;
         let sum = f.l1i + f.l1d + f.l2_sram + f.dram + f.idle;
         assert!((sum - 1.0).abs() < 1e-9, "fractions sum to 1, got {sum}");
-    }
-
-    #[test]
-    fn sweep_covers_sizes_in_order() {
-        let cells = sweep_sizes(
-            &SweepRunner::serial(),
-            "test",
-            SystemConfig::baseline,
-            IssueRate::MHZ200,
-            &[128, 4096],
-            &Workload::quick(),
-        );
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].unit_bytes, 128);
-        assert_eq!(cells[1].unit_bytes, 4096);
     }
 
     #[test]

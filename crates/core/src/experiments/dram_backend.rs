@@ -32,10 +32,9 @@ pub const DIVERGENCE_SIZES: [u64; 2] = [128, 4096];
 /// The two systems compared at each backend, in grid order.
 const SYSTEMS: [&str; 2] = ["rampage", "baseline"];
 
-/// The exact configs this study simulates (workloads vary per program
-/// on top of these) — shared with `grids::preset_grids` so the
-/// `dramdiff` preset grid can never drift from the experiment.
-pub fn grid_configs(issue: IssueRate, sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+/// The exact configs this study simulates, size → system → backend
+/// (workloads vary per program on top of these).
+pub fn grid(issue: IssueRate, sizes: &[u64]) -> Vec<(String, SystemConfig)> {
     let mut cells = Vec::new();
     for &size in sizes {
         for system in SYSTEMS {
@@ -125,13 +124,11 @@ pub fn run(
     refs_per_bench: u64,
     seed: u64,
 ) -> DramBackendStudy {
-    let configs = grid_configs(issue, sizes);
+    let configs = grid(issue, sizes);
     let mut jobs = Vec::with_capacity(profiles::TABLE2.len() * configs.len());
     for (pi, p) in profiles::TABLE2.iter().enumerate() {
-        let scale = (((p.refs_millions * 1e6) as u64) / refs_per_bench).max(1);
-        for (_, cfg) in &configs {
-            jobs.push(Job::new(*cfg, Workload::solo(pi, scale, seed)));
-        }
+        let workload = Workload::solo(pi, p.scale_for(refs_per_bench), seed);
+        jobs.extend(configs.iter().map(|(_, cfg)| Job::new(*cfg, workload)));
     }
     let mut cells = runner.run_labeled("dram_backend", &jobs).into_iter();
     let benchmarks: Vec<BenchDivergence> = profiles::TABLE2
@@ -144,7 +141,7 @@ pub fn run(
                 baseline_flat: Vec::new(),
                 baseline_banked: Vec::new(),
             };
-            // Consumption mirrors grid_configs order:
+            // Consumption mirrors grid order:
             // size → system → backend.
             for _ in sizes {
                 for system in SYSTEMS {
@@ -274,7 +271,7 @@ mod tests {
 
     #[test]
     fn grid_order_matches_consumption_order() {
-        let cells = grid_configs(IssueRate::GHZ1, &DIVERGENCE_SIZES);
+        let cells = grid(IssueRate::GHZ1, &DIVERGENCE_SIZES);
         assert_eq!(cells.len(), DIVERGENCE_SIZES.len() * 4);
         assert!(cells[0].0.starts_with("rampage+flat"));
         assert!(cells[1].0.starts_with("rampage+banked"));
@@ -302,5 +299,12 @@ mod tests {
         assert!(text.contains("divergence"), "{text}");
         let json = s.metrics_json().pretty();
         assert!(json.contains("rampage_divergence"), "{json}");
+    }
+
+    #[test]
+    fn zero_refs_per_bench_runs_each_program_at_its_smallest_volume() {
+        let s = run(&SweepRunner::serial(), IssueRate::GHZ1, &[4096], 0, 3);
+        assert_eq!(s.benchmarks.len(), 18);
+        assert!(s.benchmarks.iter().all(|b| b.rampage_flat[0] > 0.0));
     }
 }

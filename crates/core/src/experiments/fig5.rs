@@ -1,6 +1,7 @@
 //! Figure 5: RAMpage (switching on misses) vs the 2-way L2, relative to
 //! the best time at each CPU speed.
 
+use crate::experiments::common::fmt_rate;
 use crate::experiments::table4::Table4;
 use crate::experiments::table5::Table5;
 use crate::report::TableBuilder;
@@ -89,14 +90,6 @@ impl Figure5 {
             "Figure 5: slowdown vs best time per CPU speed (0 = best; n = 1.n x slower)\n{}",
             t.render()
         )
-    }
-}
-
-fn fmt_rate(mhz: u32) -> String {
-    if mhz >= 1000 && mhz.is_multiple_of(1000) {
-        format!("{} GHz", mhz / 1000)
-    } else {
-        format!("{mhz} MHz")
     }
 }
 

@@ -3,22 +3,22 @@
 //! prove at lint time that no grid cell would die in
 //! [`SystemConfig::validate`] mid-sweep.
 //!
-//! Each grid here lists the configs its experiment module builds
-//! (`table3::run_paper`, `timeslice::run` with the default slice, the
-//! `diag` artifact loop, …), with one known difference: the `anatomy`
-//! grid holds the plain `baseline` and `two_way` presets, while
-//! `anatomy::run` also sets `classify_l2` and clears `switch_trace`.
-//! Neither flag changes what [`SystemConfig::validate`] checks. The grid
-//! stays as it is because the ledger's `sweep_journaled` workload pins
-//! `preset_grids()`. When an experiment grows a new axis, extend its grid
-//! here; `grid_shapes_match_their_experiments` below cross-checks the
-//! cell counts.
+//! Each grid comes from its experiment module's `grid` function, called
+//! at the parameters `repro` runs, and that module's `run` submits
+//! exactly that grid, in the same order; so the lint checks the cells
+//! the experiments compute. One exception: `anatomy::run` also sets
+//! `classify_l2` and clears `switch_trace` on each [`anatomy::grid`]
+//! config (that function's doc says why). The `diag` artifact has no
+//! experiment module, so its grid, [`diag`], lives here and `repro diag`
+//! runs it. The ledger's `sweep_journaled` workload pins
+//! [`preset_grids`] cell by cell, in order.
 
 use crate::config::SystemConfig;
 use crate::error::ConfigError;
-use crate::experiments::ablations::Knob;
-use crate::experiments::common::PAPER_SIZES;
-use crate::experiments::timeslice::DEFAULT_SLICE_PS;
+use crate::experiments::common::{sweep_grid, PAPER_SIZES};
+use crate::experiments::{
+    ablations, anatomy, dram_backend, per_benchmark, table3, table4, table5, timeslice,
+};
 use crate::time::IssueRate;
 
 /// One experiment preset's full sweep grid.
@@ -48,166 +48,45 @@ impl std::fmt::Display for GridError {
     }
 }
 
-fn label(kind: &str, rate: IssueRate, size: u64) -> String {
-    format!("{kind}@{}MHz/{size}B", rate.mhz())
+/// The `diag` artifact's grid: direct-mapped, RAMpage and 2-way at each
+/// size, at 1 GHz.
+pub fn diag() -> Vec<(String, SystemConfig)> {
+    sweep_grid(
+        &[IssueRate::GHZ1],
+        &PAPER_SIZES,
+        &[
+            ("baseline", SystemConfig::baseline),
+            ("rampage", SystemConfig::rampage),
+            ("two_way", SystemConfig::two_way),
+        ],
+    )
 }
 
-/// Every preset grid the `repro` artifacts sweep.
+/// Every preset grid the `repro` artifacts sweep, at the parameters
+/// `repro` runs them with.
 pub fn preset_grids() -> Vec<PresetGrid> {
-    let mut grids = Vec::new();
-
-    // table3: baseline + rampage over the full paper cross product.
-    let mut cells = Vec::new();
-    for &rate in &IssueRate::PAPER_SWEEP {
-        for &size in &PAPER_SIZES {
-            cells.push((
-                label("baseline", rate, size),
-                SystemConfig::baseline(rate, size),
-            ));
-            cells.push((
-                label("rampage", rate, size),
-                SystemConfig::rampage(rate, size),
-            ));
-        }
-    }
-    grids.push(PresetGrid {
-        name: "table3",
-        cells,
-    });
-
-    // table4: rampage with switch-on-miss, same axes as table3.
-    let mut cells = Vec::new();
-    for &rate in &IssueRate::PAPER_SWEEP {
-        for &size in &PAPER_SIZES {
-            cells.push((
-                label("rampage_switching", rate, size),
-                SystemConfig::rampage_switching(rate, size),
-            ));
-        }
-    }
-    grids.push(PresetGrid {
-        name: "table4",
-        cells,
-    });
-
-    // table5: the 2-way conventional sweep, same axes.
-    let mut cells = Vec::new();
-    for &rate in &IssueRate::PAPER_SWEEP {
-        for &size in &PAPER_SIZES {
-            cells.push((
-                label("two_way", rate, size),
-                SystemConfig::two_way(rate, size),
-            ));
-        }
-    }
-    grids.push(PresetGrid {
-        name: "table5",
-        cells,
-    });
-
-    // timeslice: both scheduling regimes at the rates repro sweeps.
-    let mut cells = Vec::new();
-    for time_based in [false, true] {
-        for &rate in &[IssueRate::MHZ200, IssueRate::GHZ1, IssueRate::GHZ4] {
-            for &size in &PAPER_SIZES {
-                let mut cfg = SystemConfig::two_way(rate, size);
-                let regime = if time_based {
-                    cfg.quantum_time = Some(rampage_dram::Picos(DEFAULT_SLICE_PS));
-                    "two_way+time"
-                } else {
-                    "two_way+refs"
-                };
-                cells.push((label(regime, rate, size), cfg));
-            }
-        }
-    }
-    grids.push(PresetGrid {
-        name: "timeslice",
-        cells,
-    });
-
-    // ablations: every knob applied to both systems at the repro point.
-    let mut cells = Vec::new();
-    for &knob in &Knob::ALL {
-        let (rate, size) = (IssueRate::GHZ1, 1024);
-        cells.push((
-            format!("{knob:?}+rampage_switching"),
-            knob.apply(SystemConfig::rampage_switching(rate, size)),
-        ));
-        cells.push((
-            format!("{knob:?}+two_way"),
-            knob.apply(SystemConfig::two_way(rate, size)),
-        ));
-    }
-    grids.push(PresetGrid {
-        name: "ablations",
-        cells,
-    });
-
-    // perbench: solo RAMpage runs per page size (workloads differ per
-    // program, configs per size).
-    let mut cells = Vec::new();
-    for &size in &PAPER_SIZES {
-        cells.push((
-            label("rampage", IssueRate::GHZ1, size),
-            SystemConfig::rampage(IssueRate::GHZ1, size),
-        ));
-    }
-    grids.push(PresetGrid {
-        name: "perbench",
-        cells,
-    });
-
-    // anatomy: direct-mapped and 2-way conventional at 1 GHz (the run
-    // itself adds classify_l2 and drops the switch trace; see above).
-    let mut cells = Vec::new();
-    for &size in &PAPER_SIZES {
-        cells.push((
-            label("baseline", IssueRate::GHZ1, size),
-            SystemConfig::baseline(IssueRate::GHZ1, size),
-        ));
-        cells.push((
-            label("two_way", IssueRate::GHZ1, size),
-            SystemConfig::two_way(IssueRate::GHZ1, size),
-        ));
-    }
-    grids.push(PresetGrid {
-        name: "anatomy",
-        cells,
-    });
-
-    // dramdiff: flat-vs-banked error quantification — the exact configs
-    // come from the experiment module so the grid cannot drift.
-    grids.push(PresetGrid {
-        name: "dramdiff",
-        cells: crate::experiments::dram_backend::grid_configs(
-            IssueRate::GHZ1,
-            &crate::experiments::dram_backend::DIVERGENCE_SIZES,
+    let (rates, ghz1) = (&IssueRate::PAPER_SWEEP, IssueRate::GHZ1);
+    let slice = timeslice::DEFAULT_SLICE_PS;
+    [
+        ("table3", table3::grid(rates, &PAPER_SIZES)),
+        ("table4", table4::grid(rates, &PAPER_SIZES)),
+        ("table5", table5::grid(rates, &PAPER_SIZES)),
+        (
+            "timeslice",
+            timeslice::grid(&timeslice::PAPER_RATES, &PAPER_SIZES, slice),
         ),
-    });
-
-    // diag: the three-system detail table at 1 GHz.
-    let mut cells = Vec::new();
-    for &size in &PAPER_SIZES {
-        cells.push((
-            label("baseline", IssueRate::GHZ1, size),
-            SystemConfig::baseline(IssueRate::GHZ1, size),
-        ));
-        cells.push((
-            label("rampage", IssueRate::GHZ1, size),
-            SystemConfig::rampage(IssueRate::GHZ1, size),
-        ));
-        cells.push((
-            label("two_way", IssueRate::GHZ1, size),
-            SystemConfig::two_way(IssueRate::GHZ1, size),
-        ));
-    }
-    grids.push(PresetGrid {
-        name: "diag",
-        cells,
-    });
-
-    grids
+        ("ablations", ablations::grid(ghz1, 1024)),
+        ("perbench", per_benchmark::grid(ghz1, &PAPER_SIZES)),
+        ("anatomy", anatomy::grid(ghz1, &PAPER_SIZES)),
+        (
+            "dramdiff",
+            dram_backend::grid(ghz1, &dram_backend::DIVERGENCE_SIZES),
+        ),
+        ("diag", diag()),
+    ]
+    .into_iter()
+    .map(|(name, cells)| PresetGrid { name, cells })
+    .collect()
 }
 
 /// Validate every cell of every preset grid; empty means every sweep
@@ -231,6 +110,11 @@ pub fn validate_presets() -> Vec<GridError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::runner::Job;
+    use crate::experiments::{SweepRunner, Workload};
+    use rampage_trace::profiles::TABLE2;
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn every_preset_grid_cell_validates() {
@@ -238,31 +122,116 @@ mod tests {
         assert!(errors.is_empty(), "invalid preset cells: {errors:?}");
     }
 
+    /// The preset grid named `name`.
+    fn preset(name: &str) -> Vec<(String, SystemConfig)> {
+        match preset_grids().into_iter().find(|g| g.name == name) {
+            Some(grid) => grid.cells,
+            None => panic!("no preset grid {name}"),
+        }
+    }
+
+    /// Fingerprints of `grid`'s configs over `workload`, first
+    /// occurrences only (the runner simulates a repeated job once).
+    fn expected(grid: &[(String, SystemConfig)], workload: Workload) -> Vec<u64> {
+        let mut seen = BTreeSet::new();
+        grid.iter()
+            .map(|(_, cfg)| Job::new(*cfg, workload).fingerprint())
+            .filter(|&fp| seen.insert(fp))
+            .collect()
+    }
+
+    /// [`expected`] for a study that runs each Table 2 program alone at
+    /// about `refs` references, program by program.
+    fn expected_solo(grid: &[(String, SystemConfig)], refs: u64, seed: u64) -> Vec<u64> {
+        TABLE2
+            .iter()
+            .enumerate()
+            .flat_map(|(i, p)| expected(grid, Workload::solo(i, p.scale_for(refs), seed)))
+            .collect()
+    }
+
+    /// The fingerprints a fresh serial runner simulates, in order, while
+    /// `run` drives it.
+    fn computed<T>(run: impl FnOnce(&SweepRunner) -> T) -> Vec<u64> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let runner =
+            SweepRunner::serial().with_progress(move |p| sink.lock().unwrap().push(p.fingerprint));
+        run(&runner);
+        let fps = seen.lock().unwrap().clone();
+        fps
+    }
+
     #[test]
-    fn grid_shapes_match_their_experiments() {
-        let grids = preset_grids();
-        let shape = |name: &str| {
-            grids
-                .iter()
-                .find(|g| g.name == name)
-                .map(|g| g.cells.len())
-                .unwrap_or(0)
+    fn every_experiment_computes_exactly_its_preset_grid() {
+        // One program, about 1 k references: the grids, not the cells,
+        // are under test.
+        let (refs, seed) = (1_000, 3);
+        let w = Workload {
+            nbench: 1,
+            scale: TABLE2[0].scale_for(refs),
+            seed,
+            solo: None,
         };
-        let rates = IssueRate::PAPER_SWEEP.len();
-        let sizes = PAPER_SIZES.len();
-        assert_eq!(shape("table3"), rates * sizes * 2);
-        assert_eq!(shape("table4"), rates * sizes);
-        assert_eq!(shape("table5"), rates * sizes);
-        assert_eq!(shape("timeslice"), 3 * sizes * 2);
-        assert_eq!(shape("ablations"), Knob::ALL.len() * 2);
-        assert_eq!(shape("perbench"), sizes);
-        assert_eq!(shape("anatomy"), sizes * 2);
-        assert_eq!(shape("diag"), sizes * 3);
-        // dramdiff: sizes × {rampage, baseline} × {flat, banked}.
-        assert_eq!(
-            shape("dramdiff"),
-            crate::experiments::dram_backend::DIVERGENCE_SIZES.len() * 2 * 2
-        );
+        let sizes = &PAPER_SIZES;
+        let t3 = table3::run_paper(&SweepRunner::serial(), &w);
+        let cases: Vec<(&str, Vec<u64>, Vec<u64>)> = vec![
+            (
+                "table3",
+                computed(|r| table3::run_paper(r, &w)),
+                expected(&preset("table3"), w),
+            ),
+            (
+                "table4",
+                computed(|r| table4::run(r, &w, &t3)),
+                expected(&preset("table4"), w),
+            ),
+            (
+                "table5",
+                computed(|r| table5::run(r, &w, &IssueRate::PAPER_SWEEP, sizes)),
+                expected(&preset("table5"), w),
+            ),
+            (
+                "timeslice",
+                computed(|r| {
+                    let slice = timeslice::DEFAULT_SLICE_PS;
+                    timeslice::run(r, &w, &timeslice::PAPER_RATES, sizes, slice)
+                }),
+                expected(&preset("timeslice"), w),
+            ),
+            (
+                "ablations",
+                computed(|r| ablations::run(r, &w, IssueRate::GHZ1, 1024)),
+                expected(&preset("ablations"), w),
+            ),
+            (
+                "perbench",
+                computed(|r| per_benchmark::run(r, IssueRate::GHZ1, sizes, refs, seed)),
+                expected_solo(&preset("perbench"), refs, seed),
+            ),
+            (
+                "dramdiff",
+                computed(|r| {
+                    let sizes = &dram_backend::DIVERGENCE_SIZES;
+                    dram_backend::run(r, IssueRate::GHZ1, sizes, refs, seed)
+                }),
+                expected_solo(&preset("dramdiff"), refs, seed),
+            ),
+        ];
+        for (name, got, want) in cases {
+            assert!(!want.is_empty(), "{name}: empty preset grid");
+            assert_eq!(
+                got, want,
+                "{name} does not compute its preset grid in order"
+            );
+        }
+        // Anatomy bypasses the runner: its grid is the preset entry, and
+        // its run reports one cell per grid config, in grid order.
+        let grid = anatomy::grid(IssueRate::GHZ1, sizes);
+        assert_eq!(grid, preset("anatomy"));
+        let run = anatomy::run(&w, IssueRate::GHZ1, &[128, 4096]);
+        let shape: Vec<(u64, u32)> = run.cells.iter().map(|c| (c.block, c.ways)).collect();
+        assert_eq!(shape, [(128, 1), (128, 2), (4096, 1), (4096, 2)]);
     }
 
     #[test]

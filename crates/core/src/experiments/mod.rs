@@ -19,7 +19,10 @@
 //!
 //! All sweeps share [`Workload`] (the interleaved Table 2 suite at a
 //! chosen scale) and produce serializable result structs with `render()`
-//! methods that print tables shaped like the paper's.
+//! methods that print tables shaped like the paper's. Every module that
+//! simulates declares its sweep once, as a `grid` function whose
+//! labelled configs its `run` submits in order (see [`anatomy::grid`]
+//! for the one variation); [`grids`] lists them for the config lint.
 
 mod common;
 #[cfg(feature = "fault")]
@@ -41,8 +44,8 @@ pub mod table5;
 pub mod timeslice;
 
 pub use common::{
-    corpus_source_stats, run_config, run_config_traced, set_trace_dir, sweep_sizes, trace_dir,
-    Cell, CorpusSourceStats, Workload, PAPER_SIZES,
+    corpus_source_stats, run_config, run_config_traced, run_grid, set_trace_dir, trace_dir, Cell,
+    CorpusSourceStats, Workload, PAPER_SIZES,
 };
 pub use runner::{
     scan_journal, CacheLoad, CellCache, CellView, ClaimDecision, ClaimView, FailedCell, Job,

@@ -13,7 +13,7 @@
 //! §6.2) could buy over the best single fixed size.
 
 use crate::config::SystemConfig;
-use crate::experiments::common::Workload;
+use crate::experiments::common::{sweep_grid, Workload};
 use crate::experiments::runner::{Job, SweepRunner};
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
@@ -48,9 +48,16 @@ pub struct PerBenchmark {
     pub fixed_best_size: u64,
 }
 
-/// Run the study: each program alone, `refs_per_bench` references, at
-/// each page size. The 18 × sizes solo runs go through the runner as one
-/// batch, so they spread over the worker pool.
+/// The study's configs: RAMpage at each page size. [`run`] pairs each
+/// with every Table 2 program running alone.
+pub fn grid(issue: IssueRate, sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+    sweep_grid(&[issue], sizes, &[("rampage", SystemConfig::rampage)])
+}
+
+/// Run the study: each program alone, about `refs_per_bench`
+/// references, through every [`grid`] config. The 18 × sizes solo runs
+/// go through the runner as one batch, so they spread over the worker
+/// pool.
 pub fn run(
     runner: &SweepRunner,
     issue: IssueRate,
@@ -58,16 +65,11 @@ pub fn run(
     refs_per_bench: u64,
     seed: u64,
 ) -> PerBenchmark {
-    let mut jobs = Vec::with_capacity(profiles::TABLE2.len() * sizes.len());
+    let configs = grid(issue, sizes);
+    let mut jobs = Vec::with_capacity(profiles::TABLE2.len() * configs.len());
     for (pi, p) in profiles::TABLE2.iter().enumerate() {
-        // Scale each program so it contributes ~refs_per_bench references.
-        let scale = (((p.refs_millions * 1e6) as u64) / refs_per_bench).max(1);
-        for &size in sizes {
-            jobs.push(Job::new(
-                SystemConfig::rampage(issue, size),
-                Workload::solo(pi, scale, seed),
-            ));
-        }
+        let workload = Workload::solo(pi, p.scale_for(refs_per_bench), seed);
+        jobs.extend(configs.iter().map(|(_, cfg)| Job::new(*cfg, workload)));
     }
     let mut cells = runner.run_labeled("per_benchmark", &jobs).into_iter();
     let programs: Vec<ProgramSweep> = profiles::TABLE2
@@ -206,5 +208,12 @@ mod tests {
             s.variable_page_gain()
         );
         assert!(s.render().contains("variable page size"));
+    }
+
+    #[test]
+    fn zero_refs_per_bench_runs_each_program_at_its_smallest_volume() {
+        let s = run(&SweepRunner::serial(), IssueRate::GHZ1, &[4096], 0, 3);
+        assert_eq!(s.programs.len(), 18);
+        assert!(s.programs.iter().all(|p| p.seconds[0] > 0.0));
     }
 }

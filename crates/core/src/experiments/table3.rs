@@ -2,8 +2,10 @@
 //! sizes and issue rates.
 
 use crate::config::SystemConfig;
-use crate::experiments::common::{Cell, Workload, PAPER_SIZES};
-use crate::experiments::runner::{Job, SweepRunner};
+use crate::experiments::common::{
+    fastest, fmt_rate, rows, run_grid, sweep_grid, Cell, Workload, PAPER_SIZES,
+};
+use crate::experiments::runner::SweepRunner;
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
 use rampage_json::{obj, Json, ToJson};
@@ -22,36 +24,40 @@ pub struct Table3 {
     pub rampage: Vec<Vec<Cell>>,
 }
 
-/// Run the Table 3 sweep. Every `(rate, size, system)` cell goes to the
-/// runner as one batch, so the whole table parallelizes and dedups
-/// against the cell cache.
+/// The Table 3 grid: baseline then RAMpage at each `(rate, size)`,
+/// rate-major, in the order [`run`] submits it.
+pub fn grid(rates: &[IssueRate], sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+    sweep_grid(
+        rates,
+        sizes,
+        &[
+            ("baseline", SystemConfig::baseline),
+            ("rampage", SystemConfig::rampage),
+        ],
+    )
+}
+
+/// Run the Table 3 sweep. The whole [`grid`] goes to the runner as one
+/// batch, so the table parallelizes and dedups against the cell cache.
 pub fn run(
     runner: &SweepRunner,
     workload: &Workload,
     rates: &[IssueRate],
     sizes: &[u64],
 ) -> Table3 {
-    let mut jobs = Vec::with_capacity(rates.len() * sizes.len() * 2);
-    for &rate in rates {
-        for &s in sizes {
-            jobs.push(Job::new(SystemConfig::baseline(rate, s), *workload));
-        }
-        for &s in sizes {
-            jobs.push(Job::new(SystemConfig::rampage(rate, s), *workload));
-        }
-    }
-    let mut cells = runner.run_labeled("table3", &jobs).into_iter();
-    let mut baseline = Vec::new();
-    let mut rampage = Vec::new();
-    for _ in rates {
-        baseline.push(cells.by_ref().take(sizes.len()).collect());
-        rampage.push(cells.by_ref().take(sizes.len()).collect());
-    }
+    let cells = run_grid(runner, "table3", &grid(rates, sizes), workload);
+    let by_rate = rows(cells, rates.len(), 2 * sizes.len());
+    let split = |system: usize| -> Vec<Vec<Cell>> {
+        by_rate
+            .iter()
+            .map(|row| row.iter().skip(system).step_by(2).copied().collect())
+            .collect()
+    };
     Table3 {
         sizes: sizes.to_vec(),
         rates_mhz: rates.iter().map(|r| r.mhz()).collect(),
-        baseline,
-        rampage,
+        baseline: split(0),
+        rampage: split(1),
     }
 }
 
@@ -72,28 +78,14 @@ impl ToJson for Table3 {
 }
 
 impl Table3 {
-    /// Best (minimum) simulated time for a rate row, with its size.
-    fn best(cells: &[Cell]) -> (u64, f64) {
-        match cells
-            .iter()
-            .map(|c| (c.unit_bytes, c.seconds))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-        {
-            Some(best) => best,
-            // Sweep invariant: every rate row is built with one cell per
-            // size, and the size axis is never empty.
-            None => unreachable!("Table3 rows are built non-empty"),
-        }
-    }
-
     /// Best baseline time at a rate index.
     pub fn best_baseline(&self, rate_idx: usize) -> (u64, f64) {
-        Self::best(&self.baseline[rate_idx])
+        fastest(&self.baseline[rate_idx])
     }
 
     /// Best RAMpage time at a rate index.
     pub fn best_rampage(&self, rate_idx: usize) -> (u64, f64) {
-        Self::best(&self.rampage[rate_idx])
+        fastest(&self.rampage[rate_idx])
     }
 
     /// RAMpage's best-case advantage over the baseline at a rate index:
@@ -134,14 +126,6 @@ impl Table3 {
             ));
         }
         out
-    }
-}
-
-fn fmt_rate(mhz: u32) -> String {
-    if mhz >= 1000 && mhz.is_multiple_of(1000) {
-        format!("{} GHz", mhz / 1000)
-    } else {
-        format!("{mhz} MHz")
     }
 }
 

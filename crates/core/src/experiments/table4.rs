@@ -1,8 +1,8 @@
 //! Table 4: RAMpage with context switches on misses.
 
 use crate::config::SystemConfig;
-use crate::experiments::common::{Cell, Workload};
-use crate::experiments::runner::{Job, SweepRunner};
+use crate::experiments::common::{fastest, fmt_rate, rows, run_grid, sweep_grid, Cell, Workload};
+use crate::experiments::runner::SweepRunner;
 use crate::experiments::table3::Table3;
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
@@ -23,38 +23,38 @@ pub struct Table4 {
     pub speedup: Vec<Vec<f64>>,
 }
 
-/// Run the sweep. `baseline` must be a Table 3 computed over the same
-/// workload, rates and sizes (its RAMpage half provides the "no switch"
-/// reference times).
-///
-/// # Panics
-///
-/// Panics if the shapes of `baseline` and the requested sweep differ.
+/// The Table 4 grid: RAMpage with switch-on-miss at each
+/// `(rate, size)`, rate-major.
+pub fn grid(rates: &[IssueRate], sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+    sweep_grid(
+        rates,
+        sizes,
+        &[("rampage_switching", SystemConfig::rampage_switching)],
+    )
+}
+
+/// Run the sweep: the [`grid`] over `baseline`'s rates and sizes, as one
+/// batch. `baseline` must be a Table 3 computed over the same workload
+/// (its RAMpage half provides the "no switch" reference times).
 pub fn run(runner: &SweepRunner, workload: &Workload, baseline: &Table3) -> Table4 {
     let sizes = baseline.sizes.clone();
     let rates_mhz = baseline.rates_mhz.clone();
-    let jobs: Vec<Job> = rates_mhz
+    let rates: Vec<IssueRate> = rates_mhz
         .iter()
-        .flat_map(|&mhz| {
-            let rate = IssueRate::from_mhz(mhz);
-            sizes
-                .iter()
-                .map(move |&s| Job::new(SystemConfig::rampage_switching(rate, s), *workload))
+        .map(|&mhz| IssueRate::from_mhz(mhz))
+        .collect();
+    let cells = run_grid(runner, "table4", &grid(&rates, &sizes), workload);
+    let cells = rows(cells, rates.len(), sizes.len());
+    let speedup = cells
+        .iter()
+        .zip(&baseline.rampage)
+        .map(|(row, without)| {
+            row.iter()
+                .zip(without)
+                .map(|(with, without)| without.seconds / with.seconds)
+                .collect()
         })
         .collect();
-    let mut flat = runner.run_labeled("table4", &jobs).into_iter();
-    let mut cells = Vec::new();
-    let mut speedup = Vec::new();
-    for ri in 0..rates_mhz.len() {
-        let row: Vec<Cell> = flat.by_ref().take(sizes.len()).collect();
-        let sp: Vec<f64> = row
-            .iter()
-            .zip(&baseline.rampage[ri])
-            .map(|(with, without)| without.seconds / with.seconds)
-            .collect();
-        cells.push(row);
-        speedup.push(sp);
-    }
     Table4 {
         sizes,
         rates_mhz,
@@ -77,16 +77,7 @@ impl ToJson for Table4 {
 impl Table4 {
     /// Best time and its page size at a rate index.
     pub fn best(&self, rate_idx: usize) -> (u64, f64) {
-        match self.cells[rate_idx]
-            .iter()
-            .map(|c| (c.unit_bytes, c.seconds))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-        {
-            Some(best) => best,
-            // Sweep invariant: every rate row is built with one cell per
-            // size, and the size axis is never empty.
-            None => unreachable!("Table4 rows are built non-empty"),
-        }
+        fastest(&self.cells[rate_idx])
     }
 
     /// Best speedup over no-switch RAMpage at a rate index (paper: up to
@@ -115,14 +106,6 @@ impl Table4 {
             "Table 4: RAMpage with context switches on misses\n{}",
             t.render()
         )
-    }
-}
-
-fn fmt_rate(mhz: u32) -> String {
-    if mhz >= 1000 && mhz.is_multiple_of(1000) {
-        format!("{} GHz", mhz / 1000)
-    } else {
-        format!("{mhz} MHz")
     }
 }
 

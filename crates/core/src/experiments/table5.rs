@@ -2,7 +2,7 @@
 //! switches.
 
 use crate::config::SystemConfig;
-use crate::experiments::common::{sweep_sizes, Cell, Workload};
+use crate::experiments::common::{fastest, fmt_rate, rows, run_grid, sweep_grid, Cell, Workload};
 use crate::experiments::runner::SweepRunner;
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
@@ -19,31 +19,25 @@ pub struct Table5 {
     pub cells: Vec<Vec<Cell>>,
 }
 
+/// The Table 5 grid: the 2-way L2 at each `(rate, size)`, rate-major.
+pub fn grid(rates: &[IssueRate], sizes: &[u64]) -> Vec<(String, SystemConfig)> {
+    sweep_grid(rates, sizes, &[("two_way", SystemConfig::two_way)])
+}
+
 /// Run the sweep: 2-way random-replacement L2, context-switch trace at
-/// quantum boundaries (but no switches on misses — §4.7).
+/// quantum boundaries (but no switches on misses — §4.7). The whole
+/// [`grid`] goes to the runner as one batch.
 pub fn run(
     runner: &SweepRunner,
     workload: &Workload,
     rates: &[IssueRate],
     sizes: &[u64],
 ) -> Table5 {
-    let cells = rates
-        .iter()
-        .map(|&rate| {
-            sweep_sizes(
-                runner,
-                "table5",
-                SystemConfig::two_way,
-                rate,
-                sizes,
-                workload,
-            )
-        })
-        .collect();
+    let cells = run_grid(runner, "table5", &grid(rates, sizes), workload);
     Table5 {
         sizes: sizes.to_vec(),
         rates_mhz: rates.iter().map(|r| r.mhz()).collect(),
-        cells,
+        cells: rows(cells, rates.len(), sizes.len()),
     }
 }
 
@@ -60,16 +54,7 @@ impl ToJson for Table5 {
 impl Table5 {
     /// Best time and its block size at a rate index.
     pub fn best(&self, rate_idx: usize) -> (u64, f64) {
-        match self.cells[rate_idx]
-            .iter()
-            .map(|c| (c.unit_bytes, c.seconds))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-        {
-            Some(best) => best,
-            // Sweep invariant: every rate row is built with one cell per
-            // size, and the size axis is never empty.
-            None => unreachable!("Table5 rows are built non-empty"),
-        }
+        fastest(&self.cells[rate_idx])
     }
 
     /// Render like the paper: one row per issue rate.
@@ -86,14 +71,6 @@ impl Table5 {
             "Table 5: run times (s), 2-way associative L2 with context switches\n{}",
             t.render()
         )
-    }
-}
-
-fn fmt_rate(mhz: u32) -> String {
-    if mhz >= 1000 && mhz.is_multiple_of(1000) {
-        format!("{} GHz", mhz / 1000)
-    } else {
-        format!("{mhz} MHz")
     }
 }
 

@@ -15,8 +15,8 @@
 //! warranted.
 
 use crate::config::SystemConfig;
-use crate::experiments::common::{Cell, Workload};
-use crate::experiments::runner::{Job, SweepRunner};
+use crate::experiments::common::{fastest, fmt_rate, rows, run_grid, sweep_grid, Cell, Workload};
+use crate::experiments::runner::SweepRunner;
 use crate::report::TableBuilder;
 use crate::time::IssueRate;
 use rampage_json::{obj, Json, ToJson};
@@ -42,7 +42,22 @@ pub struct Timeslice {
     pub fixed_time: Vec<Vec<Cell>>,
 }
 
-/// Run both regimes over the 2-way L2 sweep.
+/// The issue rates `repro timeslice` sweeps: the slow end, the middle
+/// and the fast end of the paper's range.
+pub const PAPER_RATES: [IssueRate; 3] = [IssueRate::MHZ200, IssueRate::GHZ1, IssueRate::GHZ4];
+
+/// The study's grid: the 2-way L2 sweep under the 500 k-reference
+/// quantum, then the same sweep under a `slice_ps` time slice.
+pub fn grid(rates: &[IssueRate], sizes: &[u64], slice_ps: u64) -> Vec<(String, SystemConfig)> {
+    let mut cells = sweep_grid(rates, sizes, &[("two_way+refs", SystemConfig::two_way)]);
+    for (label, mut cfg) in sweep_grid(rates, sizes, &[("two_way+time", SystemConfig::two_way)]) {
+        cfg.quantum_time = Some(rampage_dram::Picos(slice_ps));
+        cells.push((label, cfg));
+    }
+    cells
+}
+
+/// Run both regimes over the 2-way L2 sweep: the [`grid`], as one batch.
 pub fn run(
     runner: &SweepRunner,
     workload: &Workload,
@@ -52,27 +67,9 @@ pub fn run(
 ) -> Timeslice {
     // Both regimes go into one batch; the fixed-refs half is the same
     // sweep Table 5 runs, so a shared cell cache computes it only once.
-    let mut jobs = Vec::with_capacity(rates.len() * sizes.len() * 2);
-    for time_based in [false, true] {
-        for &rate in rates {
-            for &s in sizes {
-                let mut cfg = SystemConfig::two_way(rate, s);
-                if time_based {
-                    cfg.quantum_time = Some(rampage_dram::Picos(slice_ps));
-                }
-                jobs.push(Job::new(cfg, *workload));
-            }
-        }
-    }
-    let mut cells = runner.run_labeled("timeslice", &jobs).into_iter();
-    let mut unflatten = || -> Vec<Vec<Cell>> {
-        rates
-            .iter()
-            .map(|_| cells.by_ref().take(sizes.len()).collect())
-            .collect()
-    };
-    let fixed_refs = unflatten();
-    let fixed_time = unflatten();
+    let cells = run_grid(runner, "timeslice", &grid(rates, sizes, slice_ps), workload);
+    let mut fixed_refs = rows(cells, 2 * rates.len(), sizes.len());
+    let fixed_time = fixed_refs.split_off(rates.len());
     Timeslice {
         sizes: sizes.to_vec(),
         rates_mhz: rates.iter().map(|r| r.mhz()).collect(),
@@ -100,16 +97,6 @@ impl ToJson for Timeslice {
     }
 }
 
-fn best_size(cells: &[Cell]) -> u64 {
-    cells
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        // Sweep invariant: rows carry one cell per block size, and the
-        // size axis is never empty; 0 is an inert fallback for the
-        // impossible empty row.
-        .map_or(0, |c| c.unit_bytes)
-}
-
 impl Timeslice {
     /// The optimal block size per rate under each regime:
     /// `(fixed_refs_best, fixed_time_best)` per rate index.
@@ -117,7 +104,7 @@ impl Timeslice {
         self.fixed_refs
             .iter()
             .zip(&self.fixed_time)
-            .map(|(r, t)| (best_size(r), best_size(t)))
+            .map(|(r, t)| (fastest(r).0, fastest(t).0))
             .collect()
     }
 
@@ -141,7 +128,7 @@ impl Timeslice {
                     label.into(),
                 ];
                 row.extend(cells.iter().map(|c| format!("{:.3}", c.seconds)));
-                row.push(best_size(cells).to_string());
+                row.push(fastest(cells).0.to_string());
                 t.row(row);
             }
         }
@@ -150,14 +137,6 @@ impl Timeslice {
             self.slice_ps as f64 / 1e9,
             t.render()
         )
-    }
-}
-
-fn fmt_rate(mhz: u32) -> String {
-    if mhz >= 1000 && mhz.is_multiple_of(1000) {
-        format!("{} GHz", mhz / 1000)
-    } else {
-        format!("{mhz} MHz")
     }
 }
 

@@ -11,7 +11,7 @@
 
 use crate::record::{AccessKind, TraceRecord, VirtAddr};
 use crate::stream::TraceSource;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Errors from trace readers.
 #[derive(Debug)]
@@ -121,14 +121,21 @@ impl<W: Write> DinWriter<W> {
     }
 }
 
+/// The longest `.din` line [`DinReader`] accepts, newline excluded:
+/// ample for a label and a 64-bit hex address with any padding.
+const DIN_MAX_LINE: usize = 256;
+
 /// Reads Dinero `.din` text traces as a [`TraceSource`].
 ///
 /// Blank lines are skipped; any other malformed line ends the stream at
 /// the next [`DinReader::error`] check (a `TraceSource` cannot return
-/// errors mid-stream, so the reader records it).
+/// errors mid-stream, so the reader records it). A line longer than
+/// 256 bytes is malformed, and the reader stops reading after its first
+/// 257 bytes, so no input can make it buffer more than that.
 #[derive(Debug)]
 pub struct DinReader<R> {
-    lines: io::Lines<R>,
+    input: R,
+    line: Vec<u8>,
     line_no: u64,
     error: Option<TraceIoError>,
     name: String,
@@ -138,7 +145,8 @@ impl<R: BufRead> DinReader<R> {
     /// Wrap a buffered reader.
     pub fn new(input: R) -> Self {
         DinReader {
-            lines: input.lines(),
+            input,
+            line: Vec::with_capacity(DIN_MAX_LINE + 1),
             line_no: 0,
             error: None,
             name: "din".to_string(),
@@ -150,8 +158,30 @@ impl<R: BufRead> DinReader<R> {
         self.error.as_ref()
     }
 
-    fn parse(&mut self, line: &str) -> Result<Option<TraceRecord>, TraceIoError> {
-        let line = line.trim();
+    /// Read the next line into `self.line`, newline included; `Ok(false)`
+    /// at end of input.
+    fn read_line(&mut self) -> Result<bool, TraceIoError> {
+        self.line.clear();
+        let limit = DIN_MAX_LINE as u64 + 1;
+        if (&mut self.input)
+            .take(limit)
+            .read_until(b'\n', &mut self.line)?
+            == 0
+        {
+            return Ok(false);
+        }
+        self.line_no += 1;
+        if self.line.last() != Some(&b'\n') && self.line.len() > DIN_MAX_LINE {
+            let what = format!("line longer than {DIN_MAX_LINE} bytes");
+            return Err(TraceIoError::Malformed(what, self.line_no));
+        }
+        Ok(true)
+    }
+
+    fn parse(&self) -> Result<Option<TraceRecord>, TraceIoError> {
+        let line = std::str::from_utf8(&self.line)
+            .map_err(|_| TraceIoError::Malformed("not UTF-8 text".into(), self.line_no))?
+            .trim();
         if line.is_empty() {
             return Ok(None);
         }
@@ -183,15 +213,12 @@ impl<R: BufRead> TraceSource for DinReader<R> {
             return None;
         }
         loop {
-            let line = match self.lines.next()? {
-                Ok(l) => l,
-                Err(e) => {
-                    self.error = Some(TraceIoError::Io(e));
-                    return None;
-                }
+            let parsed = match self.read_line() {
+                Ok(true) => self.parse(),
+                Ok(false) => return None,
+                Err(e) => Err(e),
             };
-            self.line_no += 1;
-            match self.parse(&line) {
+            match parsed {
                 Ok(Some(rec)) => return Some(rec),
                 Ok(None) => continue, // blank line
                 Err(e) => {
@@ -273,12 +300,66 @@ mod tests {
 
     #[test]
     fn din_reader_reports_malformed_lines() {
-        for bad in ["3 1000", "0 zzzz", "junk"] {
-            let mut r = DinReader::new(io::BufReader::new(bad.as_bytes()));
+        let long_token = format!("{} 1234", "7".repeat(1 << 20));
+        let cases = [
+            b"3 1000".as_slice(),
+            b"0 zzzz",
+            b"junk",
+            b"0 \xff",
+            long_token.as_bytes(),
+        ];
+        for bad in cases {
+            let mut r = DinReader::new(io::BufReader::new(bad));
             assert_eq!(r.next_record(), None);
             let err = r.error().expect("error recorded");
             assert!(matches!(err, TraceIoError::Malformed(_, 1)), "{err}");
+            // The message names the problem without echoing the input.
+            assert!(
+                err.to_string().len() < 256,
+                "{} byte message",
+                err.to_string().len()
+            );
         }
+    }
+
+    /// A reader over `len` bytes of `a` that counts what it hands out.
+    struct CountingReader {
+        left: u64,
+        read: u64,
+    }
+
+    impl io::Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.left as usize);
+            buf[..n].fill(b'a');
+            self.left -= n as u64;
+            self.read += n as u64;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn din_reader_stops_early_on_a_line_with_no_newline() {
+        let mut counter = CountingReader {
+            left: 64 << 20,
+            read: 0,
+        };
+        let mut r = DinReader::new(io::BufReader::new(&mut counter));
+        assert_eq!(r.next_record(), None);
+        let err = r.error().expect("error recorded");
+        assert!(matches!(err, TraceIoError::Malformed(_, 1)), "{err}");
+        drop(r);
+        assert!(counter.read <= 16 << 10, "read {} bytes", counter.read);
+    }
+
+    #[test]
+    fn din_reader_accepts_a_line_of_the_maximum_length() {
+        let line = format!("0 {:0>width$}\n2 10", "1000", width = DIN_MAX_LINE - 2);
+        let mut r = DinReader::new(io::BufReader::new(line.as_bytes()));
+        assert_eq!(r.next_record(), Some(TraceRecord::read(0x1000)));
+        assert_eq!(r.next_record(), Some(TraceRecord::fetch(0x10)));
+        assert_eq!(r.next_record(), None);
+        assert!(r.error().is_none(), "{:?}", r.error());
     }
 
     /// Deterministic "arbitrary" record streams for the property tests:

@@ -101,6 +101,13 @@ impl Profile {
         ((self.refs_millions * 1e6) as u64 / scale).max(1)
     }
 
+    /// The scale at which this profile contributes about `refs`
+    /// references: the inverse of [`scaled_refs`](Self::scaled_refs).
+    /// Never zero; `refs` of 0 counts as 1.
+    pub fn scale_for(&self, refs: u64) -> u64 {
+        ((self.refs_millions * 1e6) as u64 / refs.max(1)).max(1)
+    }
+
     /// Build the synthetic trace source for this profile.
     ///
     /// `scale` divides the Table 2 reference count (e.g. 100 → 1/100 of
@@ -497,6 +504,9 @@ mod tests {
         let p = &TABLE2[0];
         assert_eq!(p.scaled_refs(1), 72_800_000);
         assert_eq!(p.scaled_refs(100), 728_000);
+        assert_eq!(p.scale_for(728_000), 100);
+        assert_eq!(p.scale_for(0), 72_800_000);
+        assert_eq!(p.scale_for(u64::MAX), 1);
     }
 
     #[test]

@@ -18,11 +18,12 @@ step() {
 }
 
 # Temp dirs for the CLI drills below, removed on any exit.
+ALL_TMP=$(mktemp -d)
 BANKED_TMP=$(mktemp -d)
 CORPUS_TMP=$(mktemp -d)
 DRILL_TMP=$(mktemp -d)
 TRACE_TMP=$(mktemp -d)
-trap 'rm -rf "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}" "${TRACE_TMP}"' EXIT
+trap 'rm -rf "${ALL_TMP}" "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}" "${TRACE_TMP}"' EXIT
 
 step cargo fmt --all --check
 
@@ -117,6 +118,29 @@ step cargo test -q --workspace --exclude rampage
 
 echo "==> cargo test -q --features fault (fault-injection suite)"
 step cargo test -q --features fault
+
+# Every artifact once through the CLI: `all` next to `diag` must exit 0,
+# put each JSON-producing artifact in results.json and print the diag
+# table (`all` leaves diag out, so the pair also checks that naming
+# both runs both).
+echo "==> every artifact through the CLI (all diag)"
+if ! ALL_OUT=$(timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
+  --scale 20000 --nbench 2 --jobs 2 --out "${ALL_TMP}" all diag 2>"${ALL_TMP}/stderr"); then
+  tail -n 20 "${ALL_TMP}/stderr" >&2
+  echo "FAIL: repro all diag exited non-zero" >&2
+  exit 1
+fi
+for key in table1 table3 fig2 fig3 fig4 table4 table5 fig5 ablations perbench \
+  anatomy timeslice dramdiff; do
+  if ! grep -q "^    \"${key}\": " "${ALL_TMP}/results.json"; then
+    echo "FAIL: repro all did not write ${key} to results.json" >&2
+    exit 1
+  fi
+done
+if ! grep -q "diag: per-config" <<<"${ALL_OUT}"; then
+  echo "FAIL: repro all diag did not print the diag table" >&2
+  exit 1
+fi
 
 # Banked-backend smoke: the same sweep at the other DRAM fidelity, plus
 # the dramdiff ablation, whose divergence summary must land in

@@ -16,6 +16,10 @@
 //!            ablations perbench anatomy timeslice diag dramdiff all
 //! ```
 //!
+//! `all` names every artifact but `diag` and combines with other names;
+//! each artifact runs once, at its first mention, and an unknown name
+//! exits 2 before anything is simulated.
+//!
 //! `--scale N` divides the paper's 1.1-billion-reference trace volume
 //! (default 50; use 1 for the full volume). `--jobs N` sets the worker
 //! pool width (default: all cores; 1 = serial). Results are printed as
@@ -65,10 +69,10 @@
 //! cells; 4 interrupted by SIGINT/SIGTERM — partial, resumable.
 
 use rampage_core::experiments::{
-    ablations, anatomy, dram_backend, fig5, figures, per_benchmark, table1, table2, table3, table4,
-    table5, timeslice, LeaseConfig, SweepRunner, Workload, PAPER_SIZES,
+    ablations, anatomy, dram_backend, fig5, figures, grids, per_benchmark, run_grid, table1,
+    table2, table3, table4, table5, timeslice, LeaseConfig, SweepRunner, Workload, PAPER_SIZES,
 };
-use rampage_core::{DramKind, IssueRate};
+use rampage_core::{DramKind, HierarchyKind, IssueRate};
 use rampage_json::{obj, Json, ToJson};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -202,7 +206,20 @@ fn parse_args() -> Result<Options, String> {
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}\n{USAGE}"))
             }
-            other => opts.artifacts.push(other.to_string()),
+            other => {
+                // `all` expands in place; every name runs once, at its
+                // first mention, and a typo fails before any simulation.
+                let names = match other {
+                    "all" => &ALL[..],
+                    _ if ALL.contains(&other) || other == "diag" => std::slice::from_ref(&other),
+                    _ => return Err(format!("unknown artifact: {other}\n{USAGE}")),
+                };
+                for name in names {
+                    if !opts.artifacts.iter().any(|a| a == name) {
+                        opts.artifacts.push(name.to_string());
+                    }
+                }
+            }
         }
     }
     if opts.artifacts.is_empty() && opts.trace_events.is_none() {
@@ -216,6 +233,25 @@ fn parse_args() -> Result<Options, String> {
     }
     Ok(opts)
 }
+
+/// The artifacts `all` runs, in order. `diag` is the one other name
+/// `repro` accepts; `all` leaves it out.
+const ALL: [&str; 14] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig2",
+    "fig3",
+    "fig4",
+    "table4",
+    "table5",
+    "fig5",
+    "ablations",
+    "perbench",
+    "anatomy",
+    "timeslice",
+    "dramdiff",
+];
 
 const USAGE: &str = "usage: repro [--scale N] [--nbench N] [--jobs N] [--out DIR] \
 [--trace-dir DIR] [--max-cell-failures N] [--trace-events PATH] [--trace-cap N] \
@@ -332,29 +368,6 @@ fn main() {
         }
     }
 
-    let mut wanted: Vec<String> = opts.artifacts.clone();
-    if wanted.iter().any(|a| a == "all") {
-        wanted = [
-            "table1",
-            "table2",
-            "table3",
-            "fig2",
-            "fig3",
-            "fig4",
-            "table4",
-            "table5",
-            "fig5",
-            "ablations",
-            "perbench",
-            "anatomy",
-            "timeslice",
-            "dramdiff",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-
     // Table 3 feeds figs 2-4 and Table 4, and Table 5 feeds Figure 5;
     // re-deriving them per artifact is free because every cell comes out
     // of the runner's cache after the first sweep.
@@ -372,8 +385,11 @@ fn main() {
     let get_t5 = |runner: &SweepRunner, w: &Workload| -> table5::Table5 {
         table5::run(runner, w, &IssueRate::PAPER_SWEEP, &PAPER_SIZES)
     };
+    // perbench and dramdiff run each program alone at the average
+    // per-program volume of the interleaved workload.
+    let solo_refs = (61_000_000 / opts.scale).max(10_000);
 
-    for artifact in &wanted {
+    for artifact in &opts.artifacts {
         let t0 = Instant::now();
         let text = match artifact.as_str() {
             "table1" => {
@@ -425,31 +441,31 @@ fn main() {
                 t5.render()
             }
             "diag" => {
-                use rampage_core::SystemConfig;
+                let grid = grids::diag();
+                let cells = run_grid(&runner, "diag", &grid, &workload);
                 let mut out = String::from(
                     "diag: per-config detail @ 1 GHz\nsystem size secs cpr l1i% l1d% l2% tlb% ovh% dram_ev frac(L1i/L1d/L2S/DRAM/idle)\n",
                 );
-                for &size in &PAPER_SIZES {
-                    for (name, cfg) in [
-                        ("DM   ", SystemConfig::baseline(IssueRate::GHZ1, size)),
-                        ("RAMp ", SystemConfig::rampage(IssueRate::GHZ1, size)),
-                        ("2way ", SystemConfig::two_way(IssueRate::GHZ1, size)),
-                    ] {
-                        let c = runner.run_one(&cfg, &workload);
-                        let f = c.fractions;
-                        out.push_str(&format!(
-                            "{name} {size:5} {:.4} {:.2} {:.2} {:.2} {:.2} {:.2} {:.1} {} {:.2}/{:.2}/{:.2}/{:.2}/{:.2}\n",
-                            c.seconds,
-                            c.cycles_per_ref,
-                            100.0 * c.l1i_miss_ratio,
-                            100.0 * c.l1d_miss_ratio,
-                            100.0 * c.l2_miss_ratio,
-                            100.0 * c.tlb_miss_ratio,
-                            100.0 * c.overhead,
-                            c.dram_events,
-                            f.l1i, f.l1d, f.l2_sram, f.dram, f.idle
-                        ));
-                    }
+                for ((_, cfg), c) in grid.iter().zip(cells) {
+                    let name = match cfg.hierarchy {
+                        HierarchyKind::Conventional(l2) if l2.ways == 1 => "DM   ",
+                        HierarchyKind::Conventional(_) => "2way ",
+                        HierarchyKind::Rampage(_) => "RAMp ",
+                    };
+                    let f = c.fractions;
+                    out.push_str(&format!(
+                        "{name} {:5} {:.4} {:.2} {:.2} {:.2} {:.2} {:.2} {:.1} {} {:.2}/{:.2}/{:.2}/{:.2}/{:.2}\n",
+                        c.unit_bytes,
+                        c.seconds,
+                        c.cycles_per_ref,
+                        100.0 * c.l1i_miss_ratio,
+                        100.0 * c.l1d_miss_ratio,
+                        100.0 * c.l2_miss_ratio,
+                        100.0 * c.tlb_miss_ratio,
+                        100.0 * c.overhead,
+                        c.dram_events,
+                        f.l1i, f.l1d, f.l2_sram, f.dram, f.idle
+                    ));
                 }
                 out
             }
@@ -462,7 +478,7 @@ fn main() {
                 let ts = timeslice::run(
                     &runner,
                     &workload,
-                    &[IssueRate::MHZ200, IssueRate::GHZ1, IssueRate::GHZ4],
+                    &timeslice::PAPER_RATES,
                     &PAPER_SIZES,
                     timeslice::DEFAULT_SLICE_PS,
                 );
@@ -470,10 +486,8 @@ fn main() {
                 ts.render()
             }
             "perbench" => {
-                // Each program alone: give each the average per-program
-                // volume of the interleaved workload.
-                let refs = (61_000_000 / opts.scale).max(10_000);
-                let s = per_benchmark::run(&runner, IssueRate::GHZ1, &PAPER_SIZES, refs, 0x7a9e);
+                let s =
+                    per_benchmark::run(&runner, IssueRate::GHZ1, &PAPER_SIZES, solo_refs, 0x7a9e);
                 json.insert("perbench".into(), s.to_json());
                 s.render()
             }
@@ -483,24 +497,19 @@ fn main() {
                 a.render()
             }
             "dramdiff" => {
-                // Same per-program volume as perbench: each Table 2
-                // program alone, through both backends.
-                let refs = (61_000_000 / opts.scale).max(10_000);
                 let s = dram_backend::run(
                     &runner,
                     IssueRate::GHZ1,
                     &dram_backend::DIVERGENCE_SIZES,
-                    refs,
+                    solo_refs,
                     0x7a9e,
                 );
                 json.insert("dramdiff".into(), s.to_json());
                 dram_divergence = Some(s.metrics_json());
                 s.render()
             }
-            other => {
-                eprintln!("unknown artifact: {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            // invariant: parse_args admits only `ALL` and `diag`.
+            other => unreachable!("unchecked artifact {other}"),
         };
         println!("{text}");
         eprintln!("# {artifact} done in {:.1}s", t0.elapsed().as_secs_f64());
@@ -1022,8 +1031,6 @@ fn lint_main(args: Vec<String>) -> i32 {
 
 /// `repro lint --configs`: validate every cell of every preset grid.
 fn lint_configs() -> i32 {
-    use rampage_core::experiments::grids;
-
     let grid_list = grids::preset_grids();
     let cells: usize = grid_list.iter().map(|g| g.cells.len()).sum();
     let errors = grids::validate_presets();

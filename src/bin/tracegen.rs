@@ -98,8 +98,7 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     for p in selected {
         // Scale each program so it contributes ~`refs` references.
-        let scale = (((p.refs_millions * 1e6) as u64) / refs).max(1);
-        let mut src = p.source(scale, seed);
+        let mut src = p.source(p.scale_for(refs), seed);
         let path = format!("{out_dir}/{}.din", p.name);
         let mut w = DinWriter::new(BufWriter::new(File::create(&path)?));
         let written = rampage_trace::io::copy_din(&mut src, &mut w)?;

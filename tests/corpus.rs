@@ -11,7 +11,7 @@
 //! ```
 
 use rampage_core::experiments::{
-    corpus_source_stats, set_trace_dir, sweep_sizes, CorpusSourceStats, SweepRunner, Workload,
+    corpus_source_stats, set_trace_dir, CorpusSourceStats, Job, SweepRunner, Workload,
 };
 use rampage_core::{Engine, IssueRate, SystemConfig};
 use rampage_json::ToJson;
@@ -153,25 +153,15 @@ fn sweep_through_trace_dir_is_bit_identical() {
     .expect("record");
 
     let sizes = [256u64, 2048];
-    let synth_cells = sweep_sizes(
-        &SweepRunner::new(2),
-        "corpus-synth",
-        SystemConfig::rampage,
-        IssueRate::GHZ1,
-        &sizes,
-        &w,
-    );
+    let jobs: Vec<Job> = sizes
+        .iter()
+        .map(|&size| Job::new(SystemConfig::rampage(IssueRate::GHZ1, size), w))
+        .collect();
+    let synth_cells = SweepRunner::new(2).run_labeled("corpus-synth", &jobs);
 
     set_trace_dir(Some(dir.clone()));
     CorpusSourceStats::reset();
-    let replay_cells = sweep_sizes(
-        &SweepRunner::new(2),
-        "corpus-replay",
-        SystemConfig::rampage,
-        IssueRate::GHZ1,
-        &sizes,
-        &w,
-    );
+    let replay_cells = SweepRunner::new(2).run_labeled("corpus-replay", &jobs);
     let stats = corpus_source_stats();
     set_trace_dir(None);
 

@@ -48,7 +48,7 @@ fn gcc_both_ways(dir: &Path, refs: u64) -> (PathBuf, PathBuf) {
         .iter()
         .find(|p| p.name == "gcc")
         .expect("gcc profile");
-    let scale = ((gcc.refs_millions * 1e6) as u64 / refs).max(1);
+    let scale = gcc.scale_for(refs);
     let din = dir.join("gcc.din");
     let file = std::fs::File::create(&din).expect("create .din");
     let mut w = DinWriter::new(BufWriter::new(file));
