@@ -15,10 +15,8 @@
 //! Checks that only look for a call live in the toolchain instead: the
 //! root `clippy.toml` denies hash-ordered iteration, wall-clock and
 //! environment reads, `thread::sleep` and direct simulation calls in
-//! library code, and the sweep runner's claim types make reading a
-//! claim back before computing its cell a compile-time requirement.
-//! `EXPERIMENTS.md` § Static analysis documents both halves and the
-//! waiver syntax.
+//! library code. `EXPERIMENTS.md` § Static analysis documents both
+//! halves and the waiver syntax.
 
 #![forbid(unsafe_code)]
 

@@ -317,7 +317,7 @@ impl Cell {
         };
         Some(Cell {
             unit_bytes: doc.get("unit_bytes")?.as_u64()?,
-            issue_mhz: doc.get("issue_mhz")?.as_u64()? as u32,
+            issue_mhz: u32::try_from(doc.get("issue_mhz")?.as_u64()?).ok()?,
             seconds: doc.get("seconds")?.as_f64()?,
             cycles_per_ref: doc.get("cycles_per_ref")?.as_f64()?,
             fractions,
@@ -390,7 +390,8 @@ pub(crate) fn sweep_grid(
 }
 
 /// Submit every config of `grid` over `workload` as one batch, labelled
-/// `label` in journaled claim records; cells come back in grid order.
+/// `label` in journaled `done` and `failed` records; cells come back in
+/// grid order.
 pub fn run_grid(
     runner: &SweepRunner,
     label: &str,

@@ -5,8 +5,8 @@
 //! and crash-safety guarantees without depending on real bugs: a cell
 //! can be made to panic a fixed number of times (exercising
 //! catch-and-retry and the [`FailedCell`](crate::experiments::FailedCell)
-//! path), and a journaled run can be made to die after a claim or
-//! mid-append (exercising resume from the journal, the only store a run
+//! path), and a journaled run can be made to die mid-append (exercising
+//! torn-tail recovery and resume from the journal, the only store a run
 //! reads back).
 //!
 //! Injection state is process-global. Tests must hold an
@@ -19,9 +19,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Exit code of an injected process death (`die-after-claim`,
-/// `die-mid-append`): 128 + SIGKILL, the same code a real `kill -9`
-/// produces, so drills and real kills look identical to wrappers.
+/// Exit code of an injected process death (`die-mid-append`): 128 +
+/// SIGKILL, the same code a real `kill -9` produces, so drills and real
+/// kills look identical to wrappers.
 pub const INJECTED_CRASH_EXIT: i32 = 137;
 
 /// Exclusive, self-cleaning access to the process-global injection
@@ -90,55 +90,35 @@ pub(crate) fn cell_panic_point(fp: u64) {
     }
 }
 
-/// Countdown crash points for the journaled runner: each counter is
-/// armed with N and fires on the Nth hit of its injection point.
-static DIE_AFTER_CLAIM: AtomicU32 = AtomicU32::new(0);
+/// Countdown crash point for the journaled runner: armed with N, it
+/// fires on the Nth journal append.
 static DIE_MID_APPEND: AtomicU32 = AtomicU32::new(0);
 
-/// Decrement a countdown; true exactly when it just reached zero.
-fn countdown_hit(counter: &AtomicU32) -> bool {
-    counter
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok_and(|prev| prev == 1)
-}
-
-/// Arm the process to die (exit [`INJECTED_CRASH_EXIT`]) immediately
-/// after the `nth` batch of journal claim records is appended — the
-/// worst crash point for lease reclaim: claims are durable, results
-/// never arrive.
-pub fn arm_die_after_claim(nth: u32) {
-    DIE_AFTER_CLAIM.store(nth, Ordering::SeqCst);
-}
-
-/// Called by the journaled orchestrator right after appending claims.
-pub(crate) fn die_after_claim_point() {
-    if countdown_hit(&DIE_AFTER_CLAIM) {
-        std::process::exit(INJECTED_CRASH_EXIT);
-    }
-}
-
 /// Arm the `nth` upcoming journal append to write half a record and
-/// die — the torn tail [`Journal::open`](crate::experiments::Journal::open)
-/// must truncate on resume.
+/// die (exit [`INJECTED_CRASH_EXIT`]) — the torn tail
+/// [`Journal::open`](crate::experiments::Journal::open) must truncate on
+/// resume.
 pub fn arm_die_mid_append(nth: u32) {
     DIE_MID_APPEND.store(nth, Ordering::SeqCst);
 }
 
-/// Consume the mid-append crash, if this append is the armed one.
+/// Consume the mid-append crash, if this append is the armed one:
+/// decrement the countdown, true exactly when it just reached zero.
 pub(crate) fn take_die_mid_journal_append() -> bool {
-    countdown_hit(&DIE_MID_APPEND)
+    DIE_MID_APPEND
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        .is_ok_and(|prev| prev == 1)
 }
 
 /// Disarm every injection point.
 pub fn reset() {
     cell_panics().clear();
-    DIE_AFTER_CLAIM.store(0, Ordering::SeqCst);
     DIE_MID_APPEND.store(0, Ordering::SeqCst);
 }
 
 /// Arm one injection from a CLI spec — how a crash-drill child process
-/// (`repro … --fault SPEC`) arms itself. Specs: `die-after-claim[=N]`,
-/// `die-mid-append[=N]`, `cell-panic=<fp>x<times>`.
+/// (`repro … --fault SPEC`) arms itself. Specs: `die-mid-append[=N]`,
+/// `cell-panic=<fp>x<times>`.
 ///
 /// # Errors
 ///
@@ -148,15 +128,11 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
         Some((n, a)) => (n, Some(a)),
         None => (spec, None),
     };
-    let nth = |default: u32| -> Result<u32, String> {
-        match arg {
-            None => Ok(default),
-            Some(a) => a.parse().map_err(|_| format!("bad count in {spec:?}")),
-        }
-    };
     match name {
-        "die-after-claim" => arm_die_after_claim(nth(1)?),
-        "die-mid-append" => arm_die_mid_append(nth(1)?),
+        "die-mid-append" => arm_die_mid_append(match arg {
+            None => 1,
+            Some(a) => a.parse().map_err(|_| format!("bad count in {spec:?}"))?,
+        }),
         "cell-panic" => {
             let a = arg.ok_or_else(|| format!("{spec:?} needs <fp>x<times>"))?;
             let (fp, times) = a

@@ -48,7 +48,6 @@ pub use common::{
     CorpusSourceStats, Workload, PAPER_SIZES,
 };
 pub use runner::{
-    scan_journal, CacheLoad, CellCache, CellView, ClaimDecision, ClaimView, FailedCell, Job,
-    Journal, JournalOp, JournalOpenReport, JournalRecord, JournalState, LeaseConfig,
-    ProgressUpdate, SweepRunner, CACHE_FORMAT_VERSION,
+    scan_journal, CacheLoad, CellCache, FailedCell, Job, Journal, JournalOp, JournalOpenReport,
+    JournalRecord, LeaseConfig, ProgressUpdate, SweepRunner, CACHE_FORMAT_VERSION,
 };

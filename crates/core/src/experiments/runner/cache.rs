@@ -6,7 +6,6 @@ use crate::experiments::common::Cell;
 use rampage_json::{obj, Json, ToJson};
 use rampage_trace::corpus::fnv1a;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -101,8 +100,8 @@ impl CellCache {
         lock_recovering(&self.map).insert(fp, cell);
     }
 
-    /// Seed a cell without counting it as computed (journal resume, a
-    /// sibling's adopted cell, or a snapshot read).
+    /// Seed a cell without counting it as computed (journal resume or a
+    /// snapshot read).
     pub(super) fn seed(&self, fp: u64, cell: Cell) {
         lock_recovering(&self.map).insert(fp, cell);
     }
@@ -200,39 +199,15 @@ impl CellCache {
         Ok((loaded, entry_errors))
     }
 
-    /// Write the cache to `path` as a JSON snapshot, atomically: the
-    /// document goes to a temp file unique to this call (pid plus a
-    /// process-wide counter), is synced to disk, then renamed over
-    /// `path`. A crash leaves either the old snapshot or the new one,
-    /// and concurrent savers — threads or processes sharing one `--out`
-    /// — never write into each other's temp file.
+    /// Write the cache to `path` as a JSON snapshot through
+    /// [`Json::write_atomic`], so a crash or a concurrent saver sharing
+    /// one `--out` leaves either the old snapshot or a whole new one.
     ///
     /// # Errors
     ///
     /// Any underlying file I/O failure, as [`CacheIoError::Io`].
     pub fn save_file(&self, path: &Path) -> Result<(), CacheIoError> {
-        static SAVES: AtomicU64 = AtomicU64::new(0);
-        let text = self.to_json().pretty() + "\n";
-        let Some(name) = path.file_name() else {
-            return Err(CacheIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "cache path has no file name",
-            )));
-        };
-        let mut tmp_name = name.to_os_string();
-        tmp_name.push(format!(
-            ".{}.{}.tmp",
-            std::process::id(),
-            SAVES.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = path.with_file_name(tmp_name);
-        let written = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(text.as_bytes()).and_then(|()| f.sync_all()))
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        written.map_err(CacheIoError::Io)
+        self.to_json().write_atomic(path).map_err(CacheIoError::Io)
     }
 
     /// Read a snapshot written by [`save_file`](Self::save_file) into

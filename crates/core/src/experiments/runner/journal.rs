@@ -1,7 +1,6 @@
 //! The durable cell journal: an append-only JSONL file (`journal.jsonl`
-//! next to `cells.json`) recording every cell-state transition of a
-//! sweep, so a killed `repro` process resumes exactly where it left off
-//! and N processes can drain one grid cooperatively.
+//! next to `cells.json`) of every cell a sweep finished, so a killed
+//! `repro` process resumes exactly where it left off.
 //!
 //! ## Record format
 //!
@@ -9,56 +8,42 @@
 //! checksum of its compact rendering:
 //!
 //! ```text
-//! {"sum":<fnv1a(rec.compact())>,"rec":{"op":"claim","fp":…,"owner":…,…}}
+//! {"sum":<fnv1a(rec.compact())>,"rec":{"op":"done","fp":…,"label":…,"cell":{…},"owner":…}}
 //! ```
 //!
-//! Ops: `open` (one per journal session), `claim` (+`reclaim` flag when
-//! taking over a stale lease), `done` (carries the full cell body — the
-//! journal, not `cells.json`, is the incremental durable store), `failed`,
-//! `released` (graceful shutdown gave the claim back), and `renew`
-//! (lease heartbeat).
+//! Ops: `open` (one per journal session), `done` (the batch label and
+//! the full cell body — the journal, not `cells.json`, is the durable
+//! store) and `failed` (the batch label and the rendered error). Every
+//! record names the owner that wrote it. A `done` or `failed` line
+//! without a label, as older builds wrote them, decodes with an empty
+//! one; an op this build does not write (older builds' `claim`, `renew`,
+//! `released` and `stalled`) counts as a corrupt line.
 //!
 //! ## Durability and recovery
 //!
 //! Every append is a single `write_all` of one whole line on an
 //! `O_APPEND` handle followed by `sync_data`, so concurrent writers
 //! interleave at line granularity and a crash can tear at most the final
-//! line. [`Journal::open`] scans the file, truncates a torn tail, and
-//! skips (but counts) any mid-file line that is not UTF-8, does not
+//! line. [`Journal::open`] decodes the file once, truncates a torn tail,
+//! and skips (but counts) any mid-file line that is not UTF-8, does not
 //! parse, or fails its checksum — one rotten record never discards its
 //! neighbours.
 
 use crate::error::CacheIoError;
 use crate::experiments::common::Cell;
-use rampage_json::{obj, Json, ToJson};
+use rampage_json::{obj, Json};
 use rampage_trace::corpus::fnv1a;
 use std::fs::OpenOptions;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-/// Milliseconds since the Unix epoch — lease freshness timestamps.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "lease timestamps live in the journal's persistence layer, never in a simulated path"
-)]
-pub(crate) fn wall_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
+use std::path::Path;
 
 /// One decoded journal record.
 #[derive(Debug, Clone)]
 pub struct JournalRecord {
-    /// Which transition this records.
+    /// What this records.
     pub op: JournalOp,
     /// The recording process's owner id.
     pub owner: String,
-    /// Lease number at the time of the record (monotonic per owner).
-    pub lease: u64,
-    /// Wall-clock milliseconds since the epoch when appended.
-    pub t_ms: u64,
 }
 
 /// The operations a journal line can record.
@@ -66,114 +51,73 @@ pub struct JournalRecord {
 pub enum JournalOp {
     /// A process opened the journal (one per session).
     Open,
-    /// A cell was claimed for computation.
-    Claim {
-        /// [`Job::fingerprint`](crate::experiments::Job::fingerprint).
-        fp: u64,
-        /// 1-based claim attempt for this fingerprint.
-        attempt: u32,
-        /// Whether this claim took over a stale lease.
-        reclaim: bool,
-        /// The batch label the claim was made under.
-        label: String,
-    },
     /// A cell finished; the full body rides along so resume can seed the
     /// cache without `cells.json`.
     Done {
-        /// The finished cell's fingerprint.
+        /// [`Job::fingerprint`](crate::experiments::Job::fingerprint).
         fp: u64,
+        /// The batch label (the submitting artifact's name).
+        label: String,
         /// The computed cell.
         cell: Cell,
     },
-    /// A cell failed deterministically (recorded, claim resolved).
+    /// A cell failed deterministically; a later run computes it again.
     Failed {
         /// The failed cell's fingerprint.
         fp: u64,
+        /// The batch label (the submitting artifact's name).
+        label: String,
         /// Rendered error.
         error: String,
     },
-    /// A graceful shutdown gave an unfinished claim back.
-    Released {
-        /// The released cell's fingerprint.
-        fp: u64,
-    },
-    /// Lease heartbeat (no cell).
-    Renew,
 }
 
 impl JournalRecord {
     fn to_payload(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![("op".into(), self.op_name().to_json())];
+        let owner = self.owner.as_str();
         match &self.op {
-            JournalOp::Open | JournalOp::Renew => {}
-            JournalOp::Claim {
-                fp,
-                attempt,
-                reclaim,
-                label,
-            } => {
-                pairs.push(("fp".into(), fp.to_json()));
-                pairs.push(("attempt".into(), attempt.to_json()));
-                pairs.push(("reclaim".into(), reclaim.to_json()));
-                pairs.push(("label".into(), label.as_str().to_json()));
-            }
-            JournalOp::Done { fp, cell } => {
-                pairs.push(("fp".into(), fp.to_json()));
-                pairs.push(("cell".into(), cell.to_json()));
-            }
-            JournalOp::Failed { fp, error } => {
-                pairs.push(("fp".into(), fp.to_json()));
-                pairs.push(("error".into(), error.as_str().to_json()));
-            }
-            JournalOp::Released { fp } => {
-                pairs.push(("fp".into(), fp.to_json()));
-            }
-        }
-        pairs.push(("owner".into(), self.owner.as_str().to_json()));
-        pairs.push(("lease".into(), self.lease.to_json()));
-        pairs.push(("t_ms".into(), self.t_ms.to_json()));
-        Json::Obj(pairs)
-    }
-
-    fn op_name(&self) -> &'static str {
-        match &self.op {
-            JournalOp::Open => "open",
-            JournalOp::Claim { .. } => "claim",
-            JournalOp::Done { .. } => "done",
-            JournalOp::Failed { .. } => "failed",
-            JournalOp::Released { .. } => "released",
-            JournalOp::Renew => "renew",
+            JournalOp::Open => obj! { "op" => "open", "owner" => owner },
+            JournalOp::Done { fp, label, cell } => obj! {
+                "op" => "done",
+                "fp" => fp,
+                "label" => label,
+                "cell" => cell,
+                "owner" => owner,
+            },
+            JournalOp::Failed { fp, label, error } => obj! {
+                "op" => "failed",
+                "fp" => fp,
+                "label" => label,
+                "error" => error,
+                "owner" => owner,
+            },
         }
     }
 
     fn from_payload(doc: &Json) -> Option<JournalRecord> {
-        let op_name = doc.get("op")?.as_str()?;
         let fp = || doc.get("fp").and_then(Json::as_u64);
-        let op = match op_name {
+        // Older builds wrote no label; one that is there must be a string.
+        let label = || match doc.get("label") {
+            Some(l) => l.as_str().map(str::to_string),
+            None => Some(String::new()),
+        };
+        let op = match doc.get("op")?.as_str()? {
             "open" => JournalOp::Open,
-            "renew" => JournalOp::Renew,
-            "claim" => JournalOp::Claim {
-                fp: fp()?,
-                attempt: doc.get("attempt")?.as_u64()? as u32,
-                reclaim: doc.get("reclaim")?.as_bool()?,
-                label: doc.get("label")?.as_str()?.to_string(),
-            },
             "done" => JournalOp::Done {
                 fp: fp()?,
+                label: label()?,
                 cell: Cell::from_json(doc.get("cell")?)?,
             },
             "failed" => JournalOp::Failed {
                 fp: fp()?,
+                label: label()?,
                 error: doc.get("error")?.as_str()?.to_string(),
             },
-            "released" => JournalOp::Released { fp: fp()? },
             _ => return None,
         };
         Some(JournalRecord {
             op,
             owner: doc.get("owner")?.as_str()?.to_string(),
-            lease: doc.get("lease")?.as_u64()?,
-            t_ms: doc.get("t_ms")?.as_u64()?,
         })
     }
 }
@@ -194,29 +138,26 @@ fn decode_line(line: &[u8]) -> Option<JournalRecord> {
 /// What [`Journal::open`] found on disk.
 #[derive(Debug, Default, Clone)]
 pub struct JournalOpenReport {
-    /// Valid records recovered.
-    pub records: usize,
-    /// Finished cells recoverable from `done` records.
-    pub done_cells: usize,
-    /// Mid-file lines dropped as not UTF-8, unparseable, or failing
-    /// their checksum.
+    /// Every valid record, in file order.
+    pub records: Vec<JournalRecord>,
+    /// Mid-file lines dropped as not UTF-8, unparseable, failing their
+    /// checksum, or naming an op this build does not write.
     pub corrupt_lines: usize,
     /// Bytes of torn tail truncated away.
     pub truncated_bytes: u64,
 }
 
-/// An open journal: an `O_APPEND` writer plus the path for rescans.
+/// An open journal: an `O_APPEND` writer.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     file: std::fs::File,
 }
 
 impl Journal {
-    /// Open (creating if absent) the journal at `path`, recovering a
-    /// torn tail: if the file does not end in a valid, checksummed,
-    /// newline-terminated record, the trailing fragment is truncated
-    /// away before the append handle is opened.
+    /// Open (creating if absent) the journal at `path`, decoding every
+    /// record already in it and recovering a torn tail: if the file does
+    /// not end in a newline-terminated line, the trailing fragment is
+    /// truncated away before the append handle is opened.
     ///
     /// # Errors
     ///
@@ -239,12 +180,7 @@ impl Journal {
             let end = offset + line.len();
             if let Some(line) = line.strip_suffix(b"\n") {
                 match decode_line(line) {
-                    Some(rec) => {
-                        if matches!(rec.op, JournalOp::Done { .. }) {
-                            report.done_cells += 1;
-                        }
-                        report.records += 1;
-                    }
+                    Some(rec) => report.records.push(rec),
                     None => report.corrupt_lines += 1,
                 }
                 keep = end as u64;
@@ -258,18 +194,7 @@ impl Journal {
             f.sync_data()?;
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-            },
-            report,
-        ))
-    }
-
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((Journal { file }, report))
     }
 
     /// The checksummed append helper — the single legitimate write path
@@ -298,21 +223,10 @@ impl Journal {
         self.file.sync_data()?;
         Ok(())
     }
-
-    /// Re-read every currently valid record from disk (other processes
-    /// may have appended since open). Torn or rotten lines are skipped,
-    /// never truncated — a concurrent writer may be mid-append.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheIoError::Io`] when the journal cannot be read at all.
-    pub fn scan(&self) -> Result<Vec<JournalRecord>, CacheIoError> {
-        scan_path(&self.path)
-    }
 }
 
-/// Read every valid record at `path` (standalone: tests and telemetry
-/// inspect journals without opening an append handle).
+/// Read every valid record at `path` without opening an append handle
+/// or truncating anything (tests inspect journals this way).
 ///
 /// # Errors
 ///
@@ -333,6 +247,7 @@ pub fn scan_path(path: &Path) -> Result<Vec<JournalRecord>, CacheIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch(name: &str) -> PathBuf {
@@ -350,46 +265,48 @@ mod tests {
         JournalRecord {
             op,
             owner: "t".into(),
-            lease: 1,
-            t_ms: 42,
         }
+    }
+
+    fn placeholder() -> Cell {
+        Cell::failed_placeholder(&crate::config::SystemConfig::baseline(
+            crate::time::IssueRate::GHZ1,
+            128,
+        ))
     }
 
     #[test]
     fn records_roundtrip_through_the_file() {
         let path = scratch("roundtrip").join("journal.jsonl");
-        let cell = Cell::failed_placeholder(&crate::config::SystemConfig::baseline(
-            crate::time::IssueRate::GHZ1,
-            128,
-        ));
+        let cell = placeholder();
         {
             let (mut j, report) = Journal::open(&path).expect("open");
-            assert_eq!(report.records, 0);
+            assert!(report.records.is_empty());
             j.append(&rec(JournalOp::Open)).expect("append");
-            j.append(&rec(JournalOp::Claim {
-                fp: 7,
-                attempt: 1,
-                reclaim: false,
+            j.append(&rec(JournalOp::Failed {
+                fp: 6,
                 label: "table3".into(),
+                error: "bad quantum".into(),
             }))
             .expect("append");
-            j.append(&rec(JournalOp::Done { fp: 7, cell }))
-                .expect("append");
+            j.append(&rec(JournalOp::Done {
+                fp: 7,
+                label: "table3".into(),
+                cell,
+            }))
+            .expect("append");
         }
-        let (j, report) = Journal::open(&path).expect("reopen");
-        assert_eq!(report.records, 3);
-        assert_eq!(report.done_cells, 1);
+        let (_, report) = Journal::open(&path).expect("reopen");
+        assert_eq!(report.records.len(), 3);
         assert_eq!(report.corrupt_lines, 0);
         assert_eq!(report.truncated_bytes, 0);
-        let recs = j.scan().expect("scan");
-        assert_eq!(recs.len(), 3);
-        match &recs[2].op {
-            JournalOp::Done { fp, cell: c } => {
-                assert_eq!(*fp, 7);
-                assert_eq!(*c, cell);
+        match &report.records[2].op {
+            JournalOp::Done { fp, label, cell: c } => {
+                assert_eq!((*fp, label.as_str(), *c), (7, "table3", cell));
             }
             other => panic!("expected done, got {other:?}"),
         }
+        assert_eq!(scan_path(&path).expect("scan").len(), 3);
     }
 
     #[test]
@@ -397,7 +314,7 @@ mod tests {
         // Tears: half a record with no newline, cut at an ASCII byte and
         // inside the 3-byte "—" of a `failed` record's error text.
         let tails: [&[u8]; 2] = [
-            b"{\"sum\":123,\"rec\":{\"op\":\"cl",
+            b"{\"sum\":123,\"rec\":{\"op\":\"do",
             b"{\"sum\":123,\"rec\":{\"op\":\"failed\",\"error\":\"bad quantum \xe2\x80",
         ];
         for (i, tail) in tails.into_iter().enumerate() {
@@ -405,14 +322,14 @@ mod tests {
             {
                 let (mut j, _) = Journal::open(&path).expect("open");
                 j.append(&rec(JournalOp::Open)).expect("append");
-                j.append(&rec(JournalOp::Renew)).expect("append");
+                j.append(&rec(JournalOp::Open)).expect("append");
             }
             let clean_len = std::fs::metadata(&path).expect("meta").len();
             let mut f = OpenOptions::new().append(true).open(&path).expect("open");
             f.write_all(tail).expect("tear");
             drop(f);
             let (_, report) = Journal::open(&path).expect("recover");
-            assert_eq!(report.records, 2, "tail {i}");
+            assert_eq!(report.records.len(), 2, "tail {i}");
             assert_eq!(report.truncated_bytes, tail.len() as u64, "tail {i}");
             assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len);
         }
@@ -429,9 +346,9 @@ mod tests {
         // and nesting deep enough to overflow a recursive parser — then
         // a valid record after them.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"renew\"}}\n")
+        f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"open\"}}\n")
             .expect("rot");
-        f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"renew\",\"owner\":\"\xf4t\"}}\n")
+        f.write_all(b"{\"sum\":1,\"rec\":{\"op\":\"open\",\"owner\":\"\xf4t\"}}\n")
             .expect("rot");
         f.write_all(&[b"[".repeat(50_000), b"\n".to_vec()].concat())
             .expect("rot");
@@ -439,11 +356,76 @@ mod tests {
         {
             let (mut j, report) = Journal::open(&path).expect("reopen");
             assert_eq!(report.corrupt_lines, 3);
-            j.append(&rec(JournalOp::Renew)).expect("append");
+            j.append(&rec(JournalOp::Open)).expect("append");
         }
-        let (j, report) = Journal::open(&path).expect("final open");
-        assert_eq!(report.records, 2, "records before and after the rot");
+        let (_, report) = Journal::open(&path).expect("final open");
+        assert_eq!(report.records.len(), 2, "records before and after the rot");
         assert_eq!(report.corrupt_lines, 3);
-        assert_eq!(j.scan().expect("scan").len(), 2);
+        assert_eq!(scan_path(&path).expect("scan").len(), 2);
+    }
+
+    /// Lines as the lease-protocol builds wrote them, each with a valid
+    /// checksum: every record carried `lease` and `t_ms`, `done` had no
+    /// `label`, and `claim`, `renew` and `released` were ops.
+    #[test]
+    fn older_lease_protocol_journals_resume_their_done_cells() {
+        use crate::experiments::{LeaseConfig, SweepRunner};
+        let cell = placeholder();
+        let fp = 0x00c0_ffee_u64;
+        let bare =
+            |op: &str| obj! { "op" => op, "owner" => "pid7", "lease" => 1u64, "t_ms" => 42u64 };
+        let lines = [
+            bare("open"),
+            obj! {
+                "op" => "claim", "fp" => fp, "attempt" => 1u64, "reclaim" => false,
+                "label" => "table3", "owner" => "pid7", "lease" => 1u64, "t_ms" => 43u64,
+            },
+            obj! {
+                "op" => "done", "fp" => fp, "cell" => cell,
+                "owner" => "pid7", "lease" => 1u64, "t_ms" => 44u64,
+            },
+            bare("renew"),
+            obj! {
+                "op" => "released", "fp" => fp + 1,
+                "owner" => "pid7", "lease" => 2u64, "t_ms" => 45u64,
+            },
+        ];
+        let text: String = lines
+            .iter()
+            .map(|rec| {
+                let sum = fnv1a(rec.compact().as_bytes());
+                obj! { "sum" => sum, "rec" => rec }.compact() + "\n"
+            })
+            .collect();
+        let path = scratch("lease-format").join("journal.jsonl");
+        std::fs::write(&path, text).expect("write an older-format journal");
+
+        let (_, report) = Journal::open(&path).expect("open");
+        assert_eq!(report.corrupt_lines, 3, "claim, renew and released");
+        assert_eq!(report.truncated_bytes, 0);
+        let [open, done] = report.records.as_slice() else {
+            panic!("expected open and done, got {:?}", report.records);
+        };
+        assert!(matches!(open.op, JournalOp::Open) && open.owner == "pid7");
+        match &done.op {
+            JournalOp::Done {
+                fp: f,
+                label,
+                cell: c,
+            } => {
+                assert_eq!((*f, label.as_str(), *c), (fp, "", cell));
+            }
+            other => panic!("expected done, got {other:?}"),
+        }
+
+        let runner = SweepRunner::serial()
+            .with_journal(&path, LeaseConfig::new("t".into()))
+            .expect("attach");
+        assert_eq!(runner.resumed_cells(), 1);
+        assert_eq!(
+            runner.cache().get(fp),
+            Some(cell),
+            "the done cell is seeded"
+        );
     }
 }

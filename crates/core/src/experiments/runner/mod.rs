@@ -23,29 +23,24 @@
 //!   retry), is recorded as a [`FailedCell`] and replaced by an inert
 //!   [`Cell::failed_placeholder`]; the rest of the sweep completes.
 //! * **Crash safety** — a runner given [`SweepRunner::with_journal`]
-//!   records every cell transition in a durable append-only journal
-//!   ([`journal`] module). The journal is the store: its `done` records
-//!   carry full cells, and they are the only thing a later run resumes
-//!   from. `cells.json` is the snapshot: [`CellCache::save_file`] writes
-//!   the cache out once at exit (version header, per-cell checksums,
-//!   temp file + fsync + rename), and no run reads it back. The runner
-//!   claims cells under owner leases so several processes can drain one
-//!   grid cooperatively ([`lease`] module), and resumes a killed sweep
-//!   from the journal's `done` records. A shutdown flag
-//!   ([`SweepRunner::with_shutdown_flag`]) turns SIGINT/SIGTERM into a
-//!   graceful checkpoint-and-release instead of lost work.
+//!   appends every cell it finishes to a durable append-only journal
+//!   ([`journal`] module) as the pool completes it. The journal is the
+//!   store: its `done` records carry full cells, and they are the only
+//!   thing a later run resumes from. `cells.json` is the snapshot:
+//!   [`CellCache::save_file`] writes the cache out once at exit (version
+//!   header, per-cell checksums, temp file + fsync + rename), and no run
+//!   reads it back. One process per journal is the supported use; two
+//!   at once each finish correctly, but each computes every cell. A
+//!   shutdown flag ([`SweepRunner::with_shutdown_flag`]) turns
+//!   SIGINT/SIGTERM into a graceful checkpoint instead of lost work.
 
 mod cache;
 mod journal;
-mod lease;
-
-use lease::{Confirmed, PendingClaims};
 
 pub use cache::{CacheLoad, CellCache, CACHE_FORMAT_VERSION};
 pub use journal::{
     scan_path as scan_journal, Journal, JournalOp, JournalOpenReport, JournalRecord,
 };
-pub use lease::{CellView, ClaimDecision, ClaimView, JournalState, LeaseConfig};
 
 use crate::config::{DramKind, SystemConfig};
 use crate::error::{CacheIoError, InvariantError, RampageError};
@@ -54,7 +49,7 @@ use rampage_json::{obj, Json, ToJson};
 use rampage_trace::corpus::fnv1a;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -374,104 +369,72 @@ struct Telemetry {
 
 type ProgressFn = Box<dyn Fn(&ProgressUpdate) + Send + Sync>;
 
-/// Wall-clock/ETA accumulators shared by every slice of one batch (in
-/// the journaled path a batch executes as several claimed chunks).
-#[derive(Debug, Default)]
-struct SliceState {
-    finished: AtomicUsize,
-    spent_secs: Mutex<f64>,
+/// The identity a journaled runner writes on each of its records. The
+/// name predates the single-owner journal; the performance ledger
+/// builds against it.
+#[derive(Debug, Clone)]
+pub struct LeaseConfig {
+    /// This process's owner id (`pid<N>` in `repro`).
+    pub owner: String,
 }
 
-/// The crash-safety state of a journaled runner: the open journal, the
-/// lease identity/policy, and the resume/coordination counters that feed
-/// the `journal` subtree of `metrics.json`.
+impl LeaseConfig {
+    /// An identity with the given owner id.
+    pub fn new(owner: String) -> Self {
+        LeaseConfig { owner }
+    }
+}
+
+/// The crash-safety state of a journaled runner: the open journal, its
+/// path and owner id, and the counters that feed the `journal` subtree
+/// of `metrics.json`.
 #[derive(Debug)]
 struct Durable {
     journal: Mutex<Journal>,
-    lease: LeaseConfig,
-    /// Monotonic lease number, bumped at every renew.
-    lease_seq: AtomicU64,
-    dones_since_renew: AtomicU64,
-    last_renew_ms: AtomicU64,
+    path: PathBuf,
+    owner: String,
     /// Finished cells recovered from the journal at open.
     resumed_cells: u64,
     corrupt_lines: u64,
     truncated_bytes: u64,
-    /// Cells finished by someone else and read back mid-run.
-    adopted: AtomicU64,
-    claims: AtomicU64,
-    reclaims: AtomicU64,
-    renews: AtomicU64,
-    /// Journal I/O failures (the run degrades to non-resumable instead
-    /// of aborting; the count surfaces in telemetry).
+    /// Journal I/O failures, and batches that found the journal gone
+    /// from its path (the run degrades to non-resumable instead of
+    /// aborting; the count surfaces in telemetry).
     errors: AtomicU64,
 }
 
 impl Durable {
-    /// Append one record under this runner's owner id and current lease
-    /// number. Failures are counted, never fatal: losing the journal
-    /// costs resumability, not the sweep.
-    fn append(&self, op: JournalOp) {
+    /// Append one finished cell's record under this runner's owner id;
+    /// an interrupted cell leaves none. Failures are counted, never
+    /// fatal: losing the journal costs resumability, not the sweep.
+    fn record(&self, label: &str, fp: u64, outcome: &JobOutcome) {
+        let op = match outcome {
+            JobOutcome::Done(cell) => JournalOp::Done {
+                fp,
+                label: label.to_string(),
+                cell: *cell,
+            },
+            JobOutcome::Failed(f) => JournalOp::Failed {
+                fp,
+                label: label.to_string(),
+                error: f.error.clone(),
+            },
+            JobOutcome::Interrupted => return,
+        };
         let rec = JournalRecord {
             op,
-            owner: self.lease.owner.clone(),
-            lease: self.lease_seq.load(Ordering::Relaxed),
-            t_ms: journal::wall_ms(),
+            owner: self.owner.clone(),
         };
         if lock_recovering(&self.journal).append(&rec).is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Re-read the journal (other processes may have appended).
-    fn scan(&self) -> Vec<JournalRecord> {
-        match lock_recovering(&self.journal).scan() {
-            Ok(records) => records,
-            Err(_) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Bump the lease number and append a `renew` heartbeat.
-    fn renew(&self) {
-        self.lease_seq.fetch_add(1, Ordering::Relaxed);
-        self.renews.fetch_add(1, Ordering::Relaxed);
-        self.last_renew_ms
-            .store(journal::wall_ms(), Ordering::Relaxed);
-        self.append(JournalOp::Renew);
-    }
-
-    /// Called after each journaled `done`: renew every `RENEW_EVERY`
-    /// completed cells.
-    fn note_done(&self) {
-        let n = self.dones_since_renew.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= lease::RENEW_EVERY {
-            self.dones_since_renew.store(0, Ordering::Relaxed);
-            self.renew();
-        }
-    }
-
-    /// Heartbeat while idle-waiting on other owners' claims, often
-    /// enough that a healthy process never looks TTL-stale.
-    fn maybe_heartbeat(&self) {
-        let now = journal::wall_ms();
-        let last = self.last_renew_ms.load(Ordering::Relaxed);
-        if now.saturating_sub(last) > lease::TTL_MS / 3 {
-            self.renew();
-        }
-    }
-
     /// The `journal` subtree of `metrics.json`.
     fn telemetry(&self) -> Json {
         obj! {
-            "owner" => self.lease.owner.as_str(),
+            "owner" => self.owner.as_str(),
             "resumed" => self.resumed_cells,
-            "adopted" => self.adopted.load(Ordering::Relaxed),
-            "claims" => self.claims.load(Ordering::Relaxed),
-            "reclaims" => self.reclaims.load(Ordering::Relaxed),
-            "renews" => self.renews.load(Ordering::Relaxed),
             "corrupt_lines" => self.corrupt_lines,
             "truncated_bytes" => self.truncated_bytes,
             "errors" => self.errors.load(Ordering::Relaxed),
@@ -515,12 +478,9 @@ impl std::fmt::Debug for SweepRunner {
 
 /// How a single pending job ended.
 enum JobOutcome {
-    /// Computed here: cached (counted as computed) and, when journaled,
+    /// Computed: cached (counted as computed) and, when journaled,
     /// appended as a `done` record.
     Done(Cell),
-    /// Finished by a previous run or a sibling process and read back
-    /// from the journal: seeds the cache without counting as computed.
-    Adopted(Cell),
     /// Failed deterministically: recorded, slot holds the placeholder.
     Failed(Box<FailedCell>),
     /// Never computed — a shutdown request drained the queue. The slot
@@ -555,14 +515,11 @@ impl SweepRunner {
     /// `journal.jsonl` next to `cells.json`), making every batch
     /// crash-safe and resumable:
     ///
-    /// * finished cells already journaled (by a killed previous run, or
-    ///   by this run's siblings) seed the cache, so resumption skips
-    ///   them;
-    /// * every cell transition is appended durably before the runner
-    ///   moves on, so a `kill -9` loses at most the cells mid-compute;
-    /// * cells are claimed under `lease` before computing, so several
-    ///   processes can point at the same journal and cooperatively
-    ///   drain one grid without duplicating work.
+    /// * finished cells already journaled (by a killed previous run)
+    ///   seed the cache, so resumption skips them;
+    /// * every cell is appended durably as it finishes, recorded under
+    ///   `lease`'s owner id, so a `kill -9` loses at most the cells
+    ///   mid-compute.
     ///
     /// # Errors
     ///
@@ -570,34 +527,23 @@ impl SweepRunner {
     /// tail cannot be truncated.
     pub fn with_journal(mut self, path: &Path, lease: LeaseConfig) -> Result<Self, CacheIoError> {
         let (mut journal, report) = Journal::open(path)?;
-        let state = JournalState::replay(&journal.scan()?);
-        let mut resumed = 0u64;
-        for (fp, view) in &state.cells {
-            if let Some(cell) = view.done {
-                self.cache.seed(*fp, cell);
-                resumed += 1;
+        let before = self.cache.len();
+        for rec in report.records {
+            if let JournalOp::Done { fp, cell, .. } = rec.op {
+                self.cache.seed(fp, cell);
             }
         }
-        let now = journal::wall_ms();
         journal.append(&JournalRecord {
             op: JournalOp::Open,
             owner: lease.owner.clone(),
-            lease: 1,
-            t_ms: now,
         })?;
         self.durable = Some(Durable {
             journal: Mutex::new(journal),
-            lease,
-            lease_seq: AtomicU64::new(1),
-            dones_since_renew: AtomicU64::new(0),
-            last_renew_ms: AtomicU64::new(now),
-            resumed_cells: resumed,
+            path: path.to_path_buf(),
+            owner: lease.owner,
+            resumed_cells: (self.cache.len() - before) as u64,
             corrupt_lines: report.corrupt_lines as u64,
             truncated_bytes: report.truncated_bytes,
-            adopted: AtomicU64::new(0),
-            claims: AtomicU64::new(0),
-            reclaims: AtomicU64::new(0),
-            renews: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         });
         Ok(self)
@@ -621,8 +567,8 @@ impl SweepRunner {
     /// Install a shutdown flag (typically set by a SIGINT/SIGTERM
     /// handler). Once the flag reads true, workers finish the cells
     /// they have started, unstarted cells drain as interrupted
-    /// placeholders (journaled `released` when a journal is attached),
-    /// and [`interrupted`](Self::interrupted) reports true.
+    /// placeholders that leave no journal record, and
+    /// [`interrupted`](Self::interrupted) reports true.
     pub fn with_shutdown_flag(mut self, flag: &'static AtomicBool) -> Self {
         self.shutdown = Some(flag);
         self
@@ -648,7 +594,7 @@ impl SweepRunner {
         let d = self.durable.as_ref()?;
         let mut s = format!(
             "journal: owner {}, resumed {} finished cell(s)",
-            d.lease.owner, d.resumed_cells
+            d.owner, d.resumed_cells
         );
         if d.truncated_bytes > 0 {
             s.push_str(&format!(", truncated {}-byte torn tail", d.truncated_bytes));
@@ -776,8 +722,8 @@ impl SweepRunner {
     }
 
     /// [`run_batch`](Self::run_batch) with a label (the calling
-    /// artifact's name) that journaled claim records carry, so a
-    /// journal reads as a per-artifact work log.
+    /// artifact's name) that journaled `done` and `failed` records
+    /// carry, so a journal reads as a per-artifact work log.
     pub fn run_labeled(&self, label: &str, jobs: &[Job]) -> Vec<Cell> {
         // Apply the DRAM-backend override before fingerprinting, so the
         // cache keys on what actually runs.
@@ -829,10 +775,7 @@ impl SweepRunner {
             }
         }
 
-        let mut computed = match &self.durable {
-            Some(durable) => self.execute_durable(durable, label, &pending, cached),
-            None => self.execute(&pending, cached),
-        };
+        let mut computed = self.execute(label, &pending, cached);
         {
             let mut t = lock_recovering(&self.telemetry);
             t.batches += 1;
@@ -847,14 +790,6 @@ impl SweepRunner {
             match outcome {
                 JobOutcome::Done(cell) => {
                     self.cache.insert(fp, cell);
-                    for &slot in &waiters[&fp] {
-                        slots[slot] = Some(cell);
-                    }
-                }
-                JobOutcome::Adopted(cell) => {
-                    // Someone else simulated it: cache without counting
-                    // it as computed here.
-                    self.cache.seed(fp, cell);
                     for &slot in &waiters[&fp] {
                         slots[slot] = Some(cell);
                     }
@@ -966,29 +901,25 @@ impl SweepRunner {
     /// Simulate `pending` on the worker pool; returns `(index, outcome)`
     /// pairs in arbitrary order. `cached` is how many of the batch's
     /// slots were already served from the cache (reported to the
-    /// progress callback).
-    fn execute(&self, pending: &[(u64, Job)], cached: usize) -> Vec<(usize, JobOutcome)> {
-        let all = Confirmed::unjournaled(pending.len());
-        self.execute_slice(pending, &all, cached, pending.len(), &SliceState::default())
-    }
-
-    /// Simulate the pending-batch indices in `claimed` on the worker
-    /// pool. The journaled path calls this once per claimed chunk, with
-    /// `shared` carrying the done/mean accumulators across chunks so
-    /// progress and ETA describe the whole batch of `total` cells.
-    fn execute_slice(
+    /// progress callback). With a journal attached, each cell's `done`
+    /// or `failed` record, under `label`, is appended as it finishes.
+    fn execute(
         &self,
+        label: &str,
         pending: &[(u64, Job)],
-        claimed: &Confirmed,
         cached: usize,
-        total: usize,
-        shared: &SliceState,
     ) -> Vec<(usize, JobOutcome)> {
-        let ks = claimed.indices();
-        if ks.is_empty() {
-            return Vec::new();
+        if let Some(d) = &self.durable {
+            // Appends to an unlinked or replaced journal land in an
+            // orphaned inode that no later run reads.
+            if !d.path.exists() {
+                d.errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        let workers = self.jobs.min(ks.len()).max(1);
+        let total = pending.len();
+        let workers = self.jobs.min(total).max(1);
+        let finished = AtomicUsize::new(0);
+        let spent_secs = Mutex::new(0.0f64);
         let timed = |k: usize| {
             if self.shutdown_requested() {
                 return (k, JobOutcome::Interrupted);
@@ -1001,9 +932,12 @@ impl SweepRunner {
             let t0 = std::time::Instant::now();
             let outcome = self.compute_cell(job, *fp);
             let secs = t0.elapsed().as_secs_f64();
-            let done = shared.finished.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(d) = &self.durable {
+                d.record(label, *fp, &outcome);
+            }
+            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
             let mean = {
-                let mut spent = lock_recovering(&shared.spent_secs);
+                let mut spent = lock_recovering(&spent_secs);
                 *spent += secs;
                 *spent / done as f64
             };
@@ -1023,148 +957,22 @@ impl SweepRunner {
             (k, outcome)
         };
         if workers <= 1 {
-            return ks.iter().map(|&k| timed(k)).collect();
+            return (0..total).map(timed).collect();
         }
         let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, JobOutcome)>> = Mutex::new(Vec::with_capacity(ks.len()));
+        let done: Mutex<Vec<(usize, JobOutcome)>> = Mutex::new(Vec::with_capacity(total));
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= ks.len() {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= total {
                         break;
                     }
-                    lock_recovering(&done).push(timed(ks[j]));
+                    lock_recovering(&done).push(timed(k));
                 });
             }
         });
         done.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The journaled orchestrator: claim cells in chunks under our
-    /// lease, compute what we win, adopt what others finish, and
-    /// reclaim stale leases — until every pending cell is resolved.
-    ///
-    /// The claim protocol is append-then-read-back (see the [`lease`]
-    /// module): a claim only counts once it is durably in the file and
-    /// wins the file-order race. Chunked claiming (about two chunks per
-    /// worker in flight) keeps N processes genuinely sharing a grid
-    /// instead of one process claiming everything up front.
-    fn execute_durable(
-        &self,
-        durable: &Durable,
-        label: &str,
-        pending: &[(u64, Job)],
-        cached: usize,
-    ) -> Vec<(usize, JobOutcome)> {
-        /// How long to wait before re-scanning when every remaining
-        /// cell is live-claimed by another process.
-        const WAIT_MS: u64 = 25;
-        let total = pending.len();
-        let shared = SliceState::default();
-        let chunk_target = (self.jobs * 2).max(4);
-        let mut results: Vec<(usize, JobOutcome)> = Vec::with_capacity(total);
-        let mut remaining: Vec<usize> = (0..total).collect();
-        while !remaining.is_empty() {
-            // Adopt everything the journal already has a `done` record
-            // for — cells from a killed previous run land here via the
-            // cache seed at open; cells finished by a sibling process
-            // land here mid-run.
-            let state = JournalState::replay(&durable.scan());
-            let now = journal::wall_ms();
-            remaining.retain(|&k| {
-                let (fp, _) = pending[k];
-                match state.done_cell(fp) {
-                    Some(cell) => {
-                        durable.adopted.fetch_add(1, Ordering::Relaxed);
-                        results.push((k, JobOutcome::Adopted(cell)));
-                        false
-                    }
-                    None => true,
-                }
-            });
-            if remaining.is_empty() {
-                break;
-            }
-            if self.shutdown_requested() {
-                // Graceful shutdown: everything we have not claimed is
-                // simply left for the next run; claims we held were
-                // resolved (done/failed/released) as they completed.
-                for &k in &remaining {
-                    results.push((k, JobOutcome::Interrupted));
-                }
-                break;
-            }
-            // Claim a chunk of free cells. `Ours` without an in-flight
-            // compute means a stale claim from a previous incarnation
-            // of this owner id — recompute it.
-            let mut to_claim: Vec<(usize, u64, bool)> = Vec::new();
-            for &k in &remaining {
-                if to_claim.len() >= chunk_target {
-                    break;
-                }
-                let (fp, _) = pending[k];
-                match state.decide(fp, &durable.lease, now) {
-                    ClaimDecision::Theirs(_) => {}
-                    ClaimDecision::Ours => to_claim.push((k, fp, false)),
-                    ClaimDecision::Claimable { reclaim } => to_claim.push((k, fp, reclaim)),
-                }
-            }
-            if to_claim.is_empty() {
-                // Everything left is live-claimed elsewhere: heartbeat
-                // so our own leases stay fresh, then wait for their
-                // `done` records to land.
-                durable.maybe_heartbeat();
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "this loop checks `shutdown_requested()` at the top of every iteration"
-                )]
-                std::thread::sleep(std::time::Duration::from_millis(WAIT_MS));
-                continue;
-            }
-            let reclaims = to_claim.iter().filter(|&&(.., reclaim)| reclaim).count();
-            durable
-                .claims
-                .fetch_add(to_claim.len() as u64, Ordering::Relaxed);
-            durable
-                .reclaims
-                .fetch_add(reclaims as u64, Ordering::Relaxed);
-            let claims = PendingClaims::append(&to_claim, &state, label, |op| durable.append(op));
-            #[cfg(feature = "fault")]
-            crate::experiments::fault::die_after_claim_point();
-            // Read back: the first live claim in file order wins. A
-            // lost race stays in `remaining`; the winner's result is
-            // adopted by the rescan at the top of the loop.
-            let readback = JournalState::replay(&durable.scan());
-            let winners = claims.confirm(
-                &readback,
-                &durable.lease,
-                journal::wall_ms(),
-                &durable.errors,
-            );
-            for (k, outcome) in self.execute_slice(pending, &winners, cached, total, &shared) {
-                let (fp, _) = pending[k];
-                match &outcome {
-                    JobOutcome::Done(cell) => {
-                        durable.append(JournalOp::Done { fp, cell: *cell });
-                        durable.note_done();
-                    }
-                    JobOutcome::Failed(f) => {
-                        durable.append(JournalOp::Failed {
-                            fp,
-                            error: f.error.clone(),
-                        });
-                    }
-                    JobOutcome::Interrupted => {
-                        durable.append(JournalOp::Released { fp });
-                    }
-                    JobOutcome::Adopted(_) => {}
-                }
-                remaining.retain(|&r| r != k);
-                results.push((k, outcome));
-            }
-        }
-        results
     }
 }
 
@@ -1289,6 +1097,28 @@ mod tests {
             "the tampered entry is dropped with a typed checksum error: {errors:?}"
         );
         assert_eq!(loaded, jobs.len() - 1, "its neighbours survive");
+
+        // An issue rate past u32, under a valid checksum, is undecodable
+        // rather than truncated to 1000 MHz.
+        let body = runner.cache().get(jobs[0].fingerprint()).expect("cached");
+        let body = Json::parse(&body.to_json().compact().replacen(
+            "\"issue_mhz\":1000,",
+            "\"issue_mhz\":4294968296,",
+            1,
+        ))
+        .expect("still JSON");
+        let sum = fnv1a(body.compact().as_bytes());
+        let wide = obj! {
+            "version" => CACHE_FORMAT_VERSION,
+            "cells" => vec![obj! { "fp" => 1u64, "sum" => sum, "cell" => body }],
+        };
+        let fresh = CellCache::new();
+        let (loaded, errors) = fresh.load_json(&wide).expect("envelope valid");
+        assert!(
+            matches!(errors.as_slice(), [CacheIoError::Parse(_)]),
+            "an out-of-range issue rate is a typed parse error: {errors:?}"
+        );
+        assert_eq!(loaded, 0);
     }
 
     #[test]

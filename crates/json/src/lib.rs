@@ -23,6 +23,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::{self, Write as _};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A JSON number. Integers are kept exact (JSON itself does not limit
 /// precision, and cell counters are `u64`).
@@ -125,6 +128,42 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out
+    }
+
+    /// Write [`pretty`](Self::pretty) plus a newline to `path`,
+    /// atomically: the text goes to a temp file unique to this call (pid
+    /// plus a process-wide counter), is synced to disk, then renamed over
+    /// `path`. A crash leaves either the old file or the new one, and
+    /// concurrent writers — threads or processes — never write into each
+    /// other's temp file. The temp file is removed on error.
+    ///
+    /// # Errors
+    ///
+    /// Any underlying file I/O failure; `InvalidInput` when `path` has no
+    /// file name.
+    pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let Some(name) = path.file_name() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "path has no file name",
+            ));
+        };
+        let mut tmp_name = name.to_os_string();
+        tmp_name.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = path.with_file_name(tmp_name);
+        let text = self.pretty() + "\n";
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| f.write_all(text.as_bytes()).and_then(|()| f.sync_all()))
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {

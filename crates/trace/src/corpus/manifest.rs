@@ -2,7 +2,6 @@
 
 use super::{CorpusError, CORPUS_FORMAT_VERSION, MANIFEST_NAME};
 use rampage_json::{obj, Json, ToJson};
-use std::io::Write as _;
 use std::path::Path;
 
 /// Reference-mix counters for one shard — the Table-2-style profile
@@ -253,21 +252,14 @@ impl Manifest {
         Manifest::from_json(&doc)
     }
 
-    /// Write `manifest.json` into `dir`, atomically (temp file + rename).
+    /// Write `manifest.json` into `dir`, atomically, through
+    /// [`Json::write_atomic`], so concurrent saves never fail or tear.
     ///
     /// # Errors
     ///
     /// Any underlying file I/O failure.
     pub fn save(&self, dir: &Path) -> Result<(), CorpusError> {
-        let path = dir.join(MANIFEST_NAME);
-        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{}", self.to_json().pretty())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        Ok(self.to_json().write_atomic(&dir.join(MANIFEST_NAME))?)
     }
 }
 
@@ -372,6 +364,44 @@ mod tests {
         m.save(&dir).unwrap();
         let back = Manifest::load(&dir).unwrap();
         assert_eq!(back, m);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `repro trace record` and `import-din` both save the manifest; two
+    /// saves into one directory at once must neither fail nor tear.
+    #[test]
+    fn concurrent_saves_never_fail_or_tear() {
+        let dir = std::env::temp_dir().join(format!(
+            "rampage-manifest-concurrent-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = sample();
+        let mut b = sample();
+        b.shards.truncate(1);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for m in [&a, &b] {
+                let (dir, start) = (&dir, &start);
+                let (a, b) = (&a, &b);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..25 {
+                        m.save(dir)
+                            .unwrap_or_else(|e| panic!("save {round} failed: {e}"));
+                        let back = Manifest::load(dir)
+                            .unwrap_or_else(|e| panic!("load {round} failed: {e}"));
+                        assert!(back == *a || back == *b, "load {round} tore");
+                    }
+                });
+            }
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != MANIFEST_NAME)
+            .collect();
+        assert!(left.is_empty(), "temp files left behind: {left:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

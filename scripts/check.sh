@@ -187,18 +187,19 @@ if ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null 2>&1; th
   exit 1
 fi
 
-# End-to-end crash drill through the CLI: kill a journaled sweep at the
-# injected die-after-claim crash point, resume it, and require the
-# artifact to be bit-identical to an uninterrupted --jobs 1 run.
-# (table3 is the smallest journaled sweep — table1 is analytic and
-# never touches the runner. This rebuilds the release binary with the
-# fault feature, so it runs after every gate that uses the normal one.)
-echo "==> crash drill (die-after-claim → kill → resume → diff vs clean run)"
+# End-to-end crash drill through the CLI: kill a journaled sweep
+# halfway through its fifth journal append (die-mid-append=5), resume
+# it, and require the resume to truncate the torn tail and the artifact
+# to be bit-identical to an uninterrupted --jobs 1 run. (table3 is the
+# smallest journaled sweep — table1 is analytic and never touches the
+# runner. This rebuilds the release binary with the fault feature, so it
+# runs after every gate that uses the normal one.)
+echo "==> crash drill (die-mid-append → kill → resume → diff vs clean run)"
 step cargo build --release --features fault
 set +e
 timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
   --scale 20000 --nbench 2 --jobs 2 --out "${DRILL_TMP}/crash" \
-  --fault die-after-claim table3 >/dev/null 2>&1
+  --fault die-mid-append=5 table3 >/dev/null 2>&1
 CRASH_CODE=$?
 set -e
 if [[ "${CRASH_CODE}" -ne 137 ]]; then
@@ -208,8 +209,17 @@ fi
 # The journal is the only store a run resumes from; cells.json is a
 # write-only snapshot. Garbage in it must not change the resumed output.
 echo 'not a cell cache' >"${DRILL_TMP}/crash/cells.json"
-step ./target/release/repro --scale 20000 --nbench 2 --jobs 2 \
-  --out "${DRILL_TMP}/crash" --resume table3 >/dev/null
+if ! timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
+  --scale 20000 --nbench 2 --jobs 2 --out "${DRILL_TMP}/crash" --resume table3 \
+  >/dev/null 2>"${DRILL_TMP}/resume.stderr"; then
+  tail -n 20 "${DRILL_TMP}/resume.stderr" >&2
+  echo "FAIL: resuming the crashed sweep exited non-zero" >&2
+  exit 1
+fi
+if ! grep -q "torn tail" "${DRILL_TMP}/resume.stderr"; then
+  echo "FAIL: resume did not report truncating the torn tail" >&2
+  exit 1
+fi
 step ./target/release/repro --scale 20000 --nbench 2 --jobs 1 \
   --out "${DRILL_TMP}/clean" table3 >/dev/null
 if ! cmp "${DRILL_TMP}/crash/cells.json" "${DRILL_TMP}/clean/cells.json"; then

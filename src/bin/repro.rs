@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--scale N] [--nbench N] [--jobs N] [--out DIR] [--trace-dir DIR]
 //!       [--max-cell-failures N] [--trace-events PATH] [--trace-cap N]
-//!       [--resume] [--owner-id ID] [--dram-backend flat|banked]
+//!       [--resume] [--dram-backend flat|banked]
 //!       <artifact>...
 //! repro trace record    --dir DIR [--scale N] [--nbench N] [--seed S] [--block-bytes N]
 //! repro trace info      --dir DIR
@@ -50,15 +50,15 @@
 //! the run into a hard failure, but only after every artifact has
 //! rendered.
 //!
-//! With `--out`, sweeps are additionally crash-safe: every cell
-//! transition is appended to a durable journal (`DIR/journal.jsonl`),
-//! so a killed run resumes from its last completed cell when rerun
-//! with the same `--out`, and several concurrent `repro` processes
-//! sharing one `--out` cooperatively drain the grid via per-cell
-//! leases (give each a distinct `--owner-id`, or let the pid-based
-//! default apply). The journal is the store: it is the only file a run
+//! With `--out`, sweeps are additionally crash-safe: every finished
+//! cell is appended to a durable journal (`DIR/journal.jsonl`), so a
+//! killed run resumes from its last completed cell when rerun with the
+//! same `--out`. The journal is the store: it is the only file a run
 //! reads back. `cells.json` is the snapshot: written at exit, never
-//! read. `--resume` asserts a journal already exists (a typo'd fresh
+//! read; it, `results.json` and `metrics.json` are each replaced
+//! atomically. One process per `--out` is the supported use; two at
+//! once each finish with the correct artifact, but each computes every
+//! cell. `--resume` asserts a journal already exists (a typo'd fresh
 //! directory fails instead of silently restarting). SIGINT/SIGTERM
 //! request a graceful shutdown: in-flight cells finish, the journal
 //! and the snapshot are persisted, and the exit code says "resumable".
@@ -75,7 +75,6 @@ use rampage_core::experiments::{
 use rampage_core::{DramKind, HierarchyKind, IssueRate};
 use rampage_json::{obj, Json, ToJson};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -90,7 +89,6 @@ struct Options {
     trace_events: Option<String>,
     trace_cap: usize,
     trace_dir: Option<String>,
-    owner_id: Option<String>,
     resume: bool,
     fault_specs: Vec<String>,
     dram_banked: bool,
@@ -132,7 +130,6 @@ fn parse_args() -> Result<Options, String> {
         trace_events: None,
         trace_cap: 1 << 18,
         trace_dir: None,
-        owner_id: None,
         resume: false,
         fault_specs: Vec::new(),
         dram_banked: false,
@@ -178,13 +175,6 @@ fn parse_args() -> Result<Options, String> {
                 if opts.trace_cap == 0 {
                     return Err("trace-cap must be positive".into());
                 }
-            }
-            "--owner-id" => {
-                let v = args.next().ok_or("--owner-id needs a value")?;
-                if v.is_empty() {
-                    return Err("owner-id must not be empty".into());
-                }
-                opts.owner_id = Some(v);
             }
             "--resume" => opts.resume = true,
             "--fault" => {
@@ -255,7 +245,7 @@ const ALL: [&str; 14] = [
 
 const USAGE: &str = "usage: repro [--scale N] [--nbench N] [--jobs N] [--out DIR] \
 [--trace-dir DIR] [--max-cell-failures N] [--trace-events PATH] [--trace-cap N] \
-[--resume] [--owner-id ID] [--dram-backend flat|banked] \
+[--resume] [--dram-backend flat|banked] \
 <table1|table2|table3|fig2|fig3|fig4|table4|table5|fig5|ablations|perbench|anatomy|timeslice|diag|dramdiff|all>...\n\
        repro trace <record|info|verify|import-din> (see repro trace --help)\n\
        repro lint [--format text|sarif] [--configs] (see repro lint --help)\n\
@@ -330,12 +320,11 @@ fn main() {
         runner.jobs()
     );
 
-    // Crash safety: with --out, every cell transition goes through a
-    // durable journal so a killed run resumes and concurrent processes
-    // sharing the directory drain the grid cooperatively. The journal's
-    // `done` records carry full cells and seed the cache, so they are
-    // the only thing a run resumes from; `cells.json` is written from
-    // the cache at exit and never read back.
+    // Crash safety: with --out, every finished cell goes into a durable
+    // journal so a killed run resumes. The journal's `done` records
+    // carry full cells and seed the cache, so they are the only thing a
+    // run resumes from; `cells.json` is written from the cache at exit
+    // and never read back.
     if let Some(dir) = &opts.out_dir {
         // The journal (and later the persisted artifacts) need the
         // directory up front, not at save time.
@@ -352,11 +341,8 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let owner = opts
-            .owner_id
-            .clone()
-            .unwrap_or_else(|| format!("pid{}", std::process::id()));
-        runner = match runner.with_journal(&jpath, LeaseConfig::new(owner)) {
+        let owner = LeaseConfig::new(format!("pid{}", std::process::id()));
+        runner = match runner.with_journal(&jpath, owner) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cannot open journal {}: {e}", jpath.display());
@@ -580,10 +566,7 @@ fn main() {
                 "results" => Json::Obj(results),
             };
             let path = format!("{dir}/results.json");
-            match std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::File::create(&path))
-                .and_then(|mut f| writeln!(f, "{}", doc.pretty()))
-            {
+            match doc.write_atomic(Path::new(&path)) {
                 Ok(()) => eprintln!("# wrote {path}"),
                 Err(e) => {
                     eprintln!("# WARNING: could not write {path}: {e}");
@@ -608,7 +591,7 @@ fn main() {
         if let (Some(d), Json::Obj(pairs)) = (&dram_divergence, &mut mdoc) {
             pairs.push(("dram_divergence".to_string(), d.clone()));
         }
-        match std::fs::File::create(&mpath).and_then(|mut f| writeln!(f, "{}", mdoc.pretty())) {
+        match mdoc.write_atomic(Path::new(&mpath)) {
             Ok(()) => eprintln!("# wrote {mpath}"),
             Err(e) => {
                 eprintln!("# WARNING: could not write {mpath}: {e}");
@@ -932,7 +915,7 @@ Runs the workspace static analyzer (rampage-analysis) over every crate:
 panic-discipline, error-match, journal-append, unit-consistency and
 nondeterminism-taint rules, all in one pass. Hash iteration, clock and
 environment reads, sleeps and unrouted simulation calls are clippy's
-(clippy.toml); the claim read-back is a type in the sweep runner.
+(clippy.toml).
 
 --format FMT     text (default) or sarif (SARIF 2.1.0, for CI annotation)
 --quiet          text format: print only the summary lines
