@@ -14,9 +14,9 @@
 //!
 //! Checks that only look for a call live in the toolchain instead: the
 //! root `clippy.toml` denies hash-ordered iteration, wall-clock and
-//! environment reads, `thread::sleep` and direct simulation calls in
-//! library code. `EXPERIMENTS.md` § Static analysis documents both
-//! halves and the waiver syntax.
+//! environment reads, `thread::sleep`, direct simulation calls and panic
+//! hooks in library code. `EXPERIMENTS.md` § Static analysis documents
+//! both halves and the waiver syntax.
 
 #![forbid(unsafe_code)]
 

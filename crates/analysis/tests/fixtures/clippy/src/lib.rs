@@ -1,7 +1,8 @@
 //! One call to every method the root `clippy.toml` disallows, and one
 //! `for` loop over a hash map: the old `repro lint` bad fixtures for
 //! `wall-clock`, `env-read`, `cancel-poll`, `sweep-route` and
-//! `hash-iter`, now compiled. Never run.
+//! `hash-iter`, now compiled, plus the `global-state` panic hooks.
+//! Never run.
 
 use rampage_core::experiments::{run_config, run_config_traced, Workload};
 use rampage_core::{Engine, SystemConfig};
@@ -21,6 +22,10 @@ pub fn host_reads() {
     let _ = std::env::temp_dir();
     let _ = std::thread::current();
     std::thread::sleep(std::time::Duration::ZERO);
+}
+
+pub fn panic_hooks() {
+    std::panic::set_hook(std::panic::take_hook());
 }
 
 pub fn unrouted(cfg: &SystemConfig, workload: &Workload) {

@@ -2,19 +2,20 @@
 //!
 //! Every failure a sweep can encounter is classified into one of four
 //! domains, so the [`SweepRunner`](crate::experiments::SweepRunner) can
-//! decide what to do with it (retry, record, skip) instead of
-//! aborting a multi-hour run:
+//! record it against the one cell it spoiled instead of aborting a
+//! multi-hour run:
 //!
 //! * [`ConfigError`] — a [`SystemConfig`](crate::SystemConfig) that could
 //!   never simulate correctly (zero cache sizes, non-power-of-two blocks,
 //!   an empty TLB). Caught by [`SystemConfig::validate`](crate::SystemConfig::validate)
-//!   before any simulation runs; never retried.
+//!   before any simulation runs.
 //! * Trace decode — a malformed or truncated trace record
 //!   ([`rampage_trace::io::TraceIoError`]).
 //! * [`InvariantError`] — a simulation invariant violated at run time
-//!   (a `panic!`/`assert!` inside the engine), captured by the runner's
-//!   per-cell isolation with a panic-site summary. Retried once, then
-//!   recorded as a failed cell.
+//!   (a `panic!`/`assert!` inside the engine), caught by the runner's
+//!   per-cell isolation and recorded as a failed cell. The standard
+//!   panic hook prints the panic's location on stderr (and a backtrace
+//!   under `RUST_BACKTRACE=1`); the error keeps its message.
 //! * [`CacheIoError`] — the journal could not be opened, or a
 //!   `cells.json` snapshot could not be written or, when a caller reads
 //!   one, was unreadable, corrupt, or version-mismatched. Reading is
@@ -27,7 +28,7 @@ use std::io;
 /// Any error the simulation pipeline can surface.
 #[derive(Debug)]
 pub enum RampageError {
-    /// Configuration validation failed (never retried).
+    /// Configuration validation failed.
     Config(ConfigError),
     /// Trace decode or trace I/O failed.
     Trace(TraceIoError),
@@ -214,26 +215,17 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// A violated simulation invariant: the summary of a panic caught by the
-/// runner's per-cell isolation.
+/// A violated simulation invariant: the message of a panic caught by
+/// the runner's per-cell isolation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantError {
     /// The panic message.
     pub message: String,
-    /// `file:line:column` of the panic site, when the panic hook saw it.
-    pub location: String,
-    /// A short backtrace summary (frames inside this workspace), possibly
-    /// empty when capture was unavailable.
-    pub backtrace: String,
 }
 
 impl fmt::Display for InvariantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.location.is_empty() {
-            write!(f, "{}", self.message)
-        } else {
-            write!(f, "{} (at {})", self.message, self.location)
-        }
+        f.write_str(&self.message)
     }
 }
 
@@ -335,13 +327,10 @@ mod tests {
 
         let e = RampageError::Invariant(InvariantError {
             message: "victim is mapped".into(),
-            location: "rampage.rs:202:9".into(),
-            backtrace: String::new(),
         });
-        let s = e.to_string();
-        assert!(
-            s.contains("victim is mapped") && s.contains("rampage.rs:202:9"),
-            "{s}"
+        assert_eq!(
+            e.to_string(),
+            "simulation invariant violated: victim is mapped"
         );
 
         let e = RampageError::CacheIo(CacheIoError::VersionMismatch {

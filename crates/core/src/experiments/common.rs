@@ -27,8 +27,8 @@ static TRACE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// process start.
 static CORPUS_OPENED: AtomicU64 = AtomicU64::new(0);
 
-/// Sources that fell back to synthesis (no matching shard, mismatched
-/// identity, or an unreadable file).
+/// Sources that fell back to synthesis (no loadable manifest, no
+/// matching shard, mismatched identity, or an unreadable file).
 static CORPUS_FALLBACK: AtomicU64 = AtomicU64::new(0);
 
 /// Counters describing how workload sources were built since the last
@@ -138,18 +138,19 @@ impl Workload {
     ///
     /// With a corpus directory set ([`set_trace_dir`]), each profile
     /// whose recorded shard matches this workload's seed, scale, and
-    /// reference count is replayed from disk; everything else is
-    /// synthesized as before. Either way the record stream is
-    /// bit-identical, so downstream results do not depend on the route.
+    /// reference count is replayed from disk; everything else, including
+    /// every profile of a directory whose manifest does not load, is
+    /// synthesized and counted as a fallback. Either way the record
+    /// stream is bit-identical, so downstream results do not depend on
+    /// the route.
     pub fn sources(&self) -> Vec<Box<dyn TraceSource + Send>> {
-        let corpus =
-            trace_dir().and_then(|dir| Manifest::load(&dir).ok().map(|manifest| (dir, manifest)));
+        let Some(dir) = trace_dir() else {
+            return self.profiles().iter().map(|p| self.synth(p)).collect();
+        };
+        let manifest = Manifest::load(&dir).ok();
         self.profiles()
             .iter()
-            .map(|p| match &corpus {
-                Some((dir, manifest)) => self.corpus_or_synth(p, dir, manifest),
-                None => self.synth(p),
-            })
+            .map(|p| self.corpus_or_synth(p, &dir, manifest.as_ref()))
             .collect()
     }
 
@@ -164,10 +165,10 @@ impl Workload {
         &self,
         p: &'static profiles::Profile,
         dir: &std::path::Path,
-        manifest: &Manifest,
+        manifest: Option<&Manifest>,
     ) -> Box<dyn TraceSource + Send> {
         let replay = manifest
-            .find_recorded(p.name, self.seed, self.scale)
+            .and_then(|m| m.find_recorded(p.name, self.seed, self.scale))
             .filter(|meta| meta.records == p.scaled_refs(self.scale))
             .and_then(|meta| CorpusReader::open(dir.join(&meta.file)).ok());
         match replay {

@@ -3,8 +3,8 @@
 //!
 //! The robustness suite uses these hooks to prove the runner's isolation
 //! and crash-safety guarantees without depending on real bugs: a cell
-//! can be made to panic a fixed number of times (exercising
-//! catch-and-retry and the [`FailedCell`](crate::experiments::FailedCell)
+//! can be made to panic on every execution (exercising the panic
+//! boundary and the [`FailedCell`](crate::experiments::FailedCell)
 //! path), and a journaled run can be made to die mid-append (exercising
 //! torn-tail recovery and resume from the journal, the only store a run
 //! reads back).
@@ -15,9 +15,9 @@
 //! across a failed assertion), so `cargo test` parallelism can never
 //! cross-contaminate armed state between tests.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Exit code of an injected process death (`die-mid-append`): 128 +
 /// SIGKILL, the same code a real `kill -9` produces, so drills and real
@@ -58,33 +58,20 @@ impl Drop for InjectionScope {
     }
 }
 
-fn cell_panics() -> MutexGuard<'static, HashMap<u64, u32>> {
-    static MAP: OnceLock<Mutex<HashMap<u64, u32>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
+fn cell_panics() -> MutexGuard<'static, BTreeSet<u64>> {
+    static ARMED: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+    ARMED.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Arm the next `times` executions of the cell with this fingerprint to
-/// panic at the start of simulation. With `times = 1` the retry
-/// succeeds; with `times >= 2` the cell is recorded as failed.
-pub fn arm_cell_panic(fp: u64, times: u32) {
-    cell_panics().insert(fp, times);
+/// Arm every execution of the cell with this fingerprint to panic at
+/// the start of simulation, so the runner records it as failed.
+pub fn arm_cell_panic(fp: u64) {
+    cell_panics().insert(fp);
 }
 
 /// Called by the runner inside its per-cell isolation boundary.
 pub(crate) fn cell_panic_point(fp: u64) {
-    let fire = {
-        let mut map = cell_panics();
-        match map.get_mut(&fp) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                true
-            }
-            _ => false,
-        }
-    };
-    if fire {
+    if cell_panics().contains(&fp) {
         // lint: allow(panic-doc) — the injected fault IS the deliberate panic; the runner's catch_unwind boundary records it
         panic!("injected fault: cell {fp:#018x}");
     }
@@ -118,7 +105,7 @@ pub fn reset() {
 
 /// Arm one injection from a CLI spec — how a crash-drill child process
 /// (`repro … --fault SPEC`) arms itself. Specs: `die-mid-append[=N]`,
-/// `cell-panic=<fp>x<times>`.
+/// `cell-panic=<fp>` (fp in hex with `0x`, or decimal).
 ///
 /// # Errors
 ///
@@ -133,17 +120,10 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
             None => 1,
             Some(a) => a.parse().map_err(|_| format!("bad count in {spec:?}"))?,
         }),
-        "cell-panic" => {
-            let a = arg.ok_or_else(|| format!("{spec:?} needs <fp>x<times>"))?;
-            let (fp, times) = a
-                .split_once('x')
-                .ok_or_else(|| format!("{spec:?} needs <fp>x<times>"))?;
-            let fp = parse_u64_maybe_hex(fp).ok_or_else(|| format!("bad fp in {spec:?}"))?;
-            let times = times
-                .parse()
-                .map_err(|_| format!("bad times in {spec:?}"))?;
-            arm_cell_panic(fp, times);
-        }
+        "cell-panic" => arm_cell_panic(
+            arg.and_then(parse_u64_maybe_hex)
+                .ok_or_else(|| format!("{spec:?} needs cell-panic=<fp>"))?,
+        ),
         _ => return Err(format!("unknown fault spec {spec:?}")),
     }
     Ok(())

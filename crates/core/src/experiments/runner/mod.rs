@@ -19,9 +19,12 @@
 //!   are simulated exactly once per `repro` invocation.
 //! * **Fault tolerance** — each cell runs behind a validation gate and a
 //!   panic boundary. A job whose configuration fails
-//!   [`SystemConfig::validate`], or whose simulation panics twice (one
-//!   retry), is recorded as a [`FailedCell`] and replaced by an inert
-//!   [`Cell::failed_placeholder`]; the rest of the sweep completes.
+//!   [`SystemConfig::validate`], or whose simulation panics, is recorded
+//!   as a [`FailedCell`] and replaced by an inert
+//!   [`Cell::failed_placeholder`]; the rest of the sweep completes. The
+//!   runner installs no panic hook: the standard one prints a panic's
+//!   message and location on stderr (and a backtrace under
+//!   `RUST_BACKTRACE=1`), and the failure record keeps the message.
 //! * **Crash safety** — a runner given [`SweepRunner::with_journal`]
 //!   appends every cell it finishes to a durable append-only journal
 //!   ([`journal`] module) as the pool completes it. The journal is the
@@ -45,10 +48,12 @@ pub use journal::{
 use crate::config::{DramKind, SystemConfig};
 use crate::error::{CacheIoError, InvariantError, RampageError};
 use crate::experiments::common::{run_config, Cell, Workload};
-use rampage_json::{obj, Json, ToJson};
+use rampage_json::{obj, Json};
 use rampage_trace::corpus::fnv1a;
+use std::any::Any;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -85,11 +90,10 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The record of one job the runner could not complete: its identity,
-/// how hard the runner tried, and why it failed. Sweeps that contain
-/// failed cells still return a full-shape result (with
-/// [`Cell::failed_placeholder`] standing in), so a single bad
-/// configuration cannot kill a multi-hour run.
+/// The record of one job the runner could not complete: its identity
+/// and why it failed. Sweeps that contain failed cells still return a
+/// full-shape result (with [`Cell::failed_placeholder`] standing in), so
+/// a single bad configuration cannot kill a multi-hour run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailedCell {
     /// [`Job::fingerprint`] of the failed job.
@@ -98,217 +102,38 @@ pub struct FailedCell {
     pub unit_bytes: u64,
     /// The job's issue rate in MHz.
     pub issue_mhz: u32,
-    /// Execution attempts made (1 for unretried errors, 2 after a retry).
-    pub attempts: u32,
     /// The classified error, rendered.
     pub error: String,
-    /// Workspace frames of the panic backtrace, when the failure was a
-    /// caught panic and capture was available; empty otherwise.
-    pub backtrace: String,
-}
-
-impl ToJson for FailedCell {
-    fn to_json(&self) -> Json {
-        obj! {
-            "fp" => self.fingerprint,
-            "unit_bytes" => self.unit_bytes,
-            "issue_mhz" => self.issue_mhz,
-            "attempts" => self.attempts,
-            "error" => self.error.as_str(),
-            "backtrace" => self.backtrace.as_str(),
-        }
-    }
 }
 
 impl FailedCell {
-    fn new(job: &Job, fp: u64, attempts: u32, error: &RampageError, backtrace: String) -> Self {
+    fn new(job: &Job, fp: u64, error: &RampageError) -> Self {
         FailedCell {
             fingerprint: fp,
             unit_bytes: job.cfg.hierarchy.unit_bytes(),
             issue_mhz: job.cfg.issue.mhz(),
-            attempts,
             error: error.to_string(),
-            backtrace,
         }
     }
 
-    /// Multi-line human rendering for the failure report.
+    /// Two-line human rendering for the failure report.
     pub fn describe(&self) -> String {
-        let mut s = format!(
-            "cell {:#018x} (unit {} B, {} MHz, {} attempt{}):\n    {}",
-            self.fingerprint,
-            self.unit_bytes,
-            self.issue_mhz,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.error,
-        );
-        if !self.backtrace.is_empty() {
-            for line in self.backtrace.lines() {
-                s.push_str("\n    | ");
-                s.push_str(line);
-            }
-        }
-        s
+        format!(
+            "cell {:#018x} (unit {} B, {} MHz):\n    {}",
+            self.fingerprint, self.unit_bytes, self.issue_mhz, self.error
+        )
     }
 }
 
-/// Panic interception for the runner's per-cell isolation: a
-/// process-wide hook that, on threads which opted in, records the panic
-/// message, location, and a workspace-frame backtrace summary instead of
-/// printing to stderr. Threads that did not opt in keep the previous
-/// hook's behaviour.
-mod panic_capture {
-    use std::cell::{Cell, RefCell};
-    use std::sync::Once;
-
-    /// What the hook saw at the panic site.
-    #[derive(Debug, Clone, Default)]
-    pub struct CapturedPanic {
-        pub message: String,
-        pub location: String,
-        pub backtrace: String,
-    }
-
-    thread_local! {
-        static CAPTURING: Cell<bool> = const { Cell::new(false) };
-        static LAST: RefCell<Option<CapturedPanic>> = const { RefCell::new(None) };
-    }
-
-    static INSTALL: Once = Once::new();
-
-    fn install() {
-        INSTALL.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if !CAPTURING.with(Cell::get) {
-                    prev(info);
-                    return;
-                }
-                let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = info.payload().downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic payload of unknown type".to_string()
-                };
-                let location = info.location().map(|l| l.to_string()).unwrap_or_default();
-                let backtrace = summarize(&std::backtrace::Backtrace::force_capture());
-                LAST.with(|l| {
-                    *l.borrow_mut() = Some(CapturedPanic {
-                        message: scrub_thread_ids(&message),
-                        location: repo_relative(&location).to_string(),
-                        backtrace,
-                    })
-                });
-            }));
-        });
-    }
-
-    /// Keep only the frames that point into this workspace (the part of
-    /// a backtrace a failure report can act on), capped at a few frames.
-    ///
-    /// Summaries land in persisted failure records (`metrics.json`, the
-    /// failure report), which a golden test compares byte-for-byte
-    /// between serial and pooled runs — so everything scheduling- or
-    /// checkout-dependent is normalized away: frame indices (stack depth
-    /// differs between the serial path and a worker thread), the capture
-    /// hook's own frames (they sit at the top of the stack), everything
-    /// below the `catch_unwind` isolation boundary, and absolute source
-    /// paths (cut to their repo-relative suffix).
-    fn summarize(bt: &std::backtrace::Backtrace) -> String {
-        const MAX_FRAMES: usize = 8;
-        let mut out: Vec<String> = Vec::new();
-        let mut frames = 0usize;
-        let mut kept_frame = false;
-        for raw in bt.to_string().lines() {
-            let line = raw.trim();
-            if line.contains("catch_unwind") || line.contains("panicking::try") {
-                break;
-            }
-            if line.contains("panic_capture") {
-                continue;
-            }
-            if let Some(loc) = line.strip_prefix("at ") {
-                if kept_frame {
-                    out.push(format!("at {}", repo_relative(loc)));
-                }
-                kept_frame = false;
-                continue;
-            }
-            kept_frame = false;
-            if !line.contains("rampage") || frames >= MAX_FRAMES {
-                continue;
-            }
-            let symbol = match line.split_once(": ") {
-                Some((_, s)) => s,
-                None => line,
-            };
-            out.push(symbol.to_string());
-            frames += 1;
-            kept_frame = true;
-        }
-        out.join("\n")
-    }
-
-    /// Cut an absolute source path down to its repo-relative suffix, so
-    /// two checkouts (or two build machines) render the same summary.
-    pub(super) fn repo_relative(path: &str) -> &str {
-        for marker in ["crates/", "src/", "tests/"] {
-            if let Some(ix) = path.find(marker) {
-                return &path[ix..];
-            }
-        }
-        path.rsplit('/').next().unwrap_or(path)
-    }
-
-    /// Replace every `ThreadId(<n>)` with `ThreadId(?)`: thread identity
-    /// is scheduling-dependent and must never reach persisted failure
-    /// records (jobs-1-vs-N byte equality).
-    pub(super) fn scrub_thread_ids(s: &str) -> String {
-        const NEEDLE: &str = "ThreadId(";
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s;
-        while let Some(ix) = rest.find(NEEDLE) {
-            let (head, tail) = rest.split_at(ix + NEEDLE.len());
-            out.push_str(head);
-            let digits = tail.chars().take_while(char::is_ascii_digit).count();
-            if digits > 0 && tail[digits..].starts_with(')') {
-                out.push_str("?)");
-                rest = &tail[digits + 1..];
-            } else {
-                rest = tail;
-            }
-        }
-        out.push_str(rest);
-        out
-    }
-
-    /// Run `f` with panics captured: on unwind, returns what the hook
-    /// recorded on this thread.
-    pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, CapturedPanic> {
-        install();
-        CAPTURING.with(|c| c.set(true));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        CAPTURING.with(|c| c.set(false));
-        match out {
-            Ok(v) => Ok(v),
-            Err(payload) => Err(LAST.with(|l| l.borrow_mut().take()).unwrap_or_else(|| {
-                // The hook did not fire (foreign panic runtime): salvage
-                // what the payload itself carries.
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic payload of unknown type".to_string()
-                };
-                CapturedPanic {
-                    message: scrub_thread_ids(&message),
-                    ..CapturedPanic::default()
-                }
-            })),
-        }
+/// The message a caught panic carries: `panic!` with a literal gives a
+/// `&str` payload and a formatted one a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic payload of unknown type".to_string()
     }
 }
 
@@ -557,11 +382,6 @@ impl SweepRunner {
     pub fn with_dram(mut self, kind: DramKind) -> Self {
         self.dram_override = Some(kind);
         self
-    }
-
-    /// The DRAM backend override, if one is installed.
-    pub fn dram_override(&self) -> Option<DramKind> {
-        self.dram_override
     }
 
     /// Install a shutdown flag (typically set by a SIGINT/SIGTERM
@@ -850,50 +670,32 @@ impl SweepRunner {
         }
     }
 
-    /// One isolated execution attempt sequence for a job: validate the
-    /// configuration, then simulate behind a panic boundary, retrying a
-    /// panicking cell once (a second identical panic is considered
-    /// deterministic and recorded).
+    /// Run one job: validate its configuration, then simulate it behind
+    /// a panic boundary. A cell is a deterministic function of its job,
+    /// so a panicking cell runs once. The standard panic hook has already
+    /// printed the panic's location on stderr; the failure keeps its
+    /// message.
     #[expect(
         clippy::disallowed_methods,
         reason = "the runner is where sweep cells are simulated"
     )]
     fn compute_cell(&self, job: &Job, fp: u64) -> JobOutcome {
-        const MAX_ATTEMPTS: u32 = 2;
         if let Err(e) = job.cfg.validate() {
-            return JobOutcome::Failed(Box::new(FailedCell::new(
-                job,
-                fp,
-                1,
-                &RampageError::Config(e),
-                String::new(),
-            )));
+            let err = RampageError::Config(e);
+            return JobOutcome::Failed(Box::new(FailedCell::new(job, fp, &err)));
         }
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let outcome = panic_capture::catch(|| {
-                #[cfg(feature = "fault")]
-                crate::experiments::fault::cell_panic_point(fp);
-                run_config(&job.cfg, &job.workload)
-            });
-            match outcome {
-                Ok(cell) => return JobOutcome::Done(cell),
-                Err(_) if attempt < MAX_ATTEMPTS => continue,
-                Err(p) => {
-                    let err = RampageError::Invariant(InvariantError {
-                        message: p.message,
-                        location: p.location,
-                        backtrace: p.backtrace.clone(),
-                    });
-                    return JobOutcome::Failed(Box::new(FailedCell::new(
-                        job,
-                        fp,
-                        attempt,
-                        &err,
-                        p.backtrace,
-                    )));
-                }
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault")]
+            crate::experiments::fault::cell_panic_point(fp);
+            run_config(&job.cfg, &job.workload)
+        }));
+        match run {
+            Ok(cell) => JobOutcome::Done(cell),
+            Err(payload) => {
+                let err = RampageError::Invariant(InvariantError {
+                    message: panic_message(&*payload),
+                });
+                JobOutcome::Failed(Box::new(FailedCell::new(job, fp, &err)))
             }
         }
     }
@@ -980,6 +782,7 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use crate::time::IssueRate;
+    use rampage_json::ToJson;
 
     fn quick_jobs() -> Vec<Job> {
         let w = Workload::quick();
@@ -1212,7 +1015,6 @@ mod tests {
         assert!(cells[1].seconds > 0.0, "sibling still simulated");
         let failures = runner.failures();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].attempts, 1, "config errors are not retried");
         assert!(
             failures[0].error.contains("quantum"),
             "{}",
@@ -1221,5 +1023,15 @@ mod tests {
         assert!(!runner.failure_report().is_empty());
         // Failed cells are never cached: only the good one is held.
         assert_eq!(runner.cache().len(), 1);
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let literal: Box<dyn Any + Send> = Box::new("victim is mapped");
+        let formatted: Box<dyn Any + Send> = Box::new(format!("frame {}", 7));
+        let other: Box<dyn Any + Send> = Box::new(7i32);
+        assert_eq!(panic_message(&*literal), "victim is mapped");
+        assert_eq!(panic_message(&*formatted), "frame 7");
+        assert_eq!(panic_message(&*other), "panic payload of unknown type");
     }
 }

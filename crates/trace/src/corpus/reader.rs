@@ -232,7 +232,8 @@ fn prefetch(
 /// ahead over a bounded channel (double buffering: one block being
 /// consumed, one ready, one in decode). On a single-CPU host that
 /// thread cannot overlap anything — every handoff is a forced context
-/// switch — so the reader decodes blocks inline on demand instead.
+/// switch — so the reader decodes blocks inline on demand instead, as it
+/// does when the host refuses the thread.
 #[derive(Debug)]
 enum Feed {
     /// Background prefetch thread, blocks arrive over the channel.
@@ -280,7 +281,14 @@ impl CorpusReader {
     /// [`CorpusError::BadMagic`] / [`CorpusError::BadIndex`] when the
     /// file is not a readable shard, or any I/O failure.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CorpusError> {
-        let path = path.as_ref().to_path_buf();
+        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        Self::open_with(path.as_ref(), spare_core)
+    }
+
+    /// [`open`](Self::open) with the feed chosen by the caller: a
+    /// prefetch thread when `prefetch` is set, inline decode otherwise.
+    fn open_with(path: &Path, prefetch: bool) -> Result<Self, CorpusError> {
+        let path = path.to_path_buf();
         let index = Arc::new(load_index(&path)?);
         let name = path
             .file_stem()
@@ -296,7 +304,7 @@ impl CorpusReader {
             pos: 0,
             payload: Vec::new(),
         };
-        reader.start();
+        reader.start(prefetch);
         Ok(reader)
     }
 
@@ -326,13 +334,37 @@ impl CorpusReader {
             .clone()
     }
 
-    fn start(&mut self) {
+    fn start(&mut self, threaded: bool) {
         if self.index.blocks.is_empty() {
             return; // an empty shard: stay exhausted
         }
-        let file = match File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) => {
+        if threaded {
+            let Some(file) = self.reopen() else { return };
+            let (tx, rx) = sync_channel(2);
+            let index = Arc::clone(&self.index);
+            let warnings = Arc::clone(&self.warnings);
+            let shard = self.name.clone();
+            // A host that refuses the thread gets the inline feed instead.
+            if let Ok(handle) = std::thread::Builder::new()
+                .spawn(move || prefetch(file, index, shard, warnings, tx))
+            {
+                self.feed = Feed::Threaded { rx, handle };
+                return;
+            }
+        }
+        if let Some(file) = self.reopen() {
+            self.feed = Feed::Inline {
+                file,
+                next_block: 0,
+            };
+        }
+    }
+
+    /// Open the shard again for a feed; a failure warns that every
+    /// record is lost and leaves the reader exhausted.
+    fn reopen(&self) -> Option<File> {
+        File::open(&self.path)
+            .map_err(|e| {
                 push_warning(
                     &self.warnings,
                     CorpusWarning {
@@ -342,23 +374,8 @@ impl CorpusReader {
                         reason: format!("could not reopen shard: {e}"),
                     },
                 );
-                return;
-            }
-        };
-        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        if spare_core {
-            let (tx, rx) = sync_channel(2);
-            let index = Arc::clone(&self.index);
-            let warnings = Arc::clone(&self.warnings);
-            let shard = self.name.clone();
-            let handle = std::thread::spawn(move || prefetch(file, index, shard, warnings, tx));
-            self.feed = Feed::Threaded { rx, handle };
-        } else {
-            self.feed = Feed::Inline {
-                file,
-                next_block: 0,
-            };
-        }
+            })
+            .ok()
     }
 
     fn stop(&mut self) {
@@ -493,58 +510,69 @@ mod tests {
         std::iter::from_fn(|| s.next_record()).collect()
     }
 
+    /// Both feeds: inline decode (`false`) and the prefetch thread.
+    const FEEDS: [bool; 2] = [false, true];
+
     #[test]
     fn replay_is_bit_identical() {
-        let dir = tmp("replay");
-        let records = sample_records(5000);
-        let path = write_shard(&dir, "t", &records, 256);
-        let mut r = CorpusReader::open(&path).unwrap();
-        assert_eq!(r.records(), 5000);
-        assert!(r.blocks() > 10, "small blocks force many");
-        assert_eq!(drain(&mut r), records);
-        assert!(r.warnings().is_empty());
-        assert_eq!(r.next_record(), None, "stays exhausted");
-        std::fs::remove_dir_all(&dir).ok();
+        for prefetch in FEEDS {
+            let dir = tmp(&format!("replay-{prefetch}"));
+            let records = sample_records(5000);
+            let path = write_shard(&dir, "t", &records, 256);
+            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
+            assert_eq!(matches!(r.feed, Feed::Threaded { .. }), prefetch);
+            assert_eq!(r.records(), 5000);
+            assert!(r.blocks() > 10, "small blocks force many");
+            assert_eq!(drain(&mut r), records, "prefetch {prefetch}");
+            assert!(r.warnings().is_empty());
+            assert_eq!(r.next_record(), None, "stays exhausted");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn corrupt_block_is_skipped_with_warning() {
-        let dir = tmp("corrupt");
-        let records = sample_records(900);
-        let path = write_shard(&dir, "t", &records, 128);
-        // Find block 1's payload via a clean reader's index, then flip a
-        // byte of it on disk.
-        let clean = CorpusReader::open(&path).unwrap();
-        let lost_block = 1usize;
-        let blocks = &clean.index.blocks;
-        let (offset, count) = (blocks[lost_block].offset, blocks[lost_block].count);
-        let first: u64 = blocks[..lost_block]
-            .iter()
-            .map(|b| u64::from(b.count))
-            .sum();
-        drop(clean);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[offset as usize + 16] ^= 0x55; // first payload byte
-        std::fs::File::create(&path)
-            .unwrap()
-            .write_all(&bytes)
-            .unwrap();
+        for prefetch in FEEDS {
+            let dir = tmp(&format!("corrupt-{prefetch}"));
+            let records = sample_records(900);
+            let path = write_shard(&dir, "t", &records, 128);
+            // Find block 1's payload via a clean reader's index, then
+            // flip a byte of it on disk.
+            let clean = CorpusReader::open(&path).unwrap();
+            let lost_block = 1usize;
+            let blocks = &clean.index.blocks;
+            let (offset, count) = (blocks[lost_block].offset, blocks[lost_block].count);
+            let first: u64 = blocks[..lost_block]
+                .iter()
+                .map(|b| u64::from(b.count))
+                .sum();
+            drop(clean);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[offset as usize + 16] ^= 0x55; // first payload byte
+            std::fs::File::create(&path)
+                .unwrap()
+                .write_all(&bytes)
+                .unwrap();
 
-        let mut r = CorpusReader::open(&path).unwrap();
-        let got = drain(&mut r);
-        let mut expect = records.clone();
-        expect.drain(first as usize..first as usize + count as usize);
-        assert_eq!(got, expect, "stream = original minus the bad block");
-        let warnings = r.warnings();
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].block, lost_block as u64);
-        assert_eq!(warnings[0].records_lost, u64::from(count));
-        assert!(
-            warnings[0].reason.contains("checksum"),
-            "{}",
-            warnings[0].reason
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
+            let got = drain(&mut r);
+            let mut expect = records.clone();
+            expect.drain(first as usize..first as usize + count as usize);
+            assert_eq!(
+                got, expect,
+                "prefetch {prefetch}: original minus the bad block"
+            );
+            let warnings = r.warnings();
+            assert_eq!(warnings.len(), 1);
+            assert_eq!(warnings[0].block, lost_block as u64);
+            assert_eq!(warnings[0].records_lost, u64::from(count));
+            assert!(
+                warnings[0].reason.contains("checksum"),
+                "{}",
+                warnings[0].reason
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -568,12 +596,14 @@ mod tests {
 
     #[test]
     fn empty_shard_replays_empty() {
-        let dir = tmp("empty");
-        let path = write_shard(&dir, "t", &[], 128);
-        let mut r = CorpusReader::open(&path).unwrap();
-        assert_eq!(r.records(), 0);
-        assert_eq!(r.next_record(), None);
-        std::fs::remove_dir_all(&dir).ok();
+        for prefetch in FEEDS {
+            let dir = tmp(&format!("empty-{prefetch}"));
+            let path = write_shard(&dir, "t", &[], 128);
+            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
+            assert_eq!(r.records(), 0);
+            assert_eq!(r.next_record(), None);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -126,9 +126,10 @@ fn engine_quantum_boundaries_match_synthesis() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The tentpole acceptance check: a sweep over corpus-backed sources
-/// produces cells (and their persisted JSON) identical to the synthetic
-/// sweep, and every source actually came from disk.
+/// A sweep over corpus-backed sources produces cells (and their
+/// persisted JSON) identical to the synthetic sweep, and every source
+/// actually came from disk. Routed to a directory with no manifest, the
+/// same sweep synthesizes every source and counts each as a fallback.
 ///
 /// The trace-dir routing is process-global, so this is the only test in
 /// this binary that touches `set_trace_dir` or `Workload::sources`.
@@ -163,6 +164,12 @@ fn sweep_through_trace_dir_is_bit_identical() {
     CorpusSourceStats::reset();
     let replay_cells = SweepRunner::new(2).run_labeled("corpus-replay", &jobs);
     let stats = corpus_source_stats();
+    // A directory with no manifest synthesizes every source, and counts
+    // each one as a fallback.
+    set_trace_dir(Some(dir.join("missing")));
+    CorpusSourceStats::reset();
+    let missing_cells = SweepRunner::new(2).run_labeled("corpus-missing", &jobs);
+    let missing_stats = corpus_source_stats();
     set_trace_dir(None);
 
     assert_eq!(
@@ -181,6 +188,15 @@ fn sweep_through_trace_dir_is_bit_identical() {
             fallback: 0,
         },
         "every source must have replayed from disk"
+    );
+    assert_eq!(synth_cells, missing_cells, "fallback cells are synthesized");
+    assert_eq!(
+        missing_stats,
+        CorpusSourceStats {
+            opened: 0,
+            fallback: (sizes.len() * QUICK_NBENCH) as u64,
+        },
+        "every source of an unreadable corpus is a counted fallback"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -26,7 +26,7 @@ fn scope_isolates_armed_state_between_tests() {
         let _g = armed_section();
         // Armed but never fired: a test that bails here must not leak
         // the armed panic into whoever acquires the scope next.
-        fault::arm_cell_panic(job.fingerprint(), u32::MAX);
+        fault::arm_cell_panic(job.fingerprint());
     }
     let _g = armed_section();
     let runner = SweepRunner::serial();
@@ -36,34 +36,18 @@ fn scope_isolates_armed_state_between_tests() {
 }
 
 #[test]
-fn injected_panic_is_retried_to_success() {
-    let _g = armed_section();
-    let job = Job::new(
-        SystemConfig::rampage(IssueRate::GHZ1, 512),
-        Workload::quick(),
-    );
-    fault::arm_cell_panic(job.fingerprint(), 1);
-    let runner = SweepRunner::serial();
-    let cells = runner.run_batch(&[job]);
-    assert!(cells[0].seconds > 0.0, "the retry produced a real cell");
-    assert_eq!(runner.failure_count(), 0, "a transient panic is absorbed");
-    assert_eq!(runner.cache().len(), 1, "the retried cell is cached");
-}
-
-#[test]
 fn persistent_panic_becomes_failed_cell_while_siblings_complete() {
     let _g = armed_section();
     let w = Workload::quick();
     let bad = Job::new(SystemConfig::rampage(IssueRate::GHZ1, 512), w);
     let good = Job::new(SystemConfig::baseline(IssueRate::GHZ1, 256), w);
-    fault::arm_cell_panic(bad.fingerprint(), 2);
+    fault::arm_cell_panic(bad.fingerprint());
     let runner = SweepRunner::new(4);
     let cells = runner.run_batch(&[good, bad]);
     assert!(cells[0].seconds > 0.0, "sibling completes");
     assert_eq!(cells[1].seconds, 0.0, "failed slot holds the placeholder");
     let failures = runner.failures();
     assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].attempts, 2, "one retry before giving up");
     assert_eq!(failures[0].fingerprint, bad.fingerprint());
     assert!(
         failures[0].error.contains("injected fault"),

@@ -3,8 +3,8 @@
 //! or `repro` processes) each finish with the clean artifact, a `repro`
 //! rerun resumes from the journal alone (never from `cells.json`), and
 //! (under `--features fault`) the `repro` binary survives an injected
-//! crash mid-append and a real SIGKILL — the resumed artifact must be
-//! bit-identical to an uninterrupted run.
+//! crash mid-append, a real SIGKILL and a panicking cell — the resumed
+//! artifact must be bit-identical to an uninterrupted run.
 
 use rampage_core::experiments::{
     scan_journal, table3, Cell, CellCache, JournalOp, LeaseConfig, SweepRunner, Workload,
@@ -329,6 +329,8 @@ fn rerun_resumes_from_the_journal_not_the_cells_json_snapshot() {
 #[cfg(feature = "fault")]
 mod drills {
     use super::{repro, scratch};
+    use rampage_core::experiments::{scan_journal, table3, Job, JournalOp, Workload, PAPER_SIZES};
+    use rampage_core::IssueRate;
     use std::path::Path;
 
     /// Exit code of an injected crash (mirrors a real `kill -9`).
@@ -416,6 +418,61 @@ mod drills {
             bytes
         };
         assert_eq!(cells(&dir), clean, "post-SIGKILL resume differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cell that panics on every execution: it runs once, the standard
+    /// panic hook reports it once, the journal records it as failed, the
+    /// exit code follows `--max-cell-failures`, and a rerun without the
+    /// fault recomputes it into the clean artifact.
+    #[test]
+    fn failing_cell_runs_once_and_a_rerun_heals_it() {
+        let w = Workload {
+            nbench: 2,
+            scale: 20000,
+            seed: 0x7a9e,
+            solo: None,
+        };
+        let cfg = table3::grid(&IssueRate::PAPER_SWEEP, &PAPER_SIZES)[0].1;
+        let fp = Job::new(cfg, w).fingerprint();
+        let fault = format!("cell-panic={fp:#x}");
+        let dir = scratch("cell-panic");
+
+        let tolerated = run_table3(&dir, &["--fault", &fault, "--max-cell-failures", "1"]);
+        assert_eq!(tolerated.status.code(), Some(3), "{tolerated:?}");
+        assert!(String::from_utf8_lossy(&tolerated.stdout).contains("Table 3"));
+        let stderr = String::from_utf8_lossy(&tolerated.stderr);
+        let panics: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.contains("panicked at"))
+            .collect();
+        assert_eq!(panics.len(), 1, "one execution, no retry: {stderr}");
+        assert!(panics[0].contains("fault.rs"), "{}", panics[0]);
+        let report = format!("simulation invariant violated: injected fault: cell {fp:#018x}");
+        assert!(stderr.contains(&report), "{stderr}");
+        let failed: Vec<JournalOp> = scan_journal(&dir.join("journal.jsonl"))
+            .expect("scan journal")
+            .into_iter()
+            .map(|r| r.op)
+            .filter(|op| matches!(op, JournalOp::Failed { .. }))
+            .collect();
+        assert!(
+            matches!(failed.as_slice(), [JournalOp::Failed { fp: f, label, .. }]
+                if *f == fp && label == "table3"),
+            "{failed:?}"
+        );
+
+        let over_budget = run_table3(&dir, &["--fault", &fault]);
+        assert_eq!(over_budget.status.code(), Some(1), "{over_budget:?}");
+        assert!(String::from_utf8_lossy(&over_budget.stdout).contains("Table 3"));
+
+        let healed = run_table3(&dir, &[]);
+        assert_eq!(healed.status.code(), Some(0), "{healed:?}");
+        assert_eq!(
+            cells(&dir),
+            clean_reference("cell-panic-clean"),
+            "the rerun recomputes the failed cell"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -87,17 +87,11 @@ fn panicking_job_yields_failed_cell_while_siblings_complete() {
         let failures = runner.failures();
         assert_eq!(failures.len(), 1, "{label}: one failure recorded");
         let f = &failures[0];
-        assert_eq!(f.attempts, 2, "{label}: a panicking cell is retried once");
         assert_eq!(f.unit_bytes, 512);
         assert_eq!(f.fingerprint, bad.fingerprint());
         assert!(
             f.error.contains("standby capacity"),
             "{label}: carries the panic message: {}",
-            f.error
-        );
-        assert!(
-            f.error.contains("rampage.rs"),
-            "{label}: carries the panic location: {}",
             f.error
         );
         assert_eq!(
