@@ -26,12 +26,13 @@ const RECEIVER_WRAPPERS: [&str; 8] = [
 ];
 
 /// Error enums whose `match`es must stay exhaustive (no `_ =>` arm).
-const ERROR_ENUMS: [&str; 5] = [
-    "RampageError",
+const ERROR_ENUMS: [&str; 6] = [
     "ConfigError",
     "CacheIoError",
     "TraceIoError",
     "DramConfigError",
+    "CorpusError",
+    "BlockDecodeError",
 ];
 
 /// A parsed `// lint: allow(<rule>) — <reason>` comment.

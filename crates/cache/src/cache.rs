@@ -303,10 +303,7 @@ mod tests {
     use super::*;
 
     fn dm_cache(size: u64, block: u64) -> Cache {
-        Cache::new(
-            Geometry::new(size, block, 1).unwrap(),
-            ReplacementPolicy::Lru,
-        )
+        Cache::new(Geometry::new(size, block, 1), ReplacementPolicy::Lru)
     }
 
     #[test]
@@ -361,7 +358,7 @@ mod tests {
 
     #[test]
     fn two_way_lru_keeps_recent() {
-        let geo = Geometry::new(128, 32, 2).unwrap(); // 2 sets, 2 ways
+        let geo = Geometry::new(128, 32, 2); // 2 sets, 2 ways
         let mut c = Cache::new(geo, ReplacementPolicy::Lru);
         // Fill both ways of set 0: blocks 0 and 128.
         c.access(PhysAddr(0), false);
@@ -376,7 +373,7 @@ mod tests {
 
     #[test]
     fn fifo_evicts_oldest_fill_even_if_touched() {
-        let geo = Geometry::new(128, 32, 2).unwrap();
+        let geo = Geometry::new(128, 32, 2);
         let mut c = Cache::new(geo, ReplacementPolicy::Fifo);
         c.access(PhysAddr(0), false);
         c.access(PhysAddr(128), false);
@@ -387,7 +384,7 @@ mod tests {
 
     #[test]
     fn random_replacement_is_seeded_deterministic() {
-        let geo = Geometry::new(256, 32, 2).unwrap();
+        let geo = Geometry::new(256, 32, 2);
         let mut a = Cache::with_seed(geo, ReplacementPolicy::Random, 42);
         let mut b = Cache::with_seed(geo, ReplacementPolicy::Random, 42);
         for i in 0..100u64 {

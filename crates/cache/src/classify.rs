@@ -151,7 +151,7 @@ impl ShadowTracker {
 ///
 /// ```
 /// use rampage_cache::{Geometry, MissClassifier, PhysAddr, ReplacementPolicy};
-/// let geo = Geometry::new(1024, 32, 1).unwrap();
+/// let geo = Geometry::new(1024, 32, 1);
 /// let mut mc = MissClassifier::new(geo, ReplacementPolicy::Lru);
 /// mc.access(PhysAddr(0), false);      // compulsory
 /// mc.access(PhysAddr(1024), false);   // compulsory (conflicts with 0)
@@ -196,10 +196,7 @@ mod tests {
     use super::*;
 
     fn dm(size: u64, block: u64) -> MissClassifier {
-        MissClassifier::new(
-            Geometry::new(size, block, 1).unwrap(),
-            ReplacementPolicy::Lru,
-        )
+        MissClassifier::new(Geometry::new(size, block, 1), ReplacementPolicy::Lru)
     }
 
     #[test]
@@ -241,8 +238,7 @@ mod tests {
     #[test]
     fn associativity_turns_conflicts_into_hits() {
         // Same ping-pong, 2-way: no misses after the cold ones.
-        let mut mc =
-            MissClassifier::new(Geometry::new(1024, 32, 2).unwrap(), ReplacementPolicy::Lru);
+        let mut mc = MissClassifier::new(Geometry::new(1024, 32, 2), ReplacementPolicy::Lru);
         mc.access(PhysAddr(0), false);
         mc.access(PhysAddr(1024), false);
         assert_eq!(mc.access(PhysAddr(0), false), None);

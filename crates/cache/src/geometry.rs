@@ -3,31 +3,6 @@
 use crate::addr::PhysAddr;
 use std::fmt;
 
-/// Errors from [`Geometry::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GeometryError {
-    /// A parameter was zero or not a power of two.
-    NotPowerOfTwo(&'static str),
-    /// `size / (block * ways)` left no sets (cache smaller than one way).
-    TooSmall,
-    /// Ways × block exceeds total size.
-    Inconsistent,
-}
-
-impl fmt::Display for GeometryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GeometryError::NotPowerOfTwo(what) => {
-                write!(f, "{what} must be a non-zero power of two")
-            }
-            GeometryError::TooSmall => write!(f, "cache holds less than one block per way"),
-            GeometryError::Inconsistent => write!(f, "ways x block size exceeds cache size"),
-        }
-    }
-}
-
-impl std::error::Error for GeometryError {}
-
 /// Validated cache geometry: total size, block size and associativity.
 ///
 /// All three are powers of two; the number of sets follows. A 1-way
@@ -36,7 +11,7 @@ impl std::error::Error for GeometryError {}
 ///
 /// ```
 /// use rampage_cache::Geometry;
-/// let g = Geometry::new(4 << 20, 128, 2).unwrap();
+/// let g = Geometry::new(4 << 20, 128, 2);
 /// assert_eq!(g.sets(), (4 << 20) / 128 / 2);
 /// assert_eq!(g.blocks(), (4 << 20) / 128);
 /// ```
@@ -55,50 +30,36 @@ impl Geometry {
     /// Create a geometry of `size` bytes total, `block`-byte blocks and
     /// `ways`-way associativity.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`GeometryError`] if any parameter is zero or not a power
-    /// of two, or if the combination leaves no complete set.
-    pub fn new(size: u64, block: u64, ways: u32) -> Result<Self, GeometryError> {
-        if size == 0 || !size.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo("cache size"));
-        }
-        if block == 0 || !block.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo("block size"));
-        }
-        if ways == 0 || !ways.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo("ways"));
-        }
-        let way_bytes = block
-            .checked_mul(ways as u64)
-            .ok_or(GeometryError::Inconsistent)?;
-        if way_bytes > size {
-            return Err(GeometryError::Inconsistent);
-        }
-        let sets = size / way_bytes;
-        if sets == 0 {
-            return Err(GeometryError::TooSmall);
-        }
-        Ok(Geometry {
+    /// Panics if any parameter is zero or not a power of two, or if
+    /// `ways × block` exceeds `size`. A configuration from outside the
+    /// program is checked first (`SystemConfig::validate` in
+    /// `rampage-core` reports these shapes as typed errors).
+    pub fn new(size: u64, block: u64, ways: u32) -> Self {
+        assert!(
+            size.is_power_of_two(),
+            "cache size must be a non-zero power of two"
+        );
+        assert!(
+            block.is_power_of_two(),
+            "block size must be a non-zero power of two"
+        );
+        assert!(
+            ways.is_power_of_two(),
+            "ways must be a non-zero power of two"
+        );
+        assert!(
+            block.checked_mul(ways as u64).is_some_and(|w| w <= size),
+            "ways x block size exceeds cache size"
+        );
+        Geometry {
             size,
             block,
             ways,
             offset_bits: block.trailing_zeros(),
-            index_bits: sets.trailing_zeros(),
-        })
-    }
-
-    /// Fully-associative geometry: a single set of `size / block` ways.
-    ///
-    /// # Errors
-    ///
-    /// As [`Geometry::new`]; also fails if `size / block` exceeds `u32`.
-    pub fn fully_associative(size: u64, block: u64) -> Result<Self, GeometryError> {
-        if block == 0 || !block.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo("block size"));
+            index_bits: (size / block / ways as u64).trailing_zeros(),
         }
-        let ways = u32::try_from(size / block).map_err(|_| GeometryError::Inconsistent)?;
-        Geometry::new(size, block, ways)
     }
 
     /// Total capacity in bytes.
@@ -183,7 +144,7 @@ mod tests {
     #[test]
     fn paper_l1_geometry() {
         // 16 KB direct-mapped, 32-byte blocks.
-        let g = Geometry::new(16 * 1024, 32, 1).unwrap();
+        let g = Geometry::new(16 * 1024, 32, 1);
         assert_eq!(g.sets(), 512);
         assert_eq!(g.blocks(), 512);
     }
@@ -191,16 +152,16 @@ mod tests {
     #[test]
     fn paper_l2_geometries() {
         for block in [128u64, 256, 512, 1024, 2048, 4096] {
-            let g = Geometry::new(4 << 20, block, 1).unwrap();
+            let g = Geometry::new(4 << 20, block, 1);
             assert_eq!(g.blocks(), (4 << 20) / block);
-            let g2 = Geometry::new(4 << 20, block, 2).unwrap();
+            let g2 = Geometry::new(4 << 20, block, 2);
             assert_eq!(g2.sets(), (4 << 20) / block / 2);
         }
     }
 
     #[test]
     fn index_tag_roundtrip() {
-        let g = Geometry::new(1 << 20, 64, 4).unwrap();
+        let g = Geometry::new(1 << 20, 64, 4);
         for addr in [0u64, 0x40, 0xfff_fc0, 0x1234_5678, 0xdead_beef] {
             let a = PhysAddr(addr).align_down(64);
             let set = g.set_index(a);
@@ -212,7 +173,7 @@ mod tests {
 
     #[test]
     fn distinct_blocks_same_set_have_distinct_tags() {
-        let g = Geometry::new(64 * 1024, 32, 1).unwrap();
+        let g = Geometry::new(64 * 1024, 32, 1);
         let a = PhysAddr(0x0);
         let b = PhysAddr(64 * 1024); // same index, next tag
         assert_eq!(g.set_index(a), g.set_index(b));
@@ -221,31 +182,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
-        assert_eq!(
-            Geometry::new(0, 32, 1).unwrap_err(),
-            GeometryError::NotPowerOfTwo("cache size")
-        );
-        assert_eq!(
-            Geometry::new(1024, 48, 1).unwrap_err(),
-            GeometryError::NotPowerOfTwo("block size")
-        );
-        assert_eq!(
-            Geometry::new(1024, 32, 3).unwrap_err(),
-            GeometryError::NotPowerOfTwo("ways")
-        );
-        assert_eq!(
-            Geometry::new(64, 32, 4).unwrap_err(),
-            GeometryError::Inconsistent
-        );
-    }
-
-    #[test]
-    fn fully_associative_has_one_set() {
-        let g = Geometry::fully_associative(2048, 32).unwrap();
-        assert_eq!(g.sets(), 1);
-        assert_eq!(g.ways(), 64);
-        // All addresses map to set 0.
-        assert_eq!(g.set_index(PhysAddr(0xabcdef00)), 0);
+        for (size, block, ways, message) in [
+            (0, 32, 1, "cache size must be a non-zero power of two"),
+            (1024, 48, 1, "block size must be a non-zero power of two"),
+            (1024, 32, 3, "ways must be a non-zero power of two"),
+            (64, 32, 4, "ways x block size exceeds cache size"),
+        ] {
+            let payload = std::panic::catch_unwind(|| Geometry::new(size, block, ways))
+                .expect_err("a bad shape must panic");
+            let got = payload.downcast_ref::<&str>();
+            assert_eq!(got, Some(&message), "({size}, {block}, {ways})");
+        }
     }
 
     #[test]
@@ -256,13 +203,13 @@ mod tests {
         // a rounder 4 bytes/block = 128 KB; rampage-core uses that
         // convention when granting the RAMpage SRAM its tag-equivalent
         // bonus.)
-        let g = Geometry::new(4 << 20, 128, 1).unwrap();
+        let g = Geometry::new(4 << 20, 128, 1);
         assert_eq!(g.tag_store_bytes(32), 48 * 1024);
     }
 
     #[test]
     fn display_is_informative() {
-        let g = Geometry::new(4 << 20, 128, 2).unwrap();
+        let g = Geometry::new(4 << 20, 128, 2);
         assert_eq!(g.to_string(), "4096 KiB, 128-byte blocks, 2-way");
     }
 }

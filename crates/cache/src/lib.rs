@@ -25,7 +25,7 @@
 //! use rampage_cache::{Cache, Geometry, PhysAddr, ReplacementPolicy};
 //!
 //! // The paper's baseline L2: 4 MB direct-mapped, 128-byte blocks.
-//! let geo = Geometry::new(4 << 20, 128, 1).unwrap();
+//! let geo = Geometry::new(4 << 20, 128, 1);
 //! let mut l2 = Cache::new(geo, ReplacementPolicy::Lru);
 //! let r = l2.access(PhysAddr(0x1000), false);
 //! assert!(!r.hit);
@@ -47,7 +47,7 @@ mod writebuf;
 pub use addr::PhysAddr;
 pub use cache::{AccessResult, Cache, Eviction};
 pub use classify::{MissClass, MissClassifier, MissProfile, ShadowTracker};
-pub use geometry::{Geometry, GeometryError};
+pub use geometry::Geometry;
 pub use policy::ReplacementPolicy;
 pub use stats::CacheStats;
 pub use victim::VictimCache;

@@ -116,10 +116,7 @@ impl L1Config {
     /// parameters before any simulation, so reaching this panic means a
     /// config bypassed validation (an internal invariant).
     pub fn geometry(&self) -> Geometry {
-        match Geometry::new(self.size, self.block, self.ways) {
-            Ok(g) => g,
-            Err(e) => panic!("invalid L1 configuration {self:?}: {e}"),
-        }
+        Geometry::new(self.size, self.block, self.ways)
     }
 }
 
@@ -165,10 +162,7 @@ impl L2Config {
     /// [`L1Config::geometry`], [`SystemConfig::validate`] screens this
     /// out before simulation.
     pub fn geometry(&self) -> Geometry {
-        match Geometry::new(self.size, self.block, self.ways) {
-            Ok(g) => g,
-            Err(e) => panic!("invalid L2 configuration {self:?}: {e}"),
-        }
+        Geometry::new(self.size, self.block, self.ways)
     }
 }
 

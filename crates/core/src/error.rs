@@ -1,88 +1,29 @@
-//! Typed errors for the simulation pipeline.
+//! Typed errors for input from outside the program.
 //!
-//! Every failure a sweep can encounter is classified into one of four
-//! domains, so the [`SweepRunner`](crate::experiments::SweepRunner) can
-//! record it against the one cell it spoiled instead of aborting a
-//! multi-hour run:
+//! One rule decides between a typed error and a panic. Input from
+//! outside the program — a configuration, a CLI flag, a trace or corpus
+//! file, the journal, a `cells.json` snapshot — returns a typed error
+//! that names what was wrong. A broken internal invariant (a page mapped
+//! into two frames, a clock sweep with nothing to replace, a cache
+//! geometry that bypassed validation) panics where it is detected, under
+//! a `# Panics` doc; the [`SweepRunner`](crate::experiments::SweepRunner)
+//! catches the panic at its one per-cell boundary and records its message
+//! as a [`FailedCell`](crate::experiments::FailedCell).
 //!
 //! * [`ConfigError`] — a [`SystemConfig`](crate::SystemConfig) that could
 //!   never simulate correctly (zero cache sizes, non-power-of-two blocks,
-//!   an empty TLB). Caught by [`SystemConfig::validate`](crate::SystemConfig::validate)
+//!   an empty TLB), caught by [`SystemConfig::validate`](crate::SystemConfig::validate)
 //!   before any simulation runs.
-//! * Trace decode — a malformed or truncated trace record
-//!   ([`rampage_trace::io::TraceIoError`]).
-//! * [`InvariantError`] — a simulation invariant violated at run time
-//!   (a `panic!`/`assert!` inside the engine), caught by the runner's
-//!   per-cell isolation and recorded as a failed cell. The standard
-//!   panic hook prints the panic's location on stderr (and a backtrace
-//!   under `RUST_BACKTRACE=1`); the error keeps its message.
 //! * [`CacheIoError`] — the journal could not be opened, or a
 //!   `cells.json` snapshot could not be written or, when a caller reads
 //!   one, was unreadable, corrupt, or version-mismatched. Reading is
 //!   never fatal: runs resume from the journal, not the snapshot.
+//!
+//! Trace files and corpora carry their own: `TraceIoError` and
+//! `CorpusError` in `rampage-trace`.
 
-use rampage_trace::io::TraceIoError;
 use std::fmt;
 use std::io;
-
-/// Any error the simulation pipeline can surface.
-#[derive(Debug)]
-pub enum RampageError {
-    /// Configuration validation failed.
-    Config(ConfigError),
-    /// Trace decode or trace I/O failed.
-    Trace(TraceIoError),
-    /// A simulation invariant was violated (a caught panic).
-    Invariant(InvariantError),
-    /// Cell-cache persistence failed.
-    CacheIo(CacheIoError),
-}
-
-impl fmt::Display for RampageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RampageError::Config(e) => write!(f, "invalid configuration: {e}"),
-            RampageError::Trace(e) => write!(f, "trace error: {e}"),
-            RampageError::Invariant(e) => write!(f, "simulation invariant violated: {e}"),
-            RampageError::CacheIo(e) => write!(f, "cell-cache error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RampageError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RampageError::Config(e) => Some(e),
-            RampageError::Trace(e) => Some(e),
-            RampageError::Invariant(_) => None,
-            RampageError::CacheIo(e) => Some(e),
-        }
-    }
-}
-
-impl From<ConfigError> for RampageError {
-    fn from(e: ConfigError) -> Self {
-        RampageError::Config(e)
-    }
-}
-
-impl From<TraceIoError> for RampageError {
-    fn from(e: TraceIoError) -> Self {
-        RampageError::Trace(e)
-    }
-}
-
-impl From<InvariantError> for RampageError {
-    fn from(e: InvariantError) -> Self {
-        RampageError::Invariant(e)
-    }
-}
-
-impl From<CacheIoError> for RampageError {
-    fn from(e: CacheIoError) -> Self {
-        RampageError::CacheIo(e)
-    }
-}
 
 /// A [`SystemConfig`](crate::SystemConfig) that cannot be simulated.
 ///
@@ -215,22 +156,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// A violated simulation invariant: the message of a panic caught by
-/// the runner's per-cell isolation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantError {
-    /// The panic message.
-    pub message: String,
-}
-
-impl fmt::Display for InvariantError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for InvariantError {}
-
 /// A failure loading or saving the persisted cell cache.
 #[derive(Debug)]
 pub enum CacheIoError {
@@ -317,27 +242,6 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("8192") && s.contains("4096"), "{s}");
-    }
-
-    #[test]
-    fn rampage_error_wraps_and_displays_domains() {
-        let e = RampageError::from(ConfigError::ZeroQuantum);
-        assert!(e.to_string().starts_with("invalid configuration"));
-        assert!(matches!(e, RampageError::Config(_)));
-
-        let e = RampageError::Invariant(InvariantError {
-            message: "victim is mapped".into(),
-        });
-        assert_eq!(
-            e.to_string(),
-            "simulation invariant violated: victim is mapped"
-        );
-
-        let e = RampageError::CacheIo(CacheIoError::VersionMismatch {
-            found: 1,
-            expected: 2,
-        });
-        assert!(e.to_string().contains("version 1"));
     }
 
     #[test]

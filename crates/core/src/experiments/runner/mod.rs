@@ -46,7 +46,7 @@ pub use journal::{
 };
 
 use crate::config::{DramKind, SystemConfig};
-use crate::error::{CacheIoError, InvariantError, RampageError};
+use crate::error::CacheIoError;
 use crate::experiments::common::{run_config, Cell, Workload};
 use rampage_json::{obj, Json};
 use rampage_trace::corpus::fnv1a;
@@ -102,17 +102,18 @@ pub struct FailedCell {
     pub unit_bytes: u64,
     /// The job's issue rate in MHz.
     pub issue_mhz: u32,
-    /// The classified error, rendered.
+    /// Why it failed: `invalid configuration: …` or `simulation
+    /// invariant violated: …` followed by the panic message.
     pub error: String,
 }
 
 impl FailedCell {
-    fn new(job: &Job, fp: u64, error: &RampageError) -> Self {
+    fn new(job: &Job, fp: u64, error: String) -> Self {
         FailedCell {
             fingerprint: fp,
             unit_bytes: job.cfg.hierarchy.unit_bytes(),
             issue_mhz: job.cfg.issue.mhz(),
-            error: error.to_string(),
+            error,
         }
     }
 
@@ -681,8 +682,8 @@ impl SweepRunner {
     )]
     fn compute_cell(&self, job: &Job, fp: u64) -> JobOutcome {
         if let Err(e) = job.cfg.validate() {
-            let err = RampageError::Config(e);
-            return JobOutcome::Failed(Box::new(FailedCell::new(job, fp, &err)));
+            let error = format!("invalid configuration: {e}");
+            return JobOutcome::Failed(Box::new(FailedCell::new(job, fp, error)));
         }
         let run = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault")]
@@ -692,10 +693,9 @@ impl SweepRunner {
         match run {
             Ok(cell) => JobOutcome::Done(cell),
             Err(payload) => {
-                let err = RampageError::Invariant(InvariantError {
-                    message: panic_message(&*payload),
-                });
-                JobOutcome::Failed(Box::new(FailedCell::new(job, fp, &err)))
+                let msg = panic_message(&*payload);
+                let error = format!("simulation invariant violated: {msg}");
+                JobOutcome::Failed(Box::new(FailedCell::new(job, fp, error)))
             }
         }
     }
@@ -1016,7 +1016,8 @@ mod tests {
         let failures = runner.failures();
         assert_eq!(failures.len(), 1);
         assert!(
-            failures[0].error.contains("quantum"),
+            failures[0].error.starts_with("invalid configuration: ")
+                && failures[0].error.contains("quantum"),
             "{}",
             failures[0].error
         );

@@ -53,7 +53,7 @@ pub use config::{
     DRAM_PAGE_SIZE, L1_MISS_PENALTY, QUANTUM_REFS, RAMPAGE_WRITEBACK_PENALTY, SRAM_BASE_SIZE,
 };
 pub use engine::{Engine, ProcessSummary, RunOutcome};
-pub use error::{CacheIoError, ConfigError, InvariantError, RampageError};
+pub use error::{CacheIoError, ConfigError};
 pub use metrics::{Counters, LevelFractions, Metrics, TimeBreakdown};
 pub use obs::{Event, EventKind, EventRing, Hist, LatencyHistograms, TraceSink};
 pub use report::{fmt_pct, fmt_secs, TableBuilder};

@@ -1,7 +1,6 @@
 //! The Table 1 disk model.
 
 use crate::device::MemoryDevice;
-use crate::error::DramConfigError;
 use crate::time::Picos;
 
 /// A disk with fixed access latency and streaming transfer rate.
@@ -28,35 +27,6 @@ impl Disk {
             latency: Picos::from_millis(10),
             bytes_per_ms: 40_000,
         }
-    }
-
-    /// Custom disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_ms` is zero; use [`try_new`](Self::try_new)
-    /// to handle that as an error.
-    pub fn new(latency: Picos, bytes_per_ms: u64) -> Self {
-        match Self::try_new(latency, bytes_per_ms) {
-            Ok(d) => d,
-            Err(e) => panic!("disk model: {e}"),
-        }
-    }
-
-    /// As [`new`](Self::new), reporting a zero transfer rate as a
-    /// [`DramConfigError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`DramConfigError::ZeroDiskRate`] if `bytes_per_ms` is zero.
-    pub fn try_new(latency: Picos, bytes_per_ms: u64) -> Result<Self, DramConfigError> {
-        if bytes_per_ms == 0 {
-            return Err(DramConfigError::ZeroDiskRate);
-        }
-        Ok(Disk {
-            latency,
-            bytes_per_ms,
-        })
     }
 }
 
@@ -102,15 +72,6 @@ mod tests {
     #[test]
     fn peak_bandwidth_40mbs() {
         assert!((Disk::paper_example().peak_bandwidth() - 40e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn try_new_rejects_zero_rate() {
-        assert_eq!(
-            Disk::try_new(Picos::from_millis(10), 0).err(),
-            Some(DramConfigError::ZeroDiskRate)
-        );
-        assert!(Disk::try_new(Picos::from_millis(10), 40_000).is_ok());
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Typed construction errors for the device models.
+//! Typed errors for the banked backend's user-supplied geometry and
+//! timing.
 
 use std::fmt;
 
-/// Why a device model could not be constructed.
+/// Why a banked-backend configuration is unusable, as
+/// `SystemConfig::validate` in `rampage-core` reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramConfigError {
-    /// A disk with a zero transfer rate can never move data.
-    ZeroDiskRate,
-    /// A bus that carries zero bytes per beat can never move data.
-    ZeroBusWidth,
-    /// An unclocked bus never completes a beat.
-    ZeroBusCycle,
     /// A DRAM row must hold at least one data pair.
     ZeroColumnBits,
     /// Row + bank + column bits cannot exceed the 64-bit address.
@@ -24,24 +20,6 @@ pub enum DramConfigError {
 impl fmt::Display for DramConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DramConfigError::ZeroDiskRate => {
-                write!(
-                    f,
-                    "disk transfer rate must be positive (the paper's disk moves 40000 bytes/ms)"
-                )
-            }
-            DramConfigError::ZeroBusWidth => {
-                write!(
-                    f,
-                    "bus width must be positive (the paper's SDRAM bus is 16 bytes)"
-                )
-            }
-            DramConfigError::ZeroBusCycle => {
-                write!(
-                    f,
-                    "bus cycle time must be positive (the paper's SDRAM bus clocks at 10 ns)"
-                )
-            }
             DramConfigError::ZeroColumnBits => {
                 write!(
                     f,
@@ -83,9 +61,6 @@ mod tests {
     #[test]
     fn messages_are_actionable() {
         for e in [
-            DramConfigError::ZeroDiskRate,
-            DramConfigError::ZeroBusWidth,
-            DramConfigError::ZeroBusCycle,
             DramConfigError::ZeroColumnBits,
             DramConfigError::ZeroPairTime,
             DramConfigError::ZeroAccessTime,

@@ -1,7 +1,6 @@
 //! The SDRAM comparator of §3.3.
 
 use crate::device::MemoryDevice;
-use crate::error::DramConfigError;
 use crate::time::Picos;
 
 /// Synchronous DRAM behind a wide bus, as sketched in §3.3 of the paper:
@@ -33,38 +32,21 @@ impl Sdram {
     ///
     /// # Panics
     ///
-    /// Panics if `bus_bytes` is zero or `bus_cycle` is zero; use
-    /// [`try_new`](Self::try_new) to handle those as errors.
+    /// Panics if `bus_bytes` is zero or `bus_cycle` is zero.
     pub fn new(initial: Picos, bus_bytes: u64, bus_cycle: Picos) -> Self {
-        match Self::try_new(initial, bus_bytes, bus_cycle) {
-            Ok(s) => s,
-            Err(e) => panic!("SDRAM model: {e}"),
-        }
-    }
-
-    /// As [`new`](Self::new), reporting a degenerate bus as a
-    /// [`DramConfigError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`DramConfigError::ZeroBusWidth`] if `bus_bytes` is zero;
-    /// [`DramConfigError::ZeroBusCycle`] if `bus_cycle` is zero.
-    pub fn try_new(
-        initial: Picos,
-        bus_bytes: u64,
-        bus_cycle: Picos,
-    ) -> Result<Self, DramConfigError> {
-        if bus_bytes == 0 {
-            return Err(DramConfigError::ZeroBusWidth);
-        }
-        if bus_cycle.0 == 0 {
-            return Err(DramConfigError::ZeroBusCycle);
-        }
-        Ok(Sdram {
+        assert!(
+            bus_bytes != 0,
+            "SDRAM model: bus width must be positive (the paper's SDRAM bus is 16 bytes)"
+        );
+        assert!(
+            bus_cycle.0 != 0,
+            "SDRAM model: bus cycle time must be positive (the paper's SDRAM bus clocks at 10 ns)"
+        );
+        Sdram {
             initial,
             bus_bytes,
             bus_cycle,
-        })
+        }
     }
 }
 
@@ -112,17 +94,20 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_degenerate_bus() {
+    #[should_panic(
+        expected = "SDRAM model: bus width must be positive (the paper's SDRAM bus is 16 bytes)"
+    )]
+    fn zero_width_bus_panics() {
         let ns10 = Picos::from_nanos(10);
-        assert_eq!(
-            Sdram::try_new(ns10, 0, ns10).err(),
-            Some(DramConfigError::ZeroBusWidth)
-        );
-        assert_eq!(
-            Sdram::try_new(ns10, 16, Picos(0)).err(),
-            Some(DramConfigError::ZeroBusCycle)
-        );
-        assert!(Sdram::try_new(ns10, 16, ns10).is_ok());
+        let _ = Sdram::new(ns10, 0, ns10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "SDRAM model: bus cycle time must be positive (the paper's SDRAM bus clocks at 10 ns)"
+    )]
+    fn unclocked_bus_panics() {
+        let _ = Sdram::new(Picos::from_nanos(10), 16, Picos(0));
     }
 
     #[test]

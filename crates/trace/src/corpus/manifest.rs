@@ -1,6 +1,6 @@
 //! `manifest.json`: the corpus directory's table of contents.
 
-use super::{CorpusError, CORPUS_FORMAT_VERSION, MANIFEST_NAME};
+use super::{check_shard_file, CorpusError, CORPUS_FORMAT_VERSION, MANIFEST_NAME};
 use rampage_json::{obj, Json, ToJson};
 use std::path::Path;
 
@@ -130,7 +130,16 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    fn from_json(doc: &Json) -> Option<ShardMeta> {
+    /// Parse the manifest's shard entry `i`, rejecting a `file` that is
+    /// not a plain file name in the corpus directory.
+    fn from_json(i: usize, doc: &Json) -> Result<ShardMeta, CorpusError> {
+        let meta = Self::fields(doc)
+            .ok_or_else(|| CorpusError::Manifest(format!("malformed shard entry {i}")))?;
+        check_shard_file(&format!("shard entry {i}"), &meta.file)?;
+        Ok(meta)
+    }
+
+    fn fields(doc: &Json) -> Option<ShardMeta> {
         Some(ShardMeta {
             name: doc.get("name")?.as_str()?.to_string(),
             file: doc.get("file")?.as_str()?.to_string(),
@@ -214,8 +223,9 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`CorpusError::Manifest`] on a missing/mismatched version or any
-    /// malformed shard entry.
+    /// [`CorpusError::Manifest`] on a missing/mismatched version, any
+    /// malformed shard entry, or a shard `file` that is not a plain file
+    /// name in the corpus directory.
     pub fn from_json(doc: &Json) -> Result<Manifest, CorpusError> {
         let Some(version) = doc.get("version").and_then(Json::as_u64) else {
             return Err(CorpusError::Manifest("missing version".into()));
@@ -228,13 +238,11 @@ impl Manifest {
         let Some(entries) = doc.get("shards").and_then(Json::as_array) else {
             return Err(CorpusError::Manifest("missing shards array".into()));
         };
-        let mut shards = Vec::with_capacity(entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            match ShardMeta::from_json(e) {
-                Some(s) => shards.push(s),
-                None => return Err(CorpusError::Manifest(format!("malformed shard entry {i}"))),
-            }
-        }
+        let shards = entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ShardMeta::from_json(i, e))
+            .collect::<Result<_, _>>()?;
         Ok(Manifest { shards })
     }
 
@@ -334,6 +342,28 @@ mod tests {
             Manifest::from_json(&doc),
             Err(CorpusError::Manifest(_))
         ));
+    }
+
+    #[test]
+    fn shard_files_outside_the_directory_are_rejected() {
+        for file in [
+            "/dev/zero",
+            "../x.rct",
+            "a/b.rct",
+            "a\\b.rct",
+            "",
+            ".",
+            "..",
+        ] {
+            let mut m = sample();
+            m.shards[1].file = file.to_string();
+            let err = Manifest::from_json(&m.to_json()).expect_err(file);
+            let text = err.to_string();
+            assert!(
+                matches!(err, CorpusError::Manifest(_)) && text.contains("shard entry 1"),
+                "{file:?}: {text}"
+            );
+        }
     }
 
     #[test]

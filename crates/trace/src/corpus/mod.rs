@@ -64,7 +64,7 @@ mod writer;
 pub use block::fnv1a;
 pub use manifest::{Manifest, ProfileExpect, ShardMeta, ShardStats};
 pub use reader::{CorpusReader, CorpusWarning};
-pub use verify::{verify_dir, verify_dir_strict, ShardReport, VerifyReport};
+pub use verify::{verify_dir, ShardReport, VerifyReport};
 pub use writer::{record_profiles, record_source, CorpusWriter, ShardSummary};
 
 use std::io;
@@ -118,18 +118,9 @@ pub enum CorpusError {
         /// What was wrong with it.
         reason: String,
     },
-    /// `manifest.json` is missing, unparsable, or the wrong version.
+    /// `manifest.json` is missing, unparsable, or the wrong version, or
+    /// a shard file name would leave the corpus directory.
     Manifest(String),
-    /// The manifest names a shard the directory does not contain.
-    MissingShard(String),
-    /// A shard failed verification (checksums, counts, or profile
-    /// drift); the report carries the details.
-    VerifyFailed {
-        /// Shards that failed.
-        failed: usize,
-        /// Shards checked in total.
-        total: usize,
-    },
 }
 
 impl std::fmt::Display for CorpusError {
@@ -147,15 +138,6 @@ impl std::fmt::Display for CorpusError {
                 write!(f, "{}: unusable block index: {reason}", path.display())
             }
             CorpusError::Manifest(why) => write!(f, "corpus manifest: {why}"),
-            CorpusError::MissingShard(name) => {
-                write!(f, "manifest names shard {name:?} but its file is missing")
-            }
-            CorpusError::VerifyFailed { failed, total } => {
-                write!(
-                    f,
-                    "corpus verification failed: {failed} of {total} shard(s) bad"
-                )
-            }
         }
     }
 }
@@ -164,7 +146,9 @@ impl std::error::Error for CorpusError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CorpusError::Io(e) => Some(e),
-            _ => None,
+            CorpusError::BadMagic(_) | CorpusError::BadIndex { .. } | CorpusError::Manifest(_) => {
+                None
+            }
         }
     }
 }
@@ -173,4 +157,18 @@ impl From<io::Error> for CorpusError {
     fn from(e: io::Error) -> Self {
         CorpusError::Io(e)
     }
+}
+
+/// Check that `file`, a shard's file name, names a file directly inside
+/// the corpus directory: non-empty, no `/` or `\`, and not `.` or `..`.
+/// Anything else could read or write outside it (`Path::join` with an
+/// absolute name replaces the directory). `what` names the offending
+/// entry in the error.
+fn check_shard_file(what: &str, file: &str) -> Result<(), CorpusError> {
+    if file.is_empty() || file == "." || file == ".." || file.contains(['/', '\\']) {
+        return Err(CorpusError::Manifest(format!(
+            "{what}: shard file {file:?} is not a plain file name in the corpus directory"
+        )));
+    }
+    Ok(())
 }

@@ -8,6 +8,7 @@ use super::{fidelity_tolerance, CorpusError};
 use crate::record::AccessKind;
 use crate::stream::TraceSource;
 use std::collections::HashSet;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -78,114 +79,113 @@ impl VerifyReport {
     }
 }
 
-/// Verify one shard against its manifest entry: file checksum, block
-/// headers and payloads, recomputed stats, and (when recorded) profile
-/// fidelity within [`fidelity_tolerance`] of the shard's record count.
-fn verify_shard(dir: &Path, meta: &ShardMeta) -> ShardReport {
-    let mut problems = Vec::new();
-    let path = dir.join(&meta.file);
-    let mut records = 0u64;
-    let mut blocks = 0u64;
-    let mut drift = None;
+/// Bytes hashed per read when checksumming a shard file.
+const HASH_CHUNK: usize = 64 * 1024;
 
-    match std::fs::read(&path) {
+/// Verify one shard against its manifest entry: file size and checksum,
+/// block headers and payloads, recomputed stats, and (when recorded)
+/// profile fidelity within [`fidelity_tolerance`] of the shard's record
+/// count. The path is stat'ed first: one that is not a regular file, or
+/// whose size differs from the manifest's, is reported and never read.
+fn verify_shard(dir: &Path, meta: &ShardMeta) -> ShardReport {
+    let mut report = ShardReport {
+        name: meta.name.clone(),
+        records: 0,
+        blocks: 0,
+        problems: Vec::new(),
+        drift: None,
+    };
+    let path = dir.join(&meta.file);
+    let problems = &mut report.problems;
+    match std::fs::metadata(&path) {
         Err(e) => problems.push(format!("unreadable: {e}")),
-        Ok(bytes) => {
-            if bytes.len() as u64 != meta.bytes {
-                problems.push(format!(
-                    "file is {} bytes, manifest says {}",
-                    bytes.len(),
-                    meta.bytes
-                ));
-            }
-            let mut hash = Fnv1a::new();
-            hash.update(&bytes);
-            if hash.0 != meta.checksum {
-                problems.push("file checksum disagrees with manifest".to_string());
-            }
-            match walk_blocks(&path) {
-                Err(e) => problems.push(e),
-                Ok((stats, nrecords, nblocks, walk_problems)) => {
-                    records = nrecords;
-                    blocks = nblocks;
-                    problems.extend(walk_problems);
-                    if nrecords != meta.records {
-                        problems.push(format!(
-                            "decoded {nrecords} records, manifest says {}",
-                            meta.records
-                        ));
-                    }
-                    if nblocks != meta.blocks {
-                        problems.push(format!(
-                            "walked {nblocks} blocks, manifest says {}",
-                            meta.blocks
-                        ));
-                    }
-                    if stats != meta.stats {
-                        problems.push(format!(
-                            "recomputed stats {stats:?} disagree with manifest {:?}",
-                            meta.stats
-                        ));
-                    }
-                    if let Some(p) = &meta.profile {
-                        let d = p.drift(&stats);
-                        let tol = fidelity_tolerance(meta.records);
-                        drift = Some(d);
-                        if d > tol {
-                            problems
-                                .push(format!("profile drift {d:.4} exceeds tolerance {tol:.4}"));
-                        }
-                    }
+        Ok(md) if !md.is_file() => problems.push("not a regular file".to_string()),
+        Ok(md) if md.len() != meta.bytes => problems.push(format!(
+            "file is {} bytes, manifest says {}",
+            md.len(),
+            meta.bytes
+        )),
+        Ok(_) => {
+            match file_checksum(&path) {
+                Err(e) => problems.push(format!("unreadable: {e}")),
+                Ok(sum) if sum != meta.checksum => {
+                    problems.push("file checksum disagrees with manifest".to_string());
                 }
+                Ok(_) => {}
+            }
+            if let Err(e) = walk_blocks(&path, meta, &mut report) {
+                report.problems.push(format!("unreadable shard: {e}"));
             }
         }
     }
+    report
+}
 
-    ShardReport {
-        name: meta.name.clone(),
-        records,
-        blocks,
-        problems,
-        drift,
+/// FNV-1a over a whole file, read in [`HASH_CHUNK`]-byte pieces.
+fn file_checksum(path: &Path) -> std::io::Result<u64> {
+    let mut file = std::fs::File::open(path)?;
+    let mut buf = vec![0u8; HASH_CHUNK];
+    let mut hash = Fnv1a::new();
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(hash.0),
+            Ok(n) => hash.update(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
-/// Decode every block of a shard, recomputing its reference-mix stats.
-/// Returns `(stats, records, blocks, problems)`; a hard open/index
-/// failure is the `Err` string.
-#[allow(clippy::type_complexity)]
-fn walk_blocks(path: &Path) -> Result<(ShardStats, u64, u64, Vec<String>), String> {
-    let mut reader = CorpusReader::open(path).map_err(|e| format!("unreadable shard: {e}"))?;
-    let blocks = reader.blocks();
-    let mut problems = Vec::new();
-    let mut ifetches = 0u64;
-    let mut reads = 0u64;
-    let mut writes = 0u64;
+/// Decode every block of a shard into `report` and check its record and
+/// block counts, recomputed reference-mix stats and (when recorded)
+/// profile drift against `meta`.
+fn walk_blocks(path: &Path, meta: &ShardMeta, report: &mut ShardReport) -> Result<(), CorpusError> {
+    let mut reader = CorpusReader::open(path)?;
+    let mut stats = ShardStats::default();
     let mut pages = HashSet::new();
-    let mut records = 0u64;
     while let Some(rec) = reader.next_record() {
-        records += 1;
         match rec.kind {
-            AccessKind::InstrFetch => ifetches += 1,
-            AccessKind::Read => reads += 1,
-            AccessKind::Write => writes += 1,
+            AccessKind::InstrFetch => stats.ifetches += 1,
+            AccessKind::Read => stats.reads += 1,
+            AccessKind::Write => stats.writes += 1,
         }
         pages.insert(rec.addr.page_number(4096));
     }
+    stats.unique_pages = pages.len() as u64;
+    let (records, blocks) = (stats.total(), reader.blocks());
+    report.records = records;
+    report.blocks = blocks;
+    let problems = &mut report.problems;
     for w in reader.warnings() {
         problems.push(format!("block {}: {}", w.block, w.reason));
     }
-    Ok((
-        ShardStats {
-            ifetches,
-            reads,
-            writes,
-            unique_pages: pages.len() as u64,
-        },
-        records,
-        blocks,
-        problems,
-    ))
+    if records != meta.records {
+        problems.push(format!(
+            "decoded {records} records, manifest says {}",
+            meta.records
+        ));
+    }
+    if blocks != meta.blocks {
+        problems.push(format!(
+            "walked {blocks} blocks, manifest says {}",
+            meta.blocks
+        ));
+    }
+    if stats != meta.stats {
+        problems.push(format!(
+            "recomputed stats {stats:?} disagree with manifest {:?}",
+            meta.stats
+        ));
+    }
+    if let Some(p) = &meta.profile {
+        let d = p.drift(&stats);
+        let tol = fidelity_tolerance(meta.records);
+        report.drift = Some(d);
+        if d > tol {
+            problems.push(format!("profile drift {d:.4} exceeds tolerance {tol:.4}"));
+        }
+    }
+    Ok(())
 }
 
 /// Verify every shard the manifest lists, fanning shards out over `jobs`
@@ -245,25 +245,6 @@ pub fn verify_dir(dir: &Path, jobs: usize) -> Result<VerifyReport, CorpusError> 
     Ok(VerifyReport { shards })
 }
 
-/// Convenience wrapper used by tests and the CLI: verify and convert a
-/// failing report into [`CorpusError::VerifyFailed`].
-///
-/// # Errors
-///
-/// [`CorpusError::VerifyFailed`] when any shard fails;
-/// [`CorpusError::Manifest`] when the manifest cannot be loaded.
-pub fn verify_dir_strict(dir: &Path, jobs: usize) -> Result<VerifyReport, CorpusError> {
-    let report = verify_dir(dir, jobs)?;
-    if report.ok() {
-        Ok(report)
-    } else {
-        Err(CorpusError::VerifyFailed {
-            failed: report.failed(),
-            total: report.shards.len(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::writer::record_profiles;
@@ -286,7 +267,6 @@ mod tests {
         for s in &report.shards {
             assert!(s.drift.is_some());
         }
-        verify_dir_strict(&dir, 2).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -305,13 +285,31 @@ mod tests {
         assert_eq!(report.failed(), 1);
         assert!(!report.shards[0].ok());
         assert!(report.shards[1].ok());
-        assert!(matches!(
-            verify_dir_strict(&dir, 2),
-            Err(CorpusError::VerifyFailed {
-                failed: 1,
-                total: 2
-            })
-        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wrong_size_and_non_file_shards_are_reported_unread() {
+        let dir = tmp("unread");
+        std::fs::remove_dir_all(&dir).ok();
+        let m = record_profiles(&dir, &TABLE2[..2], 20_000, 3, 2048).unwrap();
+        // Shard 0 grows by one byte; shard 1 becomes a directory.
+        let grown = dir.join(&m.shards[0].file);
+        let mut bytes = std::fs::read(&grown).unwrap();
+        bytes.push(0);
+        std::fs::write(&grown, &bytes).unwrap();
+        let gone = dir.join(&m.shards[1].file);
+        std::fs::remove_file(&gone).unwrap();
+        std::fs::create_dir(&gone).unwrap();
+        let report = verify_dir(&dir, 2).unwrap();
+        let size = m.shards[0].bytes;
+        assert_eq!(
+            report.shards[0].problems,
+            [format!("file is {} bytes, manifest says {size}", size + 1)],
+            "a wrong-size shard is not read"
+        );
+        assert_eq!(report.shards[1].problems, ["not a regular file"]);
+        assert_eq!(report.shards.len(), 2, "{}", report.render());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,7 +3,9 @@
 
 use super::block::{BlockEncoder, Fnv1a};
 use super::manifest::{Manifest, ProfileExpect, ShardMeta, ShardStats};
-use super::{CorpusError, CORPUS_FOOTER_MAGIC, CORPUS_MAGIC, DEFAULT_BLOCK_BYTES};
+use super::{
+    check_shard_file, CorpusError, CORPUS_FOOTER_MAGIC, CORPUS_MAGIC, DEFAULT_BLOCK_BYTES,
+};
 use crate::profiles::Profile;
 use crate::record::{AccessKind, TraceRecord};
 use crate::stream::TraceSource;
@@ -180,7 +182,9 @@ impl<W: Write> CorpusWriter<W> {
 ///
 /// # Errors
 ///
-/// Any file I/O failure creating or writing the shard.
+/// [`CorpusError::Manifest`], before anything is created, when
+/// `{name}.rct` is not a plain file name in `dir`; any file I/O failure
+/// creating or writing the shard.
 pub fn record_source<S: TraceSource>(
     dir: &Path,
     name: &str,
@@ -190,8 +194,9 @@ pub fn record_source<S: TraceSource>(
     scale: Option<u64>,
     profile: Option<ProfileExpect>,
 ) -> Result<ShardMeta, CorpusError> {
-    std::fs::create_dir_all(dir)?;
     let file = format!("{name}.rct");
+    check_shard_file(&format!("shard {name:?}"), &file)?;
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(&file);
     let out = BufWriter::new(std::fs::File::create(&path)?);
     let mut w = CorpusWriter::with_block_bytes(out, block_bytes)?;
@@ -302,6 +307,30 @@ mod tests {
             "{} corpus bytes vs {bin_bytes} bin bytes for {n} records ({:.2} B/rec)",
             bytes.len(),
             bytes.len() as f64 / n as f64
+        );
+    }
+
+    #[test]
+    fn record_source_refuses_a_name_that_leaves_the_directory() {
+        let root =
+            std::env::temp_dir().join(format!("rampage-corpus-escape-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let dir = root.join("corpus");
+        let mut src = TABLE2[0].source(100_000, 7);
+        let err = record_source(
+            &dir,
+            "../x",
+            &mut src,
+            DEFAULT_BLOCK_BYTES,
+            None,
+            None,
+            None,
+        )
+        .expect_err("a name with a path separator must be refused");
+        assert!(matches!(err, CorpusError::Manifest(_)), "{err}");
+        assert!(
+            !root.exists(),
+            "nothing is created, inside or outside the corpus"
         );
     }
 

@@ -1,6 +1,5 @@
 //! The clock (second-chance) page-replacement algorithm.
 
-use crate::error::VmError;
 use crate::ipt::InvertedPageTable;
 use crate::page::FrameId;
 
@@ -50,17 +49,14 @@ impl ClockReplacer {
     /// chance). Unmapped frames are skipped without effect — callers
     /// should drain [`InvertedPageTable::alloc_free`] first.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`VmError::NoEvictableFrame`] if two full sweeps find nothing:
-    /// every mapped frame is pinned, or the memory is empty (an OS
-    /// configuration bug — there is nothing to replace). The hand
-    /// position still advances; referenced bits cleared during the
-    /// failed sweep stay cleared, as they would in a real kernel.
-    pub fn try_select_victim(
-        &mut self,
-        ipt: &mut InvertedPageTable,
-    ) -> Result<(FrameId, u32), VmError> {
+    /// Panics if two full sweeps find nothing: every mapped frame is
+    /// pinned, or the memory is empty (an OS configuration bug — there
+    /// is nothing to replace). The RAMpage system guarantees unpinned
+    /// frames at construction (the OS region is asserted smaller than
+    /// the frame count).
+    pub fn select_victim(&mut self, ipt: &mut InvertedPageTable) -> (FrameId, u32) {
         let n = ipt.num_frames();
         // Two full sweeps always suffice: the first clears every
         // referenced bit, the second must find a victim.
@@ -76,26 +72,13 @@ impl ClockReplacer {
                 Some(_) => {
                     self.total_scanned += scanned as u64;
                     self.victims += 1;
-                    return Ok((f, scanned));
+                    return (f, scanned);
                 }
             }
         }
-        Err(VmError::NoEvictableFrame)
-    }
-
-    /// As [`try_select_victim`](Self::try_select_victim).
-    ///
-    /// # Panics
-    ///
-    /// Panics if every mapped frame is pinned or the memory is empty.
-    /// The RAMpage system guarantees unpinned frames at construction
-    /// (the OS region is asserted smaller than the frame count), so this
-    /// wrapper is safe on that path.
-    pub fn select_victim(&mut self, ipt: &mut InvertedPageTable) -> (FrameId, u32) {
-        match self.try_select_victim(ipt) {
-            Ok(v) => v,
-            Err(e) => panic!("clock replacement: {e}"),
-        }
+        panic!(
+            "clock replacement: no replaceable frame: every mapped frame is pinned or memory is empty"
+        )
     }
 }
 
@@ -107,25 +90,12 @@ mod tests {
     use rampage_trace::Asid;
 
     #[test]
-    fn no_evictable_frame_is_an_error_not_a_panic() {
-        // Empty table: nothing mapped.
+    #[should_panic(
+        expected = "clock replacement: no replaceable frame: every mapped frame is pinned or memory is empty"
+    )]
+    fn empty_table_panics() {
         let mut empty = InvertedPageTable::new(4, PhysAddr(0));
-        let mut clock = ClockReplacer::new();
-        assert_eq!(
-            clock.try_select_victim(&mut empty),
-            Err(VmError::NoEvictableFrame)
-        );
-        // Fully pinned table: nothing replaceable.
-        let mut pinned = InvertedPageTable::new(2, PhysAddr(0));
-        for i in 0..2 {
-            let f = pinned.alloc_free().unwrap();
-            pinned.insert_pinned(f, Asid(0), Vpn(i));
-        }
-        assert_eq!(
-            clock.try_select_victim(&mut pinned),
-            Err(VmError::NoEvictableFrame)
-        );
-        assert_eq!(clock.victims(), 0);
+        let _ = ClockReplacer::new().select_victim(&mut empty);
     }
 
     fn full_table(frames: u32) -> InvertedPageTable {
@@ -186,7 +156,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no replaceable frame")]
+    #[should_panic(
+        expected = "clock replacement: no replaceable frame: every mapped frame is pinned or memory is empty"
+    )]
     fn all_pinned_panics() {
         let mut ipt = InvertedPageTable::new(2, PhysAddr(0));
         for i in 0..2u64 {

@@ -1,6 +1,5 @@
 //! The inverted page table.
 
-use crate::error::VmError;
 use crate::page::{FrameId, Vpn};
 use rampage_cache::PhysAddr;
 use rampage_trace::Asid;
@@ -398,18 +397,19 @@ impl InvertedPageTable {
 
     /// Map `(asid, vpn)` into `frame`, linking it onto its hash chain.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`VmError::FrameAlreadyMapped`] / [`VmError::PageAlreadyMapped`]
-    /// when the frame or the pair is already in use (both are OS bugs in
-    /// a real system); the table is unchanged on error.
-    pub fn try_insert(&mut self, frame: FrameId, asid: Asid, vpn: Vpn) -> Result<(), VmError> {
-        if self.slots.get(frame.0 as usize).mapping.is_some() {
-            return Err(VmError::FrameAlreadyMapped { frame });
-        }
-        if self.frame_of(asid, vpn).is_some() {
-            return Err(VmError::PageAlreadyMapped { asid, vpn });
-        }
+    /// Panics if the frame is already mapped or the pair is already
+    /// mapped elsewhere (both are OS bugs in a real system).
+    pub fn insert(&mut self, frame: FrameId, asid: Asid, vpn: Vpn) {
+        assert!(
+            self.slots.get(frame.0 as usize).mapping.is_none(),
+            "IPT insert: {frame} is already mapped"
+        );
+        assert!(
+            self.frame_of(asid, vpn).is_none(),
+            "IPT insert: ({asid}, {vpn}) is already mapped elsewhere"
+        );
         let head = self.hat.get_mut(self.bucket_of(asid, vpn));
         let slot = self.slots.get_mut(frame.0 as usize);
         slot.mapping = Some(Mapping {
@@ -422,20 +422,6 @@ impl InvertedPageTable {
         slot.next = *head;
         *head = Link::to(frame);
         self.mapped += 1;
-        Ok(())
-    }
-
-    /// Map `(asid, vpn)` into `frame`, linking it onto its hash chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is already mapped or the pair is already
-    /// mapped elsewhere; use [`try_insert`](Self::try_insert) to handle
-    /// those as values.
-    pub fn insert(&mut self, frame: FrameId, asid: Asid, vpn: Vpn) {
-        if let Err(e) = self.try_insert(frame, asid, vpn) {
-            panic!("IPT insert: {e}");
-        }
     }
 
     /// Map and pin a frame (OS code / page-table residency). Pinned
@@ -467,22 +453,23 @@ impl InvertedPageTable {
     /// path, where the frame's contents stay intact until the page is
     /// discarded for real. Pair with [`release`](Self::release).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`VmError::PinnedFrame`] if the frame is pinned (pinned frames
-    /// hold the OS and the table itself; replacing one is a kernel bug).
-    pub fn try_remove_reserved(&mut self, frame: FrameId) -> Result<Option<Mapping>, VmError> {
+    /// Panics if the frame is pinned (pinned frames hold the OS and the
+    /// table itself; replacing one is a kernel bug).
+    pub fn remove_reserved(&mut self, frame: FrameId) -> Option<Mapping> {
         let Slot {
             mapping: Some(m),
             next: after,
             ..
         } = *self.slots.get(frame.0 as usize)
         else {
-            return Ok(None);
+            return None;
         };
-        if m.pinned {
-            return Err(VmError::PinnedFrame { frame });
-        }
+        assert!(
+            !m.pinned,
+            "IPT remove: {frame} is pinned and cannot be replaced"
+        );
         // Unlink from the chain: point whichever link names `frame` past it.
         let link = Link::to(frame);
         let mut prev = self.hat.get_mut(self.bucket_of(m.asid, m.vpn));
@@ -498,20 +485,7 @@ impl InvertedPageTable {
         slot.mapping = None;
         slot.next = Link::default();
         self.mapped -= 1;
-        Ok(Some(m))
-    }
-
-    /// As [`try_remove_reserved`](Self::try_remove_reserved), panicking
-    /// on a pinned frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is pinned.
-    pub fn remove_reserved(&mut self, frame: FrameId) -> Option<Mapping> {
-        match self.try_remove_reserved(frame) {
-            Ok(m) => m,
-            Err(e) => panic!("IPT remove: {e}"),
-        }
+        Some(m)
     }
 
     /// Return a frame previously detached with
@@ -663,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pinned")]
+    #[should_panic(expected = "IPT remove: frame:0 is pinned and cannot be replaced")]
     fn pinned_frames_cannot_be_removed() {
         let mut t = table(4);
         let f = t.alloc_free().unwrap();
@@ -672,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already mapped")]
+    #[should_panic(expected = "IPT insert: frame:0 is already mapped")]
     fn double_insert_is_a_bug() {
         let mut t = table(4);
         let f = t.alloc_free().unwrap();
@@ -681,38 +655,13 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_reports_conflicts_without_mutating() {
-        use crate::error::VmError;
+    #[should_panic(expected = "IPT insert: (asid1, vpn:0x1) is already mapped elsewhere")]
+    fn mapping_one_page_into_a_second_frame_is_a_bug() {
         let mut t = table(4);
         let f = t.alloc_free().unwrap();
-        assert_eq!(t.try_insert(f, Asid(1), Vpn(1)), Ok(()));
-        assert_eq!(
-            t.try_insert(f, Asid(1), Vpn(2)),
-            Err(VmError::FrameAlreadyMapped { frame: f })
-        );
+        t.insert(f, Asid(1), Vpn(1));
         let g = t.alloc_free().unwrap();
-        assert_eq!(
-            t.try_insert(g, Asid(1), Vpn(1)),
-            Err(VmError::PageAlreadyMapped {
-                asid: Asid(1),
-                vpn: Vpn(1)
-            })
-        );
-        assert_eq!(t.mapped_frames(), 1, "failed inserts change nothing");
-        assert_eq!(t.frame_of(Asid(1), Vpn(1)), Some(f));
-    }
-
-    #[test]
-    fn try_remove_reserved_refuses_pinned() {
-        use crate::error::VmError;
-        let mut t = table(4);
-        let f = t.alloc_free().unwrap();
-        t.insert_pinned(f, Asid(0), Vpn(0));
-        assert_eq!(
-            t.try_remove_reserved(f),
-            Err(VmError::PinnedFrame { frame: f })
-        );
-        assert_eq!(t.mapped_frames(), 1, "pinned mapping survives");
+        t.insert(g, Asid(1), Vpn(1));
     }
 
     #[test]

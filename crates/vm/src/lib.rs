@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod error;
 mod ipt;
 pub mod os;
 mod page;
@@ -34,7 +33,6 @@ mod standby;
 mod tlb;
 
 pub use clock::ClockReplacer;
-pub use error::VmError;
 pub use ipt::{InvertedPageTable, IptLookup, Mapping};
 pub use page::{FrameId, PageSize, Vpn};
 pub use standby::{StandbyEntry, StandbyList};

@@ -174,8 +174,9 @@ if [[ "${JSONL_EVENTS}" -ne "${CHROME_EVENTS}" ]]; then
 fi
 
 # End-to-end corrupt-block drill through the CLI: record a corpus,
-# verify it clean, smash a byte mid-file, and the verifier must fail.
-echo "==> trace corpus CLI drill (record, verify, corrupt, re-verify)"
+# verify it clean, smash a byte mid-file, and the verifier must fail;
+# then a manifest naming a shard outside its directory must be refused.
+echo "==> trace corpus CLI drill (record, verify, corrupt, re-verify, escape)"
 ./target/release/repro trace record --dir "${CORPUS_TMP}" --scale 20000 --nbench 2 >/dev/null
 ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null
 SHARD=$(ls "${CORPUS_TMP}"/*.rct | head -1)
@@ -184,6 +185,22 @@ printf '\xff\xff\xff\xff\xff\xff\xff\xff' |
   dd of="${SHARD}" bs=1 seek=$((SHARD_BYTES / 2)) conv=notrunc status=none
 if ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null 2>&1; then
   echo "FAIL: trace verify did not flag a corrupted shard" >&2
+  exit 1
+fi
+# A manifest may name only files inside its own directory: point its
+# entry at the shard moved one level up, and verify must reject the
+# manifest (exit 1) instead of reading outside the corpus.
+ESCAPE="${CORPUS_TMP}/escape"
+./target/release/repro trace record --dir "${ESCAPE}/c" --scale 20000 --nbench 1 >/dev/null 2>&1
+mv "${ESCAPE}"/c/*.rct "${ESCAPE}/outside.rct"
+sed -i 's|"file": "[^"]*"|"file": "../outside.rct"|' "${ESCAPE}/c/manifest.json"
+set +e
+ESCAPE_OUT=$(./target/release/repro trace verify --dir "${ESCAPE}/c" 2>&1)
+ESCAPE_CODE=$?
+set -e
+if [[ "${ESCAPE_CODE}" -ne 1 ]] || ! grep -q "corpus manifest" <<<"${ESCAPE_OUT}"; then
+  echo "${ESCAPE_OUT}" >&2
+  echo "FAIL: trace verify exited ${ESCAPE_CODE} on a manifest naming ../outside.rct" >&2
   exit 1
 fi
 

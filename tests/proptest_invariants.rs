@@ -62,7 +62,7 @@ fn cache_matches_lru_model() {
         let size_kb = pick(&mut rng, &[1u64, 2, 4]);
         let block = pick(&mut rng, &[32u64, 64]);
         let ways = pick(&mut rng, &[1u32, 2, 4]);
-        let geo = Geometry::new(size_kb * 1024, block, ways).unwrap();
+        let geo = Geometry::new(size_kb * 1024, block, ways);
         let mut cache = Cache::new(geo, ReplacementPolicy::Lru);
         let mut model = ModelCache::new(geo);
         let nops = rng.gen_range(1..400usize);
@@ -82,7 +82,7 @@ fn cache_matches_lru_model() {
 fn cache_occupancy_and_probe_invariants() {
     let mut rng = StdRng::seed_from_u64(0x11a2);
     for _ in 0..64 {
-        let geo = Geometry::new(4096, 32, 2).unwrap();
+        let geo = Geometry::new(4096, 32, 2);
         let mut cache = Cache::new(geo, ReplacementPolicy::Random);
         let nops = rng.gen_range(1..300usize);
         for _ in 0..nops {
@@ -108,7 +108,7 @@ fn geometry_index_tag_roundtrip() {
         let size_kb = pick(&mut rng, &[16u64, 64, 4096]);
         let block = pick(&mut rng, &[32u64, 128, 4096]);
         let ways = pick(&mut rng, &[1u32, 2]);
-        let geo = Geometry::new(size_kb * 1024, block, ways).unwrap();
+        let geo = Geometry::new(size_kb * 1024, block, ways);
         let a = PhysAddr(addr).align_down(block);
         assert_eq!(geo.block_base(geo.set_index(a), geo.tag(a)), a);
         assert!(geo.set_index(a) < geo.sets());
@@ -564,7 +564,7 @@ fn tracing_never_perturbs_randomized_runs() {
 fn classifier_agrees_with_plain_cache() {
     let mut rng = StdRng::seed_from_u64(0x11ac);
     for _ in 0..64 {
-        let geo = Geometry::new(2048, 32, 1).unwrap();
+        let geo = Geometry::new(2048, 32, 1);
         let mut mc = MissClassifier::new(geo, ReplacementPolicy::Lru);
         let mut plain = Cache::new(geo, ReplacementPolicy::Lru);
         let nops = rng.gen_range(1..300usize);
