@@ -93,11 +93,6 @@ impl Cache {
         self.stats
     }
 
-    /// Zero the statistics (e.g. after cache warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     #[inline]
     fn set_of(&self, addr: PhysAddr) -> usize {
         self.geo.set_index(addr) as usize
@@ -473,7 +468,5 @@ mod tests {
         assert_eq!(s.read_hits, 1);
         assert_eq!(s.write_hits, 1);
         assert_eq!(s.write_misses, 1);
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
     }
 }

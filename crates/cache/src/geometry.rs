@@ -109,20 +109,6 @@ impl Geometry {
     pub fn block_base(&self, set: u64, tag: u64) -> PhysAddr {
         PhysAddr(((tag << self.index_bits) | set) << self.offset_bits)
     }
-
-    /// Bytes of tag + state storage a hardware implementation would need,
-    /// assuming `addr_bits`-bit physical addresses and 2 state bits
-    /// (valid + dirty) per block.
-    ///
-    /// This is the quantity the paper trades for extra SRAM in the
-    /// RAMpage configuration: a 4 MB direct-mapped cache with 128-byte
-    /// blocks needs ≈128 KB of tags, so the equivalent RAMpage SRAM main
-    /// memory is 4.125 MB.
-    pub fn tag_store_bytes(&self, addr_bits: u32) -> u64 {
-        let tag_bits = addr_bits.saturating_sub(self.offset_bits + self.index_bits) + 2;
-        // Round each block's tag+state up to whole bits, then to bytes.
-        (self.blocks() * tag_bits as u64).div_ceil(8)
-    }
 }
 
 impl fmt::Display for Geometry {
@@ -193,18 +179,6 @@ mod tests {
             let got = payload.downcast_ref::<&str>();
             assert_eq!(got, Some(&message), "({size}, {block}, {ways})");
         }
-    }
-
-    #[test]
-    fn tag_store_for_paper_l2() {
-        // 4 MB direct-mapped L2, 128-byte blocks: 32 K blocks, 7 offset
-        // bits + 15 index bits leaves 10 tag bits + 2 state bits = 12 bits
-        // per block = 48 KB exactly. (The paper's own sizing convention is
-        // a rounder 4 bytes/block = 128 KB; rampage-core uses that
-        // convention when granting the RAMpage SRAM its tag-equivalent
-        // bonus.)
-        let g = Geometry::new(4 << 20, 128, 1);
-        assert_eq!(g.tag_store_bytes(32), 48 * 1024);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The (single) DRAM channel.
 
 use crate::config::DramKind;
-use rampage_dram::{BankedChannel, DramModel, MemoryDevice, Picos};
+use rampage_dram::{BankedChannel, DramModel, Picos, Transfer};
 
 /// Serializes transfers on one Direct Rambus channel and tracks when it
 /// frees up.
@@ -16,18 +16,6 @@ use rampage_dram::{BankedChannel, DramModel, MemoryDevice, Picos};
 pub struct DramChannel {
     device: DramModel,
     busy_until: Picos,
-    transfers: u64,
-    bytes: u64,
-    busy_time: Picos,
-}
-
-/// When a requested transfer starts and completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
-    /// When the channel begins the transfer.
-    pub start: Picos,
-    /// When the last byte arrives.
-    pub done: Picos,
 }
 
 impl DramChannel {
@@ -36,52 +24,20 @@ impl DramChannel {
         DramChannel {
             device,
             busy_until: Picos::ZERO,
-            transfers: 0,
-            bytes: 0,
-            busy_time: Picos::ZERO,
         }
-    }
-
-    /// The device behind the channel.
-    pub fn device(&self) -> DramModel {
-        self.device
     }
 
     /// Schedule a transfer of `bytes` requested at absolute time `now`.
     pub fn request(&mut self, now: Picos, bytes: u64) -> Transfer {
         let queued = self.busy_until > now;
-        let start = if queued { self.busy_until } else { now };
-        let duration = if queued {
-            self.device.queued_transfer_time(bytes)
+        let (start, duration) = if queued {
+            (self.busy_until, self.device.queued_transfer_time(bytes))
         } else {
-            self.device.transfer_time(bytes)
+            (now, self.device.transfer_time(bytes))
         };
         let done = start + duration;
         self.busy_until = done;
-        self.transfers += 1;
-        self.bytes += bytes;
-        self.busy_time += duration;
         Transfer { start, done }
-    }
-
-    /// When the channel next becomes free.
-    pub fn busy_until(&self) -> Picos {
-        self.busy_until
-    }
-
-    /// Total transfers scheduled.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total time the channel spent transferring.
-    pub fn busy_time(&self) -> Picos {
-        self.busy_time
     }
 }
 
@@ -91,42 +47,6 @@ impl DramChannel {
 enum Channel {
     Flat(DramChannel),
     Banked(Box<BankedChannel>),
-}
-
-impl Channel {
-    fn request(&mut self, now: Picos, bytes: u64, key: u64) -> Transfer {
-        match self {
-            Channel::Flat(ch) => ch.request(now, bytes),
-            Channel::Banked(ch) => {
-                // The simulator addresses DRAM by transfer unit (SRAM
-                // frame / L2 block number), not by byte. Synthesize a
-                // stable pseudo-address so a unit always lands on the
-                // same rows: repeated transfers of the same unit are
-                // row-buffer locality, neighboring units are neighbors
-                // in DRAM.
-                let addr = key.wrapping_mul(bytes.max(1));
-                let t = ch.request(now, addr, bytes);
-                Transfer {
-                    start: t.start,
-                    done: t.done,
-                }
-            }
-        }
-    }
-
-    fn transfers(&self) -> u64 {
-        match self {
-            Channel::Flat(ch) => ch.transfers(),
-            Channel::Banked(ch) => ch.transfers(),
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        match self {
-            Channel::Flat(ch) => ch.bytes(),
-            Channel::Banked(ch) => ch.bytes(),
-        }
-    }
 }
 
 /// A set of independent Rambus channels, interleaved by transfer unit.
@@ -168,27 +88,15 @@ impl ChannelSet {
     /// (its block or page number) at absolute time `now`.
     pub fn request(&mut self, now: Picos, bytes: u64, key: u64) -> Transfer {
         let n = self.channels.len() as u64;
-        self.channels[(key % n) as usize].request(now, bytes, key)
-    }
-
-    /// Number of channels.
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Always false (constructed non-empty).
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
-    }
-
-    /// Total transfers across all channels.
-    pub fn transfers(&self) -> u64 {
-        self.channels.iter().map(|c| c.transfers()).sum()
-    }
-
-    /// Total bytes across all channels.
-    pub fn bytes(&self) -> u64 {
-        self.channels.iter().map(|c| c.bytes()).sum()
+        match &mut self.channels[(key % n) as usize] {
+            Channel::Flat(ch) => ch.request(now, bytes),
+            // The simulator addresses DRAM by transfer unit (SRAM frame
+            // / L2 block number), not by byte. Synthesize a stable
+            // pseudo-address so a unit always lands on the same rows:
+            // repeated transfers of the same unit are row-buffer
+            // locality, neighboring units are neighbors in DRAM.
+            Channel::Banked(ch) => ch.request(now, key.wrapping_mul(bytes.max(1)), bytes),
+        }
     }
 
     /// Aggregate row-buffer outcome counters (zeros under flat kinds,
@@ -220,8 +128,6 @@ mod tests {
         // Same-channel keys still serialize.
         let t3 = set.request(Picos::ZERO, 4096, 2);
         assert_eq!(t3.start, t1.done);
-        assert_eq!(set.transfers(), 3);
-        assert_eq!(set.bytes(), 3 * 4096);
     }
 
     #[test]
@@ -230,8 +136,6 @@ mod tests {
         let t1 = set.request(Picos::ZERO, 128, 0);
         let t2 = set.request(Picos::ZERO, 128, 1);
         assert_eq!(t2.start, t1.done);
-        assert_eq!(set.len(), 1);
-        assert!(!set.is_empty());
     }
 
     #[test]
@@ -250,8 +154,6 @@ mod tests {
                 "key {key}, {bytes} B"
             );
         }
-        assert_eq!(flat.transfers(), banked.transfers());
-        assert_eq!(flat.bytes(), banked.bytes());
         assert_eq!(flat.row_stats(), rampage_dram::RowStats::default());
     }
 
@@ -294,24 +196,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut ch = DramChannel::new(DramModel::rambus());
-        ch.request(Picos::ZERO, 128);
-        ch.request(Picos::ZERO, 128);
-        assert_eq!(ch.transfers(), 2);
-        assert_eq!(ch.bytes(), 256);
-        assert_eq!(ch.busy_time(), Picos::from_nanos(260));
-    }
-
-    #[test]
     fn channel_frees_after_done() {
-        let mut ch = DramChannel::new(DramModel::rambus());
+        // Pipelined, so a request counted as queued would be cheaper:
+        // one issued exactly at `done` finds the channel idle.
+        let mut ch = DramChannel::new(DramModel::rambus_pipelined());
         let t = ch.request(Picos::ZERO, 128);
-        assert_eq!(ch.busy_until(), t.done);
-        let t2 = ch.request(t.done + Picos::from_nanos(1000), 128);
+        let t2 = ch.request(t.done, 128);
+        assert_eq!(t2.start, t.done);
+        assert_eq!(t2.done - t2.start, Picos::from_nanos(130), "full latency");
+        let t3 = ch.request(t2.done + Picos::from_nanos(1000), 128);
         assert_eq!(
-            t2.start,
-            t.done + Picos::from_nanos(1000),
+            t3.start,
+            t2.done + Picos::from_nanos(1000),
             "idle gap respected"
         );
     }

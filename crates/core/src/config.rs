@@ -48,18 +48,6 @@ impl DramKind {
         DramKind::Banked(BankedConfig::paper())
     }
 
-    /// The flat analytic timing model behind this kind, when it has one.
-    /// The banked backend is event-driven and has no closed-form model,
-    /// so it returns `None`.
-    pub fn flat_model(self) -> Option<DramModel> {
-        match self {
-            DramKind::Rambus => Some(DramModel::rambus()),
-            DramKind::RambusPipelined => Some(DramModel::rambus_pipelined()),
-            DramKind::Sdram => Some(DramModel::sdram()),
-            DramKind::Banked(_) => None,
-        }
-    }
-
     /// One-line device description for trace metadata and logs.
     pub fn diagnostics(self) -> String {
         match self {
@@ -632,8 +620,6 @@ mod tests {
         }
         assert!(matches!(cfg.validate(), Err(ConfigError::Dram(_))));
 
-        assert!(DramKind::banked().flat_model().is_none());
-        assert!(DramKind::Rambus.flat_model().is_some());
         let d = DramKind::banked().diagnostics();
         assert!(d.contains("16 banks") && d.contains("2048 B rows"), "{d}");
         assert!(DramKind::Rambus.diagnostics().contains("Direct Rambus"));

@@ -247,10 +247,27 @@ pub fn scan_path(path: &Path) -> Result<Vec<JournalRecord>, CacheIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Deref;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn scratch(name: &str) -> PathBuf {
+    /// A unique scratch directory, removed when the guard drops.
+    struct Scratch(PathBuf);
+
+    impl Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
         static N: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
             "rampage-journal-{}-{name}-{}",
@@ -258,7 +275,7 @@ mod tests {
             N.fetch_add(1, Ordering::SeqCst)
         ));
         std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
+        Scratch(dir)
     }
 
     fn rec(op: JournalOp) -> JournalRecord {
@@ -277,7 +294,8 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_the_file() {
-        let path = scratch("roundtrip").join("journal.jsonl");
+        let dir = scratch("roundtrip");
+        let path = dir.join("journal.jsonl");
         let cell = placeholder();
         {
             let (mut j, report) = Journal::open(&path).expect("open");
@@ -318,7 +336,8 @@ mod tests {
             b"{\"sum\":123,\"rec\":{\"op\":\"failed\",\"error\":\"bad quantum \xe2\x80",
         ];
         for (i, tail) in tails.into_iter().enumerate() {
-            let path = scratch(&format!("torn{i}")).join("journal.jsonl");
+            let dir = scratch(&format!("torn{i}"));
+            let path = dir.join("journal.jsonl");
             {
                 let (mut j, _) = Journal::open(&path).expect("open");
                 j.append(&rec(JournalOp::Open)).expect("append");
@@ -337,7 +356,8 @@ mod tests {
 
     #[test]
     fn mid_file_rot_is_skipped_not_truncated() {
-        let path = scratch("rot").join("journal.jsonl");
+        let dir = scratch("rot");
+        let path = dir.join("journal.jsonl");
         {
             let (mut j, _) = Journal::open(&path).expect("open");
             j.append(&rec(JournalOp::Open)).expect("append");
@@ -397,7 +417,8 @@ mod tests {
                 obj! { "sum" => sum, "rec" => rec }.compact() + "\n"
             })
             .collect();
-        let path = scratch("lease-format").join("journal.jsonl");
+        let dir = scratch("lease-format");
+        let path = dir.join("journal.jsonl");
         std::fs::write(&path, text).expect("write an older-format journal");
 
         let (_, report) = Journal::open(&path).expect("open");

@@ -80,15 +80,6 @@ impl Table4 {
         fastest(&self.cells[rate_idx])
     }
 
-    /// Best speedup over no-switch RAMpage at a rate index (paper: up to
-    /// 16 % at 4 GHz).
-    pub fn best_speedup(&self, rate_idx: usize) -> f64 {
-        self.speedup[rate_idx]
-            .iter()
-            .copied()
-            .fold(f64::MIN, f64::max)
-    }
-
     /// Render run times with speedups underneath, as in the paper.
     pub fn render(&self) -> String {
         let mut header = vec!["issue rate".into(), String::new()];

@@ -49,11 +49,6 @@ impl TraceSink {
         TraceSink(Some(EventRing::new(cap)))
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Record the event `f` produces — but only when enabled; `f` is not
     /// called otherwise.
     #[inline]
@@ -91,7 +86,6 @@ mod tests {
     #[test]
     fn disabled_sink_never_calls_the_closure() {
         let mut sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
         let mut called = false;
         sink.emit(|| {
             called = true;

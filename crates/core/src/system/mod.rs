@@ -19,7 +19,7 @@
 mod conventional;
 mod rampage;
 
-use crate::channel::{ChannelSet, Transfer};
+use crate::channel::ChannelSet;
 use crate::config::{
     HierarchyKind, SystemConfig, DRAM_PAGE_SIZE, L1_MISS_PENALTY, RAMPAGE_WRITEBACK_PENALTY,
 };
@@ -28,7 +28,7 @@ use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
 use conventional::Conventional;
 use rampage::Rampage;
 use rampage_cache::{Cache, PhysAddr, ReplacementPolicy, WriteBuffer};
-use rampage_dram::Picos;
+use rampage_dram::{Picos, Transfer};
 use rampage_trace::{AccessKind, Asid, TraceRecord};
 use rampage_vm::os::{HandlerRef, OsLayout, OsModel};
 use rampage_vm::{FrameId, PageSize, Tlb, Vpn};

@@ -147,7 +147,7 @@ impl BankedConfig {
     /// The degenerate configuration the conformance suite uses: one
     /// bank, closed-page, no pipelining. Every transfer then costs
     /// max(now, bus-free) + tRCD + tCAS + data — bit-identical to the
-    /// flat [`crate::DirectRambus`] channel arithmetic.
+    /// flat [`crate::DramModel`] channel arithmetic.
     pub fn flat_equivalent() -> Self {
         BankedConfig {
             mapping: AddressMapping::single_bank(),

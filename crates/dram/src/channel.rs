@@ -1,7 +1,7 @@
 //! An event-driven, bank-aware Direct Rambus channel.
 //!
 //! This is the high-fidelity counterpart to the flat
-//! [`crate::DirectRambus`] arithmetic: transfers decompose through an
+//! [`crate::DramModel`] arithmetic: transfers decompose through an
 //! [`AddressMapping`] into per-bank row accesses, each bank keeps its
 //! row buffer ([`Bank`]), and the shared data bus serializes bursts.
 //! Two switches trade fidelity back down:
@@ -23,10 +23,10 @@
 use crate::bank::{Bank, BankedConfig, RowOutcome};
 use crate::time::Picos;
 
-/// When a banked transfer starts (first command issues) and completes
-/// (last datum arrives).
+/// When a transfer starts (the channel begins working on it) and
+/// completes (its last datum arrives), at either fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankedTransfer {
+pub struct Transfer {
     /// When the channel begins working on the transfer.
     pub start: Picos,
     /// When the last byte arrives.
@@ -50,9 +50,6 @@ pub struct BankedChannel {
     cfg: BankedConfig,
     banks: Vec<Bank>,
     bus_free: Picos,
-    transfers: u64,
-    bytes: u64,
-    busy_time: Picos,
     rows: RowStats,
 }
 
@@ -72,36 +69,13 @@ impl BankedChannel {
             cfg,
             banks: vec![Bank::default(); cfg.mapping.banks() as usize],
             bus_free: Picos::ZERO,
-            transfers: 0,
-            bytes: 0,
-            busy_time: Picos::ZERO,
             rows: RowStats::default(),
         }
-    }
-
-    /// The configuration behind the channel.
-    pub fn config(&self) -> BankedConfig {
-        self.cfg
     }
 
     /// When the data bus next becomes free.
     pub fn bus_free(&self) -> Picos {
         self.bus_free
-    }
-
-    /// Total transfers scheduled.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total time spent between first command and last datum.
-    pub fn busy_time(&self) -> Picos {
-        self.busy_time
     }
 
     /// Row-buffer outcome counters.
@@ -119,31 +93,27 @@ impl BankedChannel {
 
     /// Schedule a transfer of `bytes` starting at byte address `addr`,
     /// requested at absolute time `now`.
-    pub fn request(&mut self, now: Picos, addr: u64, bytes: u64) -> BankedTransfer {
-        self.transfers += 1;
-        self.bytes += bytes;
+    pub fn request(&mut self, now: Picos, addr: u64, bytes: u64) -> Transfer {
         if bytes == 0 {
             // Mirror the flat model: a zero-byte transfer takes no time
             // but still claims its start slot (and, like the flat
             // channel, drags the bus-free mark up to it).
             let start = now.max(self.bus_free);
             self.bus_free = start;
-            return BankedTransfer { start, done: start };
+            return Transfer { start, done: start };
         }
-        let t = if self.cfg.pipelined {
+        if self.cfg.pipelined {
             self.request_pipelined(now, addr, bytes)
         } else {
             self.request_serial(now, addr, bytes)
-        };
-        self.busy_time += t.done - t.start;
-        t
+        }
     }
 
     /// Serial mode: the channel is held from first command to last
     /// datum; a queued transfer waits for the bus wholesale. Closed-page
     /// serial is exactly the flat model's `max(now, busy) + 50 ns +
     /// data` arithmetic.
-    fn request_serial(&mut self, now: Picos, addr: u64, bytes: u64) -> BankedTransfer {
+    fn request_serial(&mut self, now: Picos, addr: u64, bytes: u64) -> Transfer {
         let start = now.max(self.bus_free);
         let mut t = start;
         for (chunk_addr, chunk_len) in RowChunks::new(&self.cfg, addr, bytes) {
@@ -155,13 +125,13 @@ impl BankedChannel {
             t = done;
         }
         self.bus_free = t;
-        BankedTransfer { start, done: t }
+        Transfer { start, done: t }
     }
 
     /// Pipelined mode: each chunk's row activation starts as soon as its
     /// bank is ready — possibly under the previous chunk's (or previous
     /// transfer's) data burst — and only the data bus serializes.
-    fn request_pipelined(&mut self, now: Picos, addr: u64, bytes: u64) -> BankedTransfer {
+    fn request_pipelined(&mut self, now: Picos, addr: u64, bytes: u64) -> Transfer {
         let mut start = None;
         let mut bus = self.bus_free;
         for (chunk_addr, chunk_len) in RowChunks::new(&self.cfg, addr, bytes) {
@@ -180,7 +150,7 @@ impl BankedChannel {
             }
         }
         self.bus_free = bus;
-        BankedTransfer {
+        Transfer {
             start: start.unwrap_or(now),
             done: bus,
         }
@@ -232,13 +202,12 @@ impl Iterator for RowChunks {
 mod tests {
     use super::*;
     use crate::bank::BankTiming;
-    use crate::device::MemoryDevice;
     use crate::mapping::AddressMapping;
-    use crate::rambus::DirectRambus;
+    use crate::model::DramModel;
 
     #[test]
     fn flat_equivalent_matches_direct_rambus_when_idle() {
-        let flat = DirectRambus::non_pipelined();
+        let flat = DramModel::rambus();
         let mut ch = BankedChannel::new(BankedConfig::flat_equivalent());
         for bytes in [2u64, 32, 128, 512, 4096] {
             let t = ch.request(ch.bus_free(), 0xbeef_0000, bytes);
@@ -248,7 +217,7 @@ mod tests {
 
     #[test]
     fn flat_equivalent_queues_like_the_flat_channel() {
-        let flat = DirectRambus::non_pipelined();
+        let flat = DramModel::rambus();
         let mut ch = BankedChannel::new(BankedConfig::flat_equivalent());
         let t1 = ch.request(Picos::ZERO, 0, 4096);
         let t2 = ch.request(Picos::from_nanos(100), 4096, 4096);
@@ -326,17 +295,6 @@ mod tests {
         let t = ch.request(Picos::from_nanos(5), 0, 0);
         assert_eq!(t.start, t.done);
         assert_eq!(ch.bus_free(), t.start, "slot claimed, no duration");
-        assert_eq!(ch.transfers(), 1);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut ch = BankedChannel::new(BankedConfig::flat_equivalent());
-        ch.request(Picos::ZERO, 0, 128);
-        ch.request(Picos::ZERO, 4096, 128);
-        assert_eq!(ch.transfers(), 2);
-        assert_eq!(ch.bytes(), 256);
-        assert_eq!(ch.busy_time(), Picos::from_nanos(260));
     }
 
     #[test]

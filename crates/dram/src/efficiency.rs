@@ -1,15 +1,13 @@
 //! Table 1: bandwidth efficiency per transfer size.
 
-use crate::device::MemoryDevice;
-use crate::disk::Disk;
-use crate::rambus::DirectRambus;
+use crate::model::DramModel;
 
 /// Fraction of a device's peak bandwidth actually used when transferring
 /// `bytes` in one request (Table 1's "efficiency" measure):
 /// `ideal_time / actual_time` where `ideal_time = bytes / peak`.
 ///
 /// Returns 0 for zero-byte transfers.
-pub fn efficiency<D: MemoryDevice + ?Sized>(device: &D, bytes: u64) -> f64 {
+pub fn efficiency(device: &DramModel, bytes: u64) -> f64 {
     if bytes == 0 {
         return 0.0;
     }
@@ -52,9 +50,9 @@ pub struct EfficiencyRow {
 
 /// Compute Table 1 for the standard sizes.
 pub fn efficiency_table() -> Vec<EfficiencyRow> {
-    let rambus = DirectRambus::non_pipelined();
-    let pipelined = DirectRambus::pipelined();
-    let disk = Disk::paper_example();
+    let rambus = DramModel::rambus();
+    let pipelined = DramModel::rambus_pipelined();
+    let disk = DramModel::disk();
     TABLE1_SIZES
         .iter()
         .map(|&bytes| EfficiencyRow {
@@ -78,7 +76,7 @@ mod tests {
 
     #[test]
     fn efficiency_grows_with_transfer_size() {
-        let r = DirectRambus::non_pipelined();
+        let r = DramModel::rambus();
         let mut prev = 0.0;
         for bytes in [2u64, 32, 128, 4096, 1 << 20] {
             let e = efficiency(&r, bytes);
@@ -91,22 +89,24 @@ mod tests {
     #[test]
     fn rambus_4kb_is_about_98_percent() {
         // 2560 ns of data in 2610 ns total.
-        let e = efficiency(&DirectRambus::non_pipelined(), 4096);
+        let e = efficiency(&DramModel::rambus(), 4096);
         assert!((0.975..0.985).contains(&e), "got {e}");
     }
 
     #[test]
     fn rambus_128b_is_about_62_percent() {
         // 80 ns of data in 130 ns total ≈ 0.615.
-        let e = efficiency(&DirectRambus::non_pipelined(), 128);
+        let e = efficiency(&DramModel::rambus(), 128);
         assert!((0.60..0.63).contains(&e), "got {e}");
     }
 
     #[test]
     fn disk_needs_megabytes_to_be_efficient() {
-        let d = Disk::paper_example();
+        let d = DramModel::disk();
         assert!(efficiency(&d, 4096) < 0.02, "4 KB is terrible for disk");
         assert!(efficiency(&d, 4 << 20) > 0.9, "4 MB amortizes the seek");
+        // 40 MB: 1 s of data behind the 10 ms seek.
+        assert!(efficiency(&d, 40_000_000) > 0.98);
     }
 
     #[test]
@@ -141,6 +141,6 @@ mod tests {
 
     #[test]
     fn zero_bytes_is_zero_efficiency() {
-        assert_eq!(efficiency(&DirectRambus::non_pipelined(), 0), 0.0);
+        assert_eq!(efficiency(&DramModel::rambus(), 0), 0.0);
     }
 }

@@ -8,13 +8,12 @@
 //! DRAM shares the disk's preference for large transfer units — the
 //! premise of treating DRAM as a paging device.
 //!
-//! This crate provides those analytic models:
+//! Every device the paper compares follows one rule, a fixed latency and
+//! then bytes at the device's bandwidth, so one type carries them all:
 //!
-//! * [`DirectRambus`] — the paper's DRAM, in non-pipelined and pipelined
-//!   (95 %-of-peak, §3.3) variants;
-//! * [`Sdram`] — the 128-bit-bus SDRAM comparator of §3.3;
-//! * [`Disk`] — the Table 1 disk;
-//! * [`MemoryDevice`] — the common transfer-time interface;
+//! * [`DramModel`] — the flat model, with one constructor per device:
+//!   the paper's Direct Rambus, its pipelined (95 %-of-peak, §3.3)
+//!   variant, the §3.3 SDRAM comparator and the Table 1 disk;
 //! * [`efficiency`] / [`efficiency_table`] — Table 1 itself.
 //!
 //! Beyond the paper's flat arithmetic, the crate also carries an
@@ -26,15 +25,15 @@
 //! 95 %-of-peak approximation. Configured degenerately
 //! ([`BankedConfig::flat_equivalent`]) it reproduces the flat model
 //! bit-for-bit — the conformance contract `tests/dram_backend.rs`
-//! enforces.
+//! enforces. Both fidelities report a [`Transfer`].
 //!
 //! All times are integer picoseconds ([`Picos`]) to keep the simulator
 //! exact and reproducible.
 //!
 //! ```
-//! use rampage_dram::{DirectRambus, MemoryDevice};
+//! use rampage_dram::DramModel;
 //!
-//! let rambus = DirectRambus::non_pipelined();
+//! let rambus = DramModel::rambus();
 //! // A 4 KB page transfer: 50 ns + 4096/2 x 1.25 ns = 2610 ns — the
 //! // "about 2,600 instructions at a 1 GHz issue rate" of §3.5.
 //! assert_eq!(rambus.transfer_time(4096).as_nanos_f64(), 2610.0);
@@ -45,24 +44,16 @@
 
 mod bank;
 mod channel;
-mod device;
-mod disk;
 mod efficiency;
 mod error;
 mod mapping;
 mod model;
-mod rambus;
-mod sdram;
 mod time;
 
 pub use bank::{Bank, BankTiming, BankedConfig, RowOutcome};
-pub use channel::{BankedChannel, BankedTransfer, RowStats};
-pub use device::MemoryDevice;
-pub use disk::Disk;
+pub use channel::{BankedChannel, RowStats, Transfer};
 pub use efficiency::{efficiency, efficiency_table, EfficiencyRow, TABLE1_SIZES};
 pub use error::DramConfigError;
 pub use mapping::{AddressMapping, BankPlacement, DramCoord};
 pub use model::DramModel;
-pub use rambus::DirectRambus;
-pub use sdram::Sdram;
 pub use time::Picos;

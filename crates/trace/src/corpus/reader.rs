@@ -6,7 +6,7 @@ use crate::record::TraceRecord;
 use crate::stream::TraceSource;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -39,9 +39,9 @@ fn bad_index(path: &Path, reason: impl Into<String>) -> CorpusError {
     }
 }
 
-/// Open a shard, check its magic, and decode the footer and block index.
-fn load_index(path: &Path) -> Result<ShardIndex, CorpusError> {
-    let mut f = File::open(path)?;
+/// Check an open shard's magic and decode its footer and block index
+/// (`path` names the shard in errors).
+fn load_index(f: &mut File, path: &Path) -> Result<ShardIndex, CorpusError> {
     let mut magic = [0u8; 8];
     f.read_exact(&mut magic)
         .map_err(|_| CorpusError::BadMagic(path.to_path_buf()))?;
@@ -190,7 +190,7 @@ fn read_block_into(
 /// The background decode loop: read every block in order and hand the
 /// decoded buffers to the consumer over a bounded channel (capacity 2 —
 /// one buffer being consumed, one ready, one being decoded: double
-/// buffering). The caller opened `f`.
+/// buffering). `f` is the handle the index was read from.
 fn prefetch(
     mut f: File,
     index: Arc<ShardIndex>,
@@ -226,33 +226,20 @@ fn prefetch(
     }
 }
 
-/// Where the next decoded block comes from.
-///
-/// With a spare core, a background prefetch thread reads and decodes
-/// ahead over a bounded channel (double buffering: one block being
-/// consumed, one ready, one in decode). On a single-CPU host that
-/// thread cannot overlap anything — every handoff is a forced context
-/// switch — so the reader decodes blocks inline on demand instead, as it
-/// does when the host refuses the thread.
+/// The background prefetch thread and the channel its decoded blocks
+/// arrive on.
 #[derive(Debug)]
-enum Feed {
-    /// Background prefetch thread, blocks arrive over the channel.
-    Threaded {
-        rx: Receiver<Vec<TraceRecord>>,
-        handle: JoinHandle<()>,
-    },
-    /// Decode-on-demand: the open file plus the next block to read.
-    Inline { file: File, next_block: usize },
-    /// Exhausted (or never started: an empty shard or one that could
-    /// not be reopened).
-    Done,
+struct Feed {
+    rx: Receiver<Vec<TraceRecord>>,
+    handle: JoinHandle<()>,
 }
 
 /// Replays a corpus shard as a [`TraceSource`].
 ///
-/// Blocks are read and decoded ahead of the consumer on a background
-/// prefetch thread when a spare core exists (inline, on demand, when
-/// not — see `Feed`). Replay always starts at the first record.
+/// A background prefetch thread reads and decodes blocks ahead of the
+/// consumer over a bounded channel (double buffering: one block being
+/// consumed, one ready, one in decode). Replay always starts at the
+/// first record.
 ///
 /// A block that fails its checksum or decode is **skipped**: its records
 /// vanish from the stream, and a [`CorpusWarning`] is recorded
@@ -262,15 +249,12 @@ enum Feed {
 #[derive(Debug)]
 pub struct CorpusReader {
     name: String,
-    path: PathBuf,
     index: Arc<ShardIndex>,
     warnings: Arc<Mutex<Vec<CorpusWarning>>>,
-    feed: Feed,
+    /// `None` once the shard is exhausted.
+    feed: Option<Feed>,
     buf: Vec<TraceRecord>,
     pos: usize,
-    /// Scratch for the inline feed's block payloads, reused across
-    /// blocks (the threaded feed keeps its scratch on the thread).
-    payload: Vec<u8>,
 }
 
 impl CorpusReader {
@@ -279,33 +263,31 @@ impl CorpusReader {
     /// # Errors
     ///
     /// [`CorpusError::BadMagic`] / [`CorpusError::BadIndex`] when the
-    /// file is not a readable shard, or any I/O failure.
+    /// file is not a readable shard; [`CorpusError::Io`] on any I/O
+    /// failure, a host that refuses the prefetch thread included.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CorpusError> {
-        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        Self::open_with(path.as_ref(), spare_core)
-    }
-
-    /// [`open`](Self::open) with the feed chosen by the caller: a
-    /// prefetch thread when `prefetch` is set, inline decode otherwise.
-    fn open_with(path: &Path, prefetch: bool) -> Result<Self, CorpusError> {
-        let path = path.to_path_buf();
-        let index = Arc::new(load_index(&path)?);
+        let path = path.as_ref();
+        let mut file = File::open(path)?;
+        let index = Arc::new(load_index(&mut file, path)?);
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "corpus".to_string());
-        let mut reader = CorpusReader {
+        let warnings = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = sync_channel(2);
+        let handle = {
+            let (index, warnings, shard) =
+                (Arc::clone(&index), Arc::clone(&warnings), name.clone());
+            std::thread::Builder::new().spawn(move || prefetch(file, index, shard, warnings, tx))?
+        };
+        Ok(CorpusReader {
             name,
-            path,
             index,
-            warnings: Arc::new(Mutex::new(Vec::new())),
-            feed: Feed::Done,
+            warnings,
+            feed: Some(Feed { rx, handle }),
             buf: Vec::new(),
             pos: 0,
-            payload: Vec::new(),
-        };
-        reader.start(prefetch);
-        Ok(reader)
+        })
     }
 
     /// Rename the source (reports show this instead of the file stem).
@@ -334,103 +316,13 @@ impl CorpusReader {
             .clone()
     }
 
-    fn start(&mut self, threaded: bool) {
-        if self.index.blocks.is_empty() {
-            return; // an empty shard: stay exhausted
-        }
-        if threaded {
-            let Some(file) = self.reopen() else { return };
-            let (tx, rx) = sync_channel(2);
-            let index = Arc::clone(&self.index);
-            let warnings = Arc::clone(&self.warnings);
-            let shard = self.name.clone();
-            // A host that refuses the thread gets the inline feed instead.
-            if let Ok(handle) = std::thread::Builder::new()
-                .spawn(move || prefetch(file, index, shard, warnings, tx))
-            {
-                self.feed = Feed::Threaded { rx, handle };
-                return;
-            }
-        }
-        if let Some(file) = self.reopen() {
-            self.feed = Feed::Inline {
-                file,
-                next_block: 0,
-            };
-        }
-    }
-
-    /// Open the shard again for a feed; a failure warns that every
-    /// record is lost and leaves the reader exhausted.
-    fn reopen(&self) -> Option<File> {
-        File::open(&self.path)
-            .map_err(|e| {
-                push_warning(
-                    &self.warnings,
-                    CorpusWarning {
-                        shard: self.name.clone(),
-                        block: 0,
-                        records_lost: self.index.total,
-                        reason: format!("could not reopen shard: {e}"),
-                    },
-                );
-            })
-            .ok()
-    }
-
     fn stop(&mut self) {
         // Dropping the receiver makes the producer's next send fail, so
         // the thread exits promptly; join to avoid leaking it.
-        if let Feed::Threaded { rx, handle } = std::mem::replace(&mut self.feed, Feed::Done) {
+        if let Some(Feed { rx, handle }) = self.feed.take() {
             drop(rx);
             let _ = handle.join();
         }
-    }
-
-    /// Inline feed: read and decode blocks straight into `self.buf`
-    /// (reusing its allocation and the payload scratch) until one
-    /// yields records — a quarantined block warns and continues.
-    /// Returns `false` when the shard is exhausted.
-    fn refill_inline(&mut self) -> bool {
-        let Feed::Inline {
-            ref mut file,
-            ref mut next_block,
-        } = self.feed
-        else {
-            return false;
-        };
-        while *next_block < self.index.blocks.len() {
-            let i = *next_block;
-            *next_block += 1;
-            let entry = self.index.blocks[i];
-            match read_block_into(
-                file,
-                &entry,
-                i as u64,
-                self.index.data_end,
-                &mut self.payload,
-                &mut self.buf,
-            ) {
-                Ok(()) => {
-                    self.pos = 0;
-                    return true;
-                }
-                Err(reason) => {
-                    self.buf.clear();
-                    self.pos = 0;
-                    push_warning(
-                        &self.warnings,
-                        CorpusWarning {
-                            shard: self.name.clone(),
-                            block: i as u64,
-                            records_lost: u64::from(entry.count),
-                            reason,
-                        },
-                    );
-                }
-            }
-        }
-        false
     }
 }
 
@@ -441,24 +333,15 @@ impl TraceSource for CorpusReader {
                 self.pos += 1;
                 return Some(rec);
             }
-            match self.feed {
-                Feed::Inline { .. } => {
-                    if !self.refill_inline() {
-                        self.stop();
-                        return None;
-                    }
+            match self.feed.as_ref()?.rx.recv() {
+                Ok(block) => {
+                    self.buf = block;
+                    self.pos = 0;
                 }
-                Feed::Threaded { ref rx, .. } => match rx.recv().ok() {
-                    Some(b) => {
-                        self.buf = b;
-                        self.pos = 0;
-                    }
-                    None => {
-                        self.stop();
-                        return None;
-                    }
-                },
-                Feed::Done => return None,
+                Err(_) => {
+                    self.stop();
+                    return None;
+                }
             }
         }
     }
@@ -479,6 +362,7 @@ mod tests {
     use super::super::writer::CorpusWriter;
     use super::*;
     use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn sample_records(n: u64) -> Vec<TraceRecord> {
         (0..n)
@@ -510,69 +394,58 @@ mod tests {
         std::iter::from_fn(|| s.next_record()).collect()
     }
 
-    /// Both feeds: inline decode (`false`) and the prefetch thread.
-    const FEEDS: [bool; 2] = [false, true];
-
     #[test]
     fn replay_is_bit_identical() {
-        for prefetch in FEEDS {
-            let dir = tmp(&format!("replay-{prefetch}"));
-            let records = sample_records(5000);
-            let path = write_shard(&dir, "t", &records, 256);
-            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
-            assert_eq!(matches!(r.feed, Feed::Threaded { .. }), prefetch);
-            assert_eq!(r.records(), 5000);
-            assert!(r.blocks() > 10, "small blocks force many");
-            assert_eq!(drain(&mut r), records, "prefetch {prefetch}");
-            assert!(r.warnings().is_empty());
-            assert_eq!(r.next_record(), None, "stays exhausted");
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = tmp("replay");
+        let records = sample_records(5000);
+        let path = write_shard(&dir, "t", &records, 256);
+        let mut r = CorpusReader::open(&path).unwrap();
+        assert_eq!(r.records(), 5000);
+        assert!(r.blocks() > 10, "small blocks force many");
+        assert_eq!(drain(&mut r), records);
+        assert!(r.warnings().is_empty());
+        assert_eq!(r.next_record(), None, "stays exhausted");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_block_is_skipped_with_warning() {
-        for prefetch in FEEDS {
-            let dir = tmp(&format!("corrupt-{prefetch}"));
-            let records = sample_records(900);
-            let path = write_shard(&dir, "t", &records, 128);
-            // Find block 1's payload via a clean reader's index, then
-            // flip a byte of it on disk.
-            let clean = CorpusReader::open(&path).unwrap();
-            let lost_block = 1usize;
-            let blocks = &clean.index.blocks;
-            let (offset, count) = (blocks[lost_block].offset, blocks[lost_block].count);
-            let first: u64 = blocks[..lost_block]
-                .iter()
-                .map(|b| u64::from(b.count))
-                .sum();
-            drop(clean);
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[offset as usize + 16] ^= 0x55; // first payload byte
-            std::fs::File::create(&path)
-                .unwrap()
-                .write_all(&bytes)
-                .unwrap();
+        let dir = tmp("corrupt");
+        let records = sample_records(900);
+        let path = write_shard(&dir, "t", &records, 128);
+        // Find block 1's payload via a clean reader's index, then flip a
+        // byte of it on disk.
+        let clean = CorpusReader::open(&path).unwrap();
+        let lost_block = 1usize;
+        let blocks = &clean.index.blocks;
+        let (offset, count) = (blocks[lost_block].offset, blocks[lost_block].count);
+        let first: u64 = blocks[..lost_block]
+            .iter()
+            .map(|b| u64::from(b.count))
+            .sum();
+        drop(clean);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offset as usize + 16] ^= 0x55; // first payload byte
+        std::fs::File::create(&path)
+            .unwrap()
+            .write_all(&bytes)
+            .unwrap();
 
-            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
-            let got = drain(&mut r);
-            let mut expect = records.clone();
-            expect.drain(first as usize..first as usize + count as usize);
-            assert_eq!(
-                got, expect,
-                "prefetch {prefetch}: original minus the bad block"
-            );
-            let warnings = r.warnings();
-            assert_eq!(warnings.len(), 1);
-            assert_eq!(warnings[0].block, lost_block as u64);
-            assert_eq!(warnings[0].records_lost, u64::from(count));
-            assert!(
-                warnings[0].reason.contains("checksum"),
-                "{}",
-                warnings[0].reason
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let mut r = CorpusReader::open(&path).unwrap();
+        let got = drain(&mut r);
+        let mut expect = records.clone();
+        expect.drain(first as usize..first as usize + count as usize);
+        assert_eq!(got, expect, "original minus the bad block");
+        let warnings = r.warnings();
+        assert_eq!(warnings.len(), 1);
+        assert_eq!(warnings[0].block, lost_block as u64);
+        assert_eq!(warnings[0].records_lost, u64::from(count));
+        assert!(
+            warnings[0].reason.contains("checksum"),
+            "{}",
+            warnings[0].reason
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -596,14 +469,12 @@ mod tests {
 
     #[test]
     fn empty_shard_replays_empty() {
-        for prefetch in FEEDS {
-            let dir = tmp(&format!("empty-{prefetch}"));
-            let path = write_shard(&dir, "t", &[], 128);
-            let mut r = CorpusReader::open_with(&path, prefetch).unwrap();
-            assert_eq!(r.records(), 0);
-            assert_eq!(r.next_record(), None);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = tmp("empty");
+        let path = write_shard(&dir, "t", &[], 128);
+        let mut r = CorpusReader::open(&path).unwrap();
+        assert_eq!(r.records(), 0);
+        assert_eq!(r.next_record(), None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl SequentialSweep {
             pos: 0,
         }
     }
-
-    /// The region size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
 }
 
 impl DataGen for SequentialSweep {

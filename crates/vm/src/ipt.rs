@@ -303,11 +303,6 @@ impl InvertedPageTable {
         self.mapped
     }
 
-    /// Number of hash-anchor-table buckets.
-    pub fn hat_buckets(&self) -> usize {
-        self.hat.len()
-    }
-
     /// Total bytes the table occupies (HAT + entries) — the quantity the
     /// OS pins in SRAM (paper §4.5: 6 pages at a 4 KB page size, up to
     /// 5336 pages at 128 bytes).

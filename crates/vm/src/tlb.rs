@@ -98,11 +98,6 @@ impl Tlb {
         self.stats
     }
 
-    /// Zero the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     fn set_of(&self, vpn: Vpn) -> usize {
         (vpn.0 as usize) & (self.sets - 1)
     }
@@ -173,14 +168,6 @@ impl Tlb {
             }
             None => false,
         }
-    }
-
-    /// Drop every translation (e.g. on a full address-space teardown).
-    pub fn flush_all(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.index.clear();
     }
 
     /// Number of valid entries.
@@ -267,17 +254,6 @@ mod tests {
         assert_eq!(t.peek(a(1), Vpn(0)), None);
         assert_eq!(t.peek(a(1), Vpn(1)), Some(FrameId(1)));
         assert_eq!(t.peek(a(1), Vpn(2)), Some(FrameId(2)));
-    }
-
-    #[test]
-    fn flush_all_empties() {
-        let mut t = Tlb::paper_default();
-        for i in 0..10u64 {
-            t.insert(a(1), Vpn(i), FrameId(i as u32));
-        }
-        t.flush_all();
-        assert_eq!(t.occupancy(), 0);
-        assert_eq!(t.peek(a(1), Vpn(3)), None);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 
 use rampage::prelude::*;
 use rampage_core::TableBuilder;
-use rampage_dram::{DirectRambus, MemoryDevice};
+use rampage_dram::DramModel;
 
 fn main() {
     // First the analytic view: a context switch costs ~400 references
     // (≈400+ cycles); a page transfer costs 50 ns + 0.625 ns/byte.
     println!("When does a switch fit inside a page transfer?\n");
-    let rambus = DirectRambus::non_pipelined();
+    let rambus = DramModel::rambus();
     let mut t = TableBuilder::new(vec![
         "page".into(),
         "transfer".into(),

@@ -17,13 +17,15 @@ step() {
   timeout --kill-after=30 "${STEP_TIMEOUT}" "$@"
 }
 
-# Temp dirs for the CLI drills below, removed on any exit.
+# Temp dirs for the test suites' TMPDIR and the CLI drills below,
+# removed on any exit.
 ALL_TMP=$(mktemp -d)
 BANKED_TMP=$(mktemp -d)
 CORPUS_TMP=$(mktemp -d)
 DRILL_TMP=$(mktemp -d)
+TEST_TMP=$(mktemp -d)
 TRACE_TMP=$(mktemp -d)
-trap 'rm -rf "${ALL_TMP}" "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}" "${TRACE_TMP}"' EXIT
+trap 'rm -rf "${ALL_TMP}" "${BANKED_TMP}" "${CORPUS_TMP}" "${DRILL_TMP}" "${TEST_TMP}" "${TRACE_TMP}"' EXIT
 
 step cargo fmt --all --check
 
@@ -111,13 +113,23 @@ step ./target/release/repro lint --configs
 # The root package's tests (observability, snapshot, corpus, resume…)
 # run once in the tier-1 step; the workspace step adds every other
 # crate's, and the fault step reruns the root suite with injection armed.
+# All three run in a fresh TMPDIR: every scratch directory a test makes
+# is named rampage-*, and a passing suite must leave none behind.
 echo "==> cargo test -q (tier-1)"
-step cargo test -q
+TMPDIR="${TEST_TMP}" step cargo test -q
 
-step cargo test -q --workspace --exclude rampage
+TMPDIR="${TEST_TMP}" step cargo test -q --workspace --exclude rampage
 
 echo "==> cargo test -q --features fault (fault-injection suite)"
-step cargo test -q --features fault
+TMPDIR="${TEST_TMP}" step cargo test -q --features fault
+
+echo "==> no test scratch directory left behind"
+LEFTOVER=$(find "${TEST_TMP}" -mindepth 1 -maxdepth 1 -name 'rampage-*')
+if [[ -n "${LEFTOVER}" ]]; then
+  echo "${LEFTOVER}" >&2
+  echo "FAIL: the test suites left scratch entries in their TMPDIR" >&2
+  exit 1
+fi
 
 # Every artifact once through the CLI: `all` next to `diag` must exit 0,
 # put each JSON-producing artifact in results.json and print the diag

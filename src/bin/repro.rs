@@ -858,6 +858,19 @@ fn trace_main(args: Vec<String>) -> i32 {
                 eprintln!("import-din: a din FILE argument is required");
                 return 2;
             };
+            // Load the manifest before writing anything: one that exists
+            // but cannot be loaded must not be replaced by a manifest
+            // listing only the imported shard.
+            let mut manifest = match corpus::Manifest::load(dir) {
+                Ok(m) => m,
+                Err(corpus::CorpusError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                    corpus::Manifest::default()
+                }
+                Err(e) => {
+                    eprintln!("import-din: {e}");
+                    return 1;
+                }
+            };
             let input = match std::fs::File::open(file) {
                 Ok(f) => std::io::BufReader::new(f),
                 Err(e) => {
@@ -885,7 +898,6 @@ fn trace_main(args: Vec<String>) -> i32 {
                 eprintln!("import-din: input ended with an error: {err}");
                 return 1;
             }
-            let mut manifest = corpus::Manifest::load(dir).unwrap_or_default();
             manifest.shards.retain(|s| s.name != name);
             println!(
                 "imported {name}: {} records in {} blocks, {} bytes",

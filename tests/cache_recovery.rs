@@ -9,11 +9,28 @@ use rampage_core::experiments::{
     CacheLoad, CellCache, Job, SweepRunner, Workload, CACHE_FORMAT_VERSION,
 };
 use rampage_core::{IssueRate, SystemConfig};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// A unique scratch directory per test (no tempfile crate offline).
-fn scratch(name: &str) -> PathBuf {
+/// A unique scratch directory per test (no tempfile crate offline),
+/// removed when the guard drops, pass or fail.
+struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(name: &str) -> Scratch {
     static N: AtomicU32 = AtomicU32::new(0);
     let dir = std::env::temp_dir().join(format!(
         "rampage-cache-recovery-{}-{name}-{}",
@@ -21,7 +38,7 @@ fn scratch(name: &str) -> PathBuf {
         N.fetch_add(1, Ordering::SeqCst)
     ));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 /// Run a tiny sweep and persist its cache, returning the runner (for

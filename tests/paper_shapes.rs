@@ -6,7 +6,7 @@
 
 use rampage::prelude::*;
 use rampage_core::experiments::{self, SweepRunner, Workload};
-use rampage_dram::{efficiency, DirectRambus, Disk, MemoryDevice};
+use rampage_dram::{efficiency, DramModel};
 
 fn workload() -> Workload {
     Workload {
@@ -23,10 +23,10 @@ fn runner() -> SweepRunner {
 
 #[test]
 fn table1_dram_shares_disks_preference_for_large_units() {
-    let rambus = DirectRambus::non_pipelined();
-    let disk = Disk::paper_example();
+    let rambus = DramModel::rambus();
+    let disk = DramModel::disk();
     // Both devices' efficiency grows with transfer size...
-    for dev in [&rambus as &dyn MemoryDevice, &disk] {
+    for dev in [&rambus, &disk] {
         let mut prev = 0.0;
         for bytes in [128u64, 1024, 64 * 1024, 4 << 20] {
             let e = efficiency(dev, bytes);

@@ -121,9 +121,8 @@ fn row_outcome_costs_are_ordered() {
 // ---------- Banked channel ----------
 
 /// No transfer time-travels: for any valid config and any request
-/// sequence with non-decreasing issue times, `now ≤ start ≤ done`, the
-/// bus high-water mark never recedes, and the byte/transfer counters
-/// are conserved.
+/// sequence with non-decreasing issue times, `now ≤ start ≤ done` and
+/// the bus high-water mark never recedes.
 #[test]
 fn banked_transfers_never_time_travel() {
     let mut rng = StdRng::seed_from_u64(0xd4a3);
@@ -132,10 +131,9 @@ fn banked_transfers_never_time_travel() {
         let mut ch = BankedChannel::new(cfg);
         let mut now = Picos::ZERO;
         let mut bus_seen = Picos::ZERO;
-        let mut total_bytes = 0u64;
         let mut nonzero = 0u64;
         let nops = rng.gen_range(1..80usize);
-        for i in 0..nops {
+        for _ in 0..nops {
             now += Picos(rng.gen_range(0..200_000u64));
             let bytes = pick(&mut rng, &[0u64, 1, 2, 128, 2048, 4096, 10_000]);
             let addr = rng.gen::<u64>();
@@ -147,10 +145,7 @@ fn banked_transfers_never_time_travel() {
             }
             assert!(ch.bus_free() >= bus_seen, "{cfg:?}: bus receded");
             bus_seen = ch.bus_free();
-            total_bytes += bytes;
             nonzero += u64::from(bytes > 0);
-            assert_eq!(ch.transfers(), i as u64 + 1);
-            assert_eq!(ch.bytes(), total_bytes);
         }
         // Every non-empty transfer touches at least one row; empty ones
         // touch none.
@@ -212,9 +207,6 @@ fn degenerate_banked_matches_flat_on_random_sequences() {
             assert_eq!(f.start, b.start, "start diverged at {bytes} B");
             assert_eq!(f.done, b.done, "done diverged at {bytes} B");
         }
-        assert_eq!(flat.transfers(), banked.transfers());
-        assert_eq!(flat.bytes(), banked.bytes());
-        assert_eq!(flat.busy_time(), banked.busy_time());
     }
 }
 

@@ -6,7 +6,7 @@
 //! seed per test, many sampled scenarios per run.
 
 use rampage::cache::{Cache, Geometry, PhysAddr, ReplacementPolicy};
-use rampage::dram::{DirectRambus, MemoryDevice, Picos};
+use rampage::dram::{DramModel, Picos};
 use rampage::vm::{ClockReplacer, FrameId, InvertedPageTable, Tlb, Vpn};
 use rampage_trace::Asid;
 use rand::rngs::StdRng;
@@ -338,7 +338,7 @@ fn picos_cycles_ceil_is_a_proper_ceiling() {
 #[test]
 fn rambus_transfer_time_is_monotone_and_superlinear_free() {
     let mut rng = StdRng::seed_from_u64(0x11a8);
-    let r = DirectRambus::non_pipelined();
+    let r = DramModel::rambus();
     for _ in 0..256 {
         let a = rng.gen_range(0..1_000_000u64);
         let b = rng.gen_range(0..1_000_000u64);
