@@ -84,13 +84,12 @@ impl Domain {
 /// Cross-file vocabulary: field/variable names whose unit the workspace
 /// fixes by convention (`BankTiming`, `SystemConfig`, the engine's
 /// clock). Per-file declarations override these.
-const UNIT_VOCAB: [(&str, Domain); 8] = [
+const UNIT_VOCAB: [(&str, Domain); 7] = [
     ("quantum_time", Domain::Ps),
     ("t_rp", Domain::Ps),
     ("t_rcd", Domain::Ps),
     ("t_cas", Domain::Ps),
     ("busy_until", Domain::Ps),
-    ("busy_time", Domain::Ps),
     ("quantum_refs", Domain::Refs),
     ("unit_bytes", Domain::Bytes),
 ];

@@ -254,6 +254,12 @@ impl Engine {
     /// every live process is blocked. Returns false when all processes
     /// have finished.
     fn ensure_runnable(&mut self) -> bool {
+        // The common case, once per reference. Clearing expired blocks
+        // is bookkeeping only: `runnable` treats them as expired, and
+        // the idle branch below runs only after the loop clears them.
+        if self.processes[self.current].runnable(self.now) {
+            return true;
+        }
         loop {
             if self.processes.iter().all(|p| p.finished) {
                 return false;

@@ -770,7 +770,10 @@ impl SweepRunner {
                     if k >= total {
                         break;
                     }
-                    lock_recovering(&done).push(timed(k));
+                    // Simulate before taking the lock: a guard taken
+                    // first would be held across the whole cell.
+                    let outcome = timed(k);
+                    lock_recovering(&done).push(outcome);
                 });
             }
         });

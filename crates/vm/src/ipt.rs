@@ -69,8 +69,11 @@ struct Slot {
     taken: bool,
 }
 
-/// Entries per storage chunk of a large [`Paged`] array.
-const CHUNK: usize = 256;
+/// Entries per storage chunk of a large [`Paged`] array. Small, because
+/// the shuffled free pool scatters a conventional table's mapped frames
+/// over its 2^18 entries, so nearly every mapped frame pages in a chunk
+/// of its own.
+const CHUNK: usize = 16;
 
 /// Arrays of up to this many entries are allocated in full. That covers
 /// the RAMpage table (33,792 frames and 65,536 buckets at 128-byte
@@ -89,7 +92,9 @@ struct Paged<T> {
     /// Per chunk, the index in `data` where its entries start; 0, the
     /// all-default chunk at the front of `data`, until the chunk is
     /// first written. Empty when `data` holds every entry in order.
-    dir: Vec<usize>,
+    /// A `u32` each: `data` never holds more than `len + CHUNK` entries,
+    /// and `len` follows a `u32` frame count.
+    dir: Vec<u32>,
     data: Vec<T>,
 }
 
@@ -122,12 +127,13 @@ impl<T: Copy + Default> Paged<T> {
             return &self.data[i];
         }
         assert!(i < self.len, "index {i} out of range for {}", self.len);
-        &self.data[self.dir[i / CHUNK] + i % CHUNK]
+        &self.data[self.dir[i / CHUNK] as usize + i % CHUNK]
     }
 
     /// # Panics
     ///
-    /// Panics if `i` is out of range, as indexing a slice does.
+    /// Panics if `i` is out of range, as indexing a slice does, or if
+    /// the written chunks outgrow `u32` offsets.
     #[inline]
     fn get_mut(&mut self, i: usize) -> &mut T {
         if self.dir.is_empty() {
@@ -136,10 +142,13 @@ impl<T: Copy + Default> Paged<T> {
         assert!(i < self.len, "index {i} out of range for {}", self.len);
         let start = &mut self.dir[i / CHUNK];
         if *start == 0 {
-            *start = self.data.len();
-            self.data.resize(*start + CHUNK, T::default());
+            let Ok(at) = u32::try_from(self.data.len()) else {
+                panic!("paged storage of {} entries outgrew u32 offsets", self.len)
+            };
+            *start = at;
+            self.data.resize(self.data.len() + CHUNK, T::default());
         }
-        &mut self.data[*start + i % CHUNK]
+        &mut self.data[*start as usize + i % CHUNK]
     }
 }
 

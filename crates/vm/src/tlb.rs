@@ -5,6 +5,7 @@ use rampage_trace::Asid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// TLB hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,6 +27,40 @@ impl TlbStats {
         } else {
             self.misses as f64 / t as f64
         }
+    }
+}
+
+/// The TLB index's hasher: one multiply–rotate step per word, in place
+/// of SipHash on every simulated reference.
+///
+/// It resists no crafted collisions, and VPNs come from traces, which
+/// may be imported. It is safe here because the index never holds more
+/// keys than the TLB's capacity (64 entries in the paper, 1,024 for
+/// §6.3's TLB): keys that all collide cost one probe sequence over at
+/// most that many entries. Do not use it for a map whose size follows
+/// its input.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// The bucket bits come from the well-mixed high half of the last
+    /// product.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -53,7 +88,7 @@ pub struct Tlb {
     /// `sets * ways` slots, row-major by set.
     slots: Vec<Option<Entry>>,
     /// Exact-match index for O(1) lookup: (asid, vpn) → slot.
-    index: HashMap<(Asid, Vpn), usize>,
+    index: HashMap<(Asid, Vpn), usize, BuildHasherDefault<IndexHasher>>,
     rng: StdRng,
     stats: TlbStats,
 }
@@ -82,7 +117,7 @@ impl Tlb {
             sets,
             ways,
             slots: vec![None; sets * ways],
-            index: HashMap::new(),
+            index: HashMap::default(),
             rng: StdRng::seed_from_u64(seed),
             stats: TlbStats::default(),
         }
@@ -254,6 +289,40 @@ mod tests {
         assert_eq!(t.peek(a(1), Vpn(0)), None);
         assert_eq!(t.peek(a(1), Vpn(1)), Some(FrameId(1)));
         assert_eq!(t.peek(a(1), Vpn(2)), Some(FrameId(2)));
+    }
+
+    #[test]
+    fn keys_that_agree_in_their_low_bits_all_resolve() {
+        // VPNs that differ only above bit 32, under two ASIDs: whatever
+        // the index's hasher makes of them, every live key must resolve.
+        // The fully associative TLB keeps them all; in the 2-way one they
+        // share set 0, so filling it also evicts.
+        for (mut t, kept) in [(Tlb::paper_default(), 64), (Tlb::large_2way(), 2)] {
+            let keys: Vec<(Asid, Vpn)> = (0..t.capacity() as u64)
+                .map(|i| (a(1 + (i % 2) as u16), Vpn((i / 2) << 32)))
+                .collect();
+            for (i, &(asid, vpn)) in keys.iter().enumerate() {
+                t.insert(asid, vpn, FrameId(i as u32));
+                assert!(t.occupancy() <= t.capacity());
+            }
+            let live: Vec<_> = (0..keys.len())
+                .filter(|&i| t.peek(keys[i].0, keys[i].1).is_some())
+                .collect();
+            assert_eq!((live.len(), t.occupancy()), (kept, kept));
+            for &i in &live {
+                let (asid, vpn) = keys[i];
+                assert_eq!(t.peek(asid, vpn), Some(FrameId(i as u32)));
+                assert_eq!(t.lookup(asid, vpn), Some(FrameId(i as u32)));
+            }
+            let (asid, vpn) = keys[live[0]];
+            let before = t.occupancy();
+            assert!(t.flush_page(asid, vpn));
+            assert_eq!(t.occupancy(), before - 1, "one flush, one entry");
+            assert_eq!(t.peek(asid, vpn), None);
+            for &i in &live[1..] {
+                assert_eq!(t.peek(keys[i].0, keys[i].1), Some(FrameId(i as u32)));
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,26 @@ if ! grep -q "diag: per-config" <<<"${ALL_OUT}"; then
   echo "FAIL: repro all diag did not print the diag table" >&2
   exit 1
 fi
+# The same run on one worker: the pool must match the serial path over
+# every artifact, in stdout, results.json and cells.json alike.
+SERIAL_TMP="${ALL_TMP}/serial"
+if ! SERIAL_OUT=$(timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
+  --scale 20000 --nbench 2 --jobs 1 --out "${SERIAL_TMP}" all diag 2>"${ALL_TMP}/serial.stderr"); then
+  tail -n 20 "${ALL_TMP}/serial.stderr" >&2
+  echo "FAIL: repro --jobs 1 all diag exited non-zero" >&2
+  exit 1
+fi
+if [[ "${SERIAL_OUT}" != "${ALL_OUT}" ]]; then
+  diff <(echo "${SERIAL_OUT}") <(echo "${ALL_OUT}") | head -n 20 >&2
+  echo "FAIL: repro all diag stdout differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+fi
+for f in results.json cells.json; do
+  if ! cmp "${SERIAL_TMP}/${f}" "${ALL_TMP}/${f}"; then
+    echo "FAIL: ${f} differs between --jobs 1 and --jobs 2" >&2
+    exit 1
+  fi
+done
 
 # Banked-backend smoke: the same sweep at the other DRAM fidelity, plus
 # the dramdiff ablation, whose divergence summary must land in

@@ -9,6 +9,8 @@ use rampage_core::experiments::{
 use rampage_core::obs::to_jsonl;
 use rampage_core::{HierarchyKind, IssueRate, SystemConfig};
 use rampage_json::{Json, ToJson};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// A job that passes [`SystemConfig::validate`] but panics inside the
 /// simulation: the standby list's capacity check only trips once the
@@ -62,6 +64,46 @@ fn parallel_batch_with_duplicates_keeps_order_and_dedups() {
     );
     // The serial path returns the same vector.
     assert_eq!(SweepRunner::serial().run_batch(&jobs), cells);
+}
+
+/// Two workers simulate two cells at once. Each cell's progress
+/// callback counts it finished, then waits until both cells have
+/// finished. A pool that runs one cell at a time fires the callbacks
+/// one after the other, so its first callback times out.
+#[test]
+fn two_workers_run_two_cells_at_once() {
+    let w = Workload::quick();
+    let jobs = [
+        Job::new(SystemConfig::baseline(IssueRate::GHZ1, 512), w),
+        Job::new(SystemConfig::rampage(IssueRate::GHZ1, 512), w),
+    ];
+    // (cells finished, callbacks that saw both finish), and its signal.
+    let rendezvous = Arc::new((Mutex::new((0usize, 0usize)), Condvar::new()));
+    let runner = SweepRunner::new(2).with_progress({
+        let rendezvous = Arc::clone(&rendezvous);
+        move |_| {
+            let (state, finished) = &*rendezvous;
+            let mut s = state.lock().unwrap();
+            s.0 += 1;
+            finished.notify_all();
+            let (mut s, _) = finished
+                .wait_timeout_while(s, Duration::from_secs(20), |s| s.0 < 2)
+                .unwrap();
+            if s.0 == 2 {
+                s.1 += 1;
+            }
+        }
+    });
+    let cells = runner.run_batch(&jobs);
+    assert!(
+        cells.iter().all(|c| c.seconds > 0.0),
+        "both cells simulated"
+    );
+    let saw_both = rendezvous.0.lock().unwrap().1;
+    assert_eq!(
+        saw_both, 2,
+        "a cell's callback never saw the other cell finish"
+    );
 }
 
 #[test]
