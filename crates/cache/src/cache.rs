@@ -26,6 +26,12 @@ pub struct AccessResult {
     pub eviction: Option<Eviction>,
 }
 
+/// Where a resident block sits in a [`Cache`], from
+/// [`Cache::line_of`]. It names the same block for as long as the
+/// cache's [`generation`](Cache::generation) stays put.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineRef(usize);
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
@@ -52,6 +58,9 @@ pub struct Cache {
     policy: ReplacementPolicy,
     rng: StdRng,
     clock: u64,
+    /// Fills plus invalidations so far: while it stays put, every block
+    /// keeps its line.
+    generation: u64,
     stats: CacheStats,
 }
 
@@ -74,6 +83,7 @@ impl Cache {
             policy,
             rng: StdRng::seed_from_u64(seed),
             clock: 0,
+            generation: 0,
             stats: CacheStats::default(),
         }
     }
@@ -91,6 +101,13 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// A counter that moves on every fill and every invalidation, and
+    /// on nothing else: while it reads the same, every resident block
+    /// stays resident in the same line.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     #[inline]
@@ -174,6 +191,7 @@ impl Cache {
             valid: true,
             dirty: is_write,
         };
+        self.generation += 1;
         // LRU and FIFO both stamp at fill time.
         self.stamps[idx] = self.clock;
         AccessResult {
@@ -199,8 +217,31 @@ impl Cache {
 
     /// Check presence without changing any state.
     pub fn probe(&self, addr: PhysAddr) -> bool {
+        self.line_of(addr).is_some()
+    }
+
+    /// The line holding the block containing `addr`, if it is present,
+    /// without changing any state.
+    pub fn line_of(&self, addr: PhysAddr) -> Option<LineRef> {
         let set = self.set_of(addr);
-        self.find_way(set, self.geo.tag(addr)).is_some()
+        self.find_way(set, self.geo.tag(addr))
+            .map(|way| LineRef(self.line_index(set, way)))
+    }
+
+    /// Count `n` read hits on a resident line, exactly as `n` calls of
+    /// [`access`](Self::access) for a read of its block would: the hit
+    /// counter, the access clock and (under LRU) the line's stamp.
+    ///
+    /// `line` must come from [`line_of`](Self::line_of) with no change
+    /// of [`generation`](Self::generation) since; debug builds check
+    /// that it is still valid.
+    pub fn count_read_hits(&mut self, line: LineRef, n: u64) {
+        debug_assert!(self.lines[line.0].valid, "counted hits on an empty line");
+        self.clock += n;
+        self.stats.read_hits += n;
+        if self.policy == ReplacementPolicy::Lru && n > 0 {
+            self.stamps[line.0] = self.clock;
+        }
     }
 
     /// Whether the block containing `addr` is present and dirty.
@@ -225,6 +266,7 @@ impl Cache {
         self.lines[idx].valid = false;
         self.lines[idx].dirty = false;
         self.stats.invalidations += 1;
+        self.generation += 1;
         Some(Eviction {
             addr: self.geo.block_base(set as u64, line.tag),
             dirty: line.dirty,
@@ -281,6 +323,7 @@ impl Cache {
                     self.lines[idx].valid = false;
                     self.lines[idx].dirty = false;
                     self.stats.invalidations += 1;
+                    self.generation += 1;
                 }
             }
         }
@@ -454,6 +497,66 @@ mod tests {
             c.access(PhysAddr(i * 32), false);
         }
         assert_eq!(c.occupancy(), 10);
+    }
+
+    #[test]
+    fn counted_read_hits_match_repeated_accesses() {
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            let geo = Geometry::new(128, 32, 2); // 2 sets, 2 ways
+            let mut counted = Cache::new(geo, policy);
+            let mut accessed = Cache::new(geo, policy);
+            for c in [&mut counted, &mut accessed] {
+                c.access(PhysAddr(0), false);
+                c.access(PhysAddr(128), true);
+            }
+            let line = counted.line_of(PhysAddr(4)).unwrap();
+            assert_eq!(counted.line_of(PhysAddr(28)), Some(line), "same block");
+            counted.count_read_hits(line, 3);
+            for _ in 0..3 {
+                assert!(accessed.access(PhysAddr(4), false).hit);
+            }
+            assert_eq!(counted.stats(), accessed.stats(), "{policy:?}");
+            // The next fill picks the same victim in both.
+            assert_eq!(
+                counted.access(PhysAddr(256), false),
+                accessed.access(PhysAddr(256), false),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn generation_moves_on_fills_and_invalidations_only() {
+        let mut c = dm_cache(1024, 32);
+        assert_eq!(c.generation(), 0);
+        c.access(PhysAddr(0), false); // fill
+        assert_eq!(c.generation(), 1);
+        c.access(PhysAddr(4), true); // write hit
+        c.access(PhysAddr(8), false); // read hit
+        c.mark_dirty(PhysAddr(0));
+        let line = c.line_of(PhysAddr(0)).unwrap();
+        c.count_read_hits(line, 5);
+        assert!(c.probe(PhysAddr(0)) && c.is_dirty(PhysAddr(0)));
+        assert_eq!(c.generation(), 1, "hits and dirtying move nothing");
+        c.access(PhysAddr(1024), false); // fill that evicts
+        assert_eq!(c.generation(), 2);
+        assert_eq!(c.invalidate_block(PhysAddr(0)), None, "absent");
+        assert_eq!(c.generation(), 2);
+        assert!(c.invalidate_block(PhysAddr(1024)).is_some());
+        assert_eq!(c.generation(), 3);
+        c.access(PhysAddr(32), false);
+        c.access(PhysAddr(64), false);
+        assert_eq!(c.generation(), 5);
+        c.invalidate_region(PhysAddr(0), 128, |_| {});
+        assert_eq!(c.generation(), 7, "two of four probed blocks were present");
+        c.access(PhysAddr(96), false);
+        c.flush();
+        assert_eq!(c.generation(), 9);
+        assert_eq!(c.line_of(PhysAddr(96)), None);
     }
 
     #[test]

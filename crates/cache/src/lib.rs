@@ -45,7 +45,7 @@ mod victim;
 mod writebuf;
 
 pub use addr::PhysAddr;
-pub use cache::{AccessResult, Cache, Eviction};
+pub use cache::{AccessResult, Cache, Eviction, LineRef};
 pub use classify::{MissClass, MissClassifier, MissProfile, ShadowTracker};
 pub use geometry::Geometry;
 pub use policy::ReplacementPolicy;

@@ -211,8 +211,8 @@ impl Engine {
     }
 
     /// Rotate to the next runnable process, charging switch cost when the
-    /// configuration includes the switch trace. Returns false when no
-    /// other process could be scheduled (single-process case).
+    /// configuration includes the switch trace. When no other process
+    /// is runnable (the single-process case), only the quantum restarts.
     fn rotate(&mut self, m_switch_on_miss: bool) {
         self.used_in_quantum = 0;
         self.quantum_started = self.now;

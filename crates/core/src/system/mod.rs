@@ -27,7 +27,7 @@ use crate::metrics::Metrics;
 use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
 use conventional::Conventional;
 use rampage::Rampage;
-use rampage_cache::{Cache, PhysAddr, ReplacementPolicy, WriteBuffer};
+use rampage_cache::{Cache, LineRef, PhysAddr, ReplacementPolicy, WriteBuffer};
 use rampage_dram::{Picos, Transfer};
 use rampage_trace::{AccessKind, Asid, TraceRecord};
 use rampage_vm::os::{HandlerRef, OsLayout, OsModel};
@@ -62,6 +62,25 @@ enum HandlerKind {
 pub struct MemorySystem {
     fe: FrontEnd,
     below: Below,
+    /// The last user instruction fetch that went the full way.
+    last_fetch: Option<FetchMemo>,
+}
+
+/// What a user instruction fetch established: its page's translation
+/// was in the TLB and its block in the L1i at `line`. While neither
+/// generation counter has moved, a fetch from the same block of the
+/// same page must hit both again (DESIGN.md §5b).
+#[derive(Clone, Copy)]
+struct FetchMemo {
+    asid: Asid,
+    vpn: Vpn,
+    /// The fetch's virtual L1 block number.
+    block: u64,
+    line: LineRef,
+    tlb_generation: u64,
+    l1i_generation: u64,
+    /// The translation, for the debug builds' check.
+    frame: FrameId,
 }
 
 /// The level below the L1s.
@@ -84,6 +103,8 @@ struct FrontEnd {
     l1d: Cache,
     /// Write buffer (perfect in the paper's configuration, §4.3).
     wbuf: WriteBuffer,
+    /// log2 of the L1 block size.
+    l1_block_bits: u32,
     /// Cycles to write one dirty L1 block into the level below: the full
     /// L1 miss penalty with an L2 tag to update, 9 into RAMpage's tagless
     /// SRAM (§4.3).
@@ -127,6 +148,7 @@ impl MemorySystem {
             cycle: cfg.issue.cycle(),
             page,
             l1i: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
+            l1_block_bits: cfg.l1.block.trailing_zeros(),
             l1d: Cache::new(cfg.l1.geometry(), ReplacementPolicy::Lru),
             wbuf: cfg
                 .write_buffer_depth
@@ -139,7 +161,11 @@ impl MemorySystem {
             handler_buf: Vec::with_capacity(1024),
             trace: TraceSink::disabled(),
         };
-        MemorySystem { fe, below }
+        MemorySystem {
+            fe,
+            below,
+            last_fetch: None,
+        }
     }
 
     /// Present one user reference at absolute time `now`.
@@ -152,12 +178,41 @@ impl MemorySystem {
     ) -> AccessOutcome {
         let page = self.fe.page;
         let vpn = page.vpn(rec.addr);
+        let fetch = rec.kind == AccessKind::InstrFetch;
+        let block = rec.addr.0 >> self.fe.l1_block_bits;
+        if fetch {
+            if let Some(memo) = self.last_fetch.filter(|f| {
+                (f.asid, f.vpn, f.block) == (asid, vpn, block)
+                    && f.tlb_generation == self.fe.tlb.generation()
+                    && f.l1i_generation == self.fe.l1i.generation()
+            }) {
+                debug_assert_eq!(self.fe.tlb.peek(asid, vpn), Some(memo.frame));
+                debug_assert!(self.fe.l1i.probe(PhysAddr(
+                    memo.frame.base_addr(page).0 + page.offset(rec.addr)
+                )));
+                // A TLB hit and a pipelined L1i read hit, as before.
+                self.fe.tlb.count_hit();
+                self.fe.l1i.count_read_hits(memo.line, 1);
+                return AccessOutcome::default();
+            }
+        }
         let (frame, mut stall, blocked_until) = match self.fe.tlb.lookup(asid, vpn) {
             Some(frame) => (frame, 0, None),
             None => self.tlb_miss(asid, vpn, now, m),
         };
         let pa = PhysAddr(frame.base_addr(page).0 + page.offset(rec.addr));
         stall += self.access_phys(pa, rec.kind, self.fe.after(now, stall), m);
+        if fetch {
+            self.last_fetch = self.fe.l1i.line_of(pa).map(|line| FetchMemo {
+                asid,
+                vpn,
+                block,
+                line,
+                tlb_generation: self.fe.tlb.generation(),
+                l1i_generation: self.fe.l1i.generation(),
+                frame,
+            });
+        }
         AccessOutcome {
             stall_cycles: stall,
             blocked_until,
@@ -269,17 +324,47 @@ impl MemorySystem {
     /// instruction fetches cost their base cycle too (they are extra
     /// instructions the CPU must issue). `now` is the handler's entry
     /// time.
+    ///
+    /// In a run of straight-line fetches, only the first fetch of each
+    /// L1 block goes through the hierarchy. It leaves the block in the
+    /// L1i, so the fetches after it in the block are read hits: each
+    /// costs its base cycle and no stall, and is counted as a hit.
     fn run_handler(&mut self, kind: HandlerKind, now: Picos, m: &mut Metrics) -> u64 {
         let refs = std::mem::take(&mut self.fe.handler_buf);
-        let mut stall = 0u64;
+        let block = 1u64 << self.fe.l1_block_bits;
+        let (mut stall, mut n) = (0u64, 0u64);
         for r in &refs {
-            if r.kind == AccessKind::InstrFetch {
+            n += r.refs();
+            let (start, count) = match *r {
+                HandlerRef::Data { addr, kind } => {
+                    stall += self.access_phys(addr, kind, self.fe.after(now, stall), m);
+                    continue;
+                }
+                HandlerRef::Fetches { start, count } => (start.0, u64::from(count)),
+            };
+            let end = start + 4 * count;
+            let mut a = start;
+            while a < end {
                 stall += 1;
                 m.time.l1i_cycles += 1;
+                let pa = PhysAddr(a);
+                stall += self.access_phys(pa, AccessKind::InstrFetch, self.fe.after(now, stall), m);
+                // The run's other fetches in this block.
+                let block_end = (a & !(block - 1)) + block;
+                let hits = (block_end.min(end) - a).div_ceil(4) - 1;
+                if hits > 0 {
+                    let Some(line) = self.fe.l1i.line_of(pa) else {
+                        // invariant: a miss fills the block, and nothing
+                        // its service evicts from the L1s covers it.
+                        unreachable!("handler fetch block {pa} left the L1i")
+                    };
+                    self.fe.l1i.count_read_hits(line, hits);
+                    stall += hits;
+                    m.time.l1i_cycles += hits;
+                }
+                a += 4 * (hits + 1);
             }
-            stall += self.access_phys(r.addr, r.kind, self.fe.after(now, stall), m);
         }
-        let n = refs.len() as u64;
         match kind {
             HandlerKind::TlbRefill => m.counts.tlb_handler_refs += n,
             HandlerKind::Fault => m.counts.fault_handler_refs += n,

@@ -12,7 +12,6 @@ use rampage_vm::os::OsLayout;
 use rampage_vm::{
     ClockReplacer, FrameId, InvertedPageTable, PageSize, StandbyEntry, StandbyList, Vpn,
 };
-use std::collections::HashSet;
 
 /// ASID reserved for the pinned OS region.
 const KERNEL_ASID: Asid = Asid(u16::MAX);
@@ -42,10 +41,10 @@ pub(super) struct Rampage {
     fault_probes: Vec<PhysAddr>,
     /// Frames pinned for OS code + page table (never replaced).
     pinned_frames: u32,
-    /// Sequential next-page prefetch on faults (§3.2 extension).
+    /// Sequential next-page prefetch on faults (§3.2 extension). A
+    /// prefetched page carries the table's `prefetched` flag until a
+    /// walk finds it (the prefetch proved useful) or it leaves SRAM.
     prefetch_next: bool,
-    /// Prefetched pages not yet referenced, for usefulness accounting.
-    prefetched: HashSet<(Asid, Vpn)>,
 }
 
 impl Rampage {
@@ -98,7 +97,6 @@ impl Rampage {
             fault_probes: Vec::new(),
             pinned_frames,
             prefetch_next: rcfg.prefetch_next,
-            prefetched: HashSet::new(),
         }
     }
 
@@ -135,10 +133,10 @@ impl Rampage {
     ) -> (u64, Option<FrameId>) {
         let lk = self.ipt.lookup(asid, vpn);
         fe.os.tlb_refill(lk.probe_addrs, &mut fe.handler_buf);
-        let probes = lk.probes() as u64;
-        match lk.frame {
-            Some(_) => {
-                if self.prefetched.remove(&(asid, vpn)) {
+        let (probes, found) = (lk.probes() as u64, lk.frame);
+        match found {
+            Some(frame) => {
+                if self.ipt.take_prefetched(frame) {
                     m.counts.prefetches_useful += 1;
                 }
             }
@@ -147,7 +145,7 @@ impl Rampage {
                 self.fault_probes.extend_from_slice(lk.probe_addrs);
             }
         }
-        (probes, lk.frame)
+        (probes, found)
     }
 
     /// Evict the page in `victim`, invalidating its L1 blocks and
@@ -165,8 +163,8 @@ impl Rampage {
             // the IPT currently maps.
             unreachable!("RAMpage eviction: victim {victim} is mapped");
         };
-        // A prefetched page dying unreferenced was wasted bandwidth.
-        self.prefetched.remove(&(mapping.asid, mapping.vpn));
+        // A prefetched page dying unreferenced was wasted bandwidth; its
+        // flag goes with the mapping.
         fe.tlb.flush_page(mapping.asid, mapping.vpn);
         let (mut stall, l1_dirty) = fe.sweep_l1(victim.base_addr(self.page), self.page.get(), m);
         let dirty = mapping.dirty || l1_dirty;
@@ -365,7 +363,7 @@ impl Rampage {
         if let Some(pf) = prefetch_frame {
             fe.dram(tr.done, 0, page_bytes, pf.0 as u64, m);
             self.ipt.insert(pf, asid, next);
-            self.prefetched.insert((asid, next));
+            self.ipt.set_prefetched(pf);
             m.counts.prefetches += 1;
         }
 
@@ -676,6 +674,54 @@ mod tests {
         );
     }
 
+    /// One read of page `page` (4 KB pages) by ASID 1.
+    fn touch(s: &mut MemorySystem, m: &mut Metrics, page: u64) {
+        s.access_user(Asid(1), TraceRecord::read(page * 4096), Picos::ZERO, m);
+    }
+
+    #[test]
+    fn a_prefetch_is_useful_once_and_only_if_walked_to() {
+        for standby in [None, Some(16)] {
+            let mut cfg = SystemConfig::rampage(IssueRate::GHZ1, 4096);
+            if let HierarchyKind::Rampage(ref mut r) = cfg.hierarchy {
+                r.prefetch_next = true;
+                r.standby_pages = standby;
+            }
+            let mut s = MemorySystem::new(&cfg);
+            let mut m = Metrics::default();
+            let counts = |m: &Metrics| (m.counts.prefetches, m.counts.prefetches_useful);
+            // Page 0 faults and prefetches page 1. The first walk to
+            // page 1 proves the prefetch useful; a second walk (after
+            // a TLB flush) counts nothing more.
+            touch(&mut s, &mut m, 0);
+            assert_eq!(counts(&m), (1, 0), "{standby:?}");
+            touch(&mut s, &mut m, 1);
+            assert_eq!(counts(&m), (1, 1), "{standby:?}");
+            s.fe.tlb.flush_page(Asid(1), Vpn(1));
+            touch(&mut s, &mut m, 1);
+            assert_eq!(counts(&m), (1, 1), "{standby:?}");
+            // Page d faults and prefetches d + 1, which nothing uses.
+            // Faulting pages in downwards from d (the next page of each
+            // is resident, so none prefetches) fills memory until the
+            // clock evicts d + 1.
+            let d = 1 << 20;
+            touch(&mut s, &mut m, d);
+            let mut page = d;
+            while level(&s).ipt.frame_of(Asid(1), Vpn(d + 1)).is_some() {
+                page -= 1;
+                touch(&mut s, &mut m, page);
+            }
+            assert!(d - page > user_frames(&s) / 2, "{standby:?}");
+            assert_eq!(counts(&m), (2, 1), "{standby:?}");
+            // Coming back to d + 1 is a fault (a soft one from the
+            // standby list), and walks to it prove nothing either.
+            touch(&mut s, &mut m, d + 1);
+            s.fe.tlb.flush_page(Asid(1), Vpn(d + 1));
+            touch(&mut s, &mut m, d + 1);
+            assert_eq!(m.counts.prefetches_useful, 1, "{standby:?}");
+        }
+    }
+
     #[test]
     fn prefetch_works_with_standby_after_warmup() {
         // Regression guard for the standby/prefetch interaction: the
@@ -694,6 +740,43 @@ mod tests {
         }
         assert!(m.counts.prefetches > 0);
         assert!(m.counts.soft_faults > 0 || m.counts.page_faults > 0);
+    }
+
+    #[test]
+    fn a_repeated_fetch_misses_again_once_its_block_or_translation_goes() {
+        let mut s = system(4096);
+        let mut m = Metrics::default();
+        // User frames come out in order, so one of pages 0..4 sits at a
+        // frame that is 1 mod 4: its first L1i block shares a line of
+        // the 16 KB direct-mapped L1i with the switch code at 0x1000.
+        for page in 0..4 {
+            touch(&mut s, &mut m, page);
+        }
+        let page = (0..4)
+            .find(|&p| s.fe.tlb.peek(Asid(1), Vpn(p)).is_some_and(|f| f.0 % 4 == 1))
+            .unwrap();
+        // The TLB and L1i misses one fetch from the page's first block
+        // adds.
+        let fetch = |s: &mut MemorySystem, m: &mut Metrics| {
+            let misses = |s: &MemorySystem| {
+                let (tlb, l1i) = (s.fe.tlb.stats(), s.fe.l1i.stats());
+                (tlb.misses, l1i.read_misses)
+            };
+            let before = misses(s);
+            s.access_user(Asid(1), TraceRecord::fetch(page * 4096 + 8), Picos::ZERO, m);
+            let after = misses(s);
+            (after.0 - before.0, after.1 - before.1)
+        };
+        fetch(&mut s, &mut m);
+        assert_eq!(fetch(&mut s, &mut m), (0, 0), "a repeat hits both");
+        // The switch code evicts the block; the translation stays.
+        s.run_switch(0, 1, Picos::ZERO, &mut m);
+        assert_eq!(fetch(&mut s, &mut m), (0, 1), "L1i miss");
+        assert_eq!(fetch(&mut s, &mut m), (0, 0));
+        // The translation goes; the block stays.
+        s.fe.tlb.flush_page(Asid(1), Vpn(page));
+        assert_eq!(fetch(&mut s, &mut m), (1, 0), "TLB miss");
+        assert_eq!(fetch(&mut s, &mut m), (0, 0));
     }
 
     #[test]

@@ -99,10 +99,11 @@ fn uniform_below<G: Rng + ?Sized>(rng: &mut G, n: u64) -> u64 {
         return rng.next_u64() & (n - 1);
     }
     // Rejection sampling: accept draws below the largest multiple of n.
-    let zone = u64::MAX - (u64::MAX % n) - 1;
+    // That multiple exceeds `u64::MAX - n`, so any draw up to there is
+    // accepted without working out the zone.
     loop {
         let v = rng.next_u64();
-        if v <= zone {
+        if v <= u64::MAX - n || v < u64::MAX - (u64::MAX % n) {
             return v % n;
         }
     }
@@ -213,6 +214,30 @@ mod tests {
         let zs: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn uniform_below_matches_the_full_rejection_test() {
+        // The rejection test with its zone worked out on every draw.
+        fn reference(rng: &mut StdRng, n: u64) -> u64 {
+            let zone = u64::MAX - (u64::MAX % n) - 1;
+            loop {
+                let v = rng.next_u64();
+                if v <= zone {
+                    return v % n;
+                }
+            }
+        }
+        // Small spans, and spans so large that draws above `MAX - n`
+        // are common and some fall in the rejected zone.
+        let spans = [3, 7, 1000, 33_792, u64::MAX / 3 * 2, u64::MAX - 1, u64::MAX];
+        for n in spans {
+            let mut a = StdRng::seed_from_u64(n);
+            let mut b = a.clone();
+            for _ in 0..2_000 {
+                assert_eq!(uniform_below(&mut a, n), reference(&mut b, n), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ use rand::{Rng, SeedableRng};
 pub struct CodeGen {
     base: u64,
     code_size: u64,
-    mean_block_len: u32,
+    /// `ln(1 - 1/mean_block_len)`, the log of the chance a basic block
+    /// goes on past any instruction.
+    ln_go_on: f64,
     p_loop: f64,
     p_call: f64,
     pc: u64,
@@ -55,11 +57,12 @@ impl CodeGen {
         assert!((0.0..=1.0).contains(&p_loop) && (0.0..=1.0).contains(&p_call));
         assert!(p_loop + p_call <= 1.0, "branch probabilities exceed 1");
         let mut rng = StdRng::seed_from_u64(seed);
-        let block_left = Self::block_len(mean_block_len, &mut rng);
+        let ln_go_on = (1.0 - 1.0 / mean_block_len as f64).ln();
+        let block_left = Self::block_len(ln_go_on, &mut rng);
         CodeGen {
             base,
             code_size,
-            mean_block_len,
+            ln_go_on,
             p_loop,
             p_call,
             pc: base,
@@ -75,16 +78,23 @@ impl CodeGen {
         self.code_size
     }
 
-    fn block_len(mean: u32, rng: &mut StdRng) -> u32 {
-        // Geometric with the given mean, clamped to at least 1.
-        let p = 1.0 / mean as f64;
+    /// A geometric length with the mean whose `ln_go_on` is given,
+    /// clamped to at least 1.
+    fn block_len(ln_go_on: f64, rng: &mut StdRng) -> u32 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let len = (u.ln() / (1.0 - p).ln()).ceil() as u32;
+        let len = (u.ln() / ln_go_on).ceil() as u32;
         len.max(1)
     }
 
     fn wrap(&self, pc: u64) -> u64 {
-        let off = (pc - self.base) % self.code_size;
+        let d = pc - self.base;
+        // Every fetch lands less than one working set past the end,
+        // where one subtraction is the remainder.
+        let off = match d.checked_sub(self.code_size) {
+            None => d,
+            Some(r) if r < self.code_size => r,
+            Some(_) => d % self.code_size,
+        };
         self.base + (off & !3)
     }
 
@@ -120,7 +130,7 @@ impl CodeGen {
                     self.pc = self.wrap(self.pc + 4);
                 }
             }
-            self.block_left = Self::block_len(self.mean_block_len, &mut self.rng);
+            self.block_left = Self::block_len(self.ln_go_on, &mut self.rng);
         }
         rec
     }

@@ -142,7 +142,9 @@ pub struct HotCold {
     cold_size: u64,
     p_hot: f64,
     align: u64,
-    mean_run: u32,
+    /// `ln(1 - 1/mean_run)`, the log of the chance a cold run goes on
+    /// past any reference.
+    ln_go_on: f64,
     run_left: u32,
     run_pos: u64,
     rng: StdRng,
@@ -208,7 +210,7 @@ impl HotCold {
             cold_size,
             p_hot,
             align: align.max(1),
-            mean_run,
+            ln_go_on: (1.0 - 1.0 / mean_run as f64).ln(),
             run_left: 0,
             run_pos: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -226,9 +228,8 @@ impl DataGen for HotCold {
         if self.run_left == 0 {
             self.run_pos = self.rng.gen_range(0..self.cold_size);
             // Geometric run length with the configured mean.
-            let p = 1.0 / self.mean_run as f64;
             let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            self.run_left = ((u.ln() / (1.0 - p).ln()).ceil() as u32).max(1);
+            self.run_left = ((u.ln() / self.ln_go_on).ceil() as u32).max(1);
         }
         let a = VirtAddr(self.cold_base + self.run_pos).align_down(self.align);
         self.run_left -= 1;

@@ -21,6 +21,8 @@ pub struct Mapping {
     pub dirty: bool,
     /// Pinned frames (OS code, the page table itself) are never replaced.
     pub pinned: bool,
+    /// Brought in by a prefetch and not yet found by a table walk.
+    pub prefetched: bool,
 }
 
 /// Result of a table lookup: the frame (if mapped) and the physical
@@ -422,6 +424,7 @@ impl InvertedPageTable {
             referenced: true,
             dirty: false,
             pinned: false,
+            prefetched: false,
         });
         slot.next = *head;
         *head = Link::to(frame);
@@ -528,6 +531,28 @@ impl InvertedPageTable {
             Some(m) => m.dirty = true,
             None => panic!("VM invariant: dirtying unmapped {frame}"),
         }
+    }
+
+    /// Mark a mapped frame's page as brought in by a prefetch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is unmapped (the caller has just mapped it).
+    pub fn set_prefetched(&mut self, frame: FrameId) {
+        match self.slots.get_mut(frame.0 as usize).mapping.as_mut() {
+            Some(m) => m.prefetched = true,
+            None => panic!("VM invariant: prefetch flag on unmapped {frame}"),
+        }
+    }
+
+    /// Clear a frame's prefetch flag, returning whether it was set: true
+    /// once per prefetched page, for the first walk that finds it.
+    pub fn take_prefetched(&mut self, frame: FrameId) -> bool {
+        self.slots
+            .get_mut(frame.0 as usize)
+            .mapping
+            .as_mut()
+            .is_some_and(|m| std::mem::take(&mut m.prefetched))
     }
 
     /// Clear the referenced bit (the clock hand sweeping past).
@@ -638,6 +663,24 @@ mod tests {
         t.set_dirty(f);
         let m = t.remove(f).unwrap();
         assert!(m.dirty, "write-back needed");
+    }
+
+    #[test]
+    fn prefetched_flag_is_taken_once_and_goes_with_the_mapping() {
+        let mut t = table(4);
+        let f = t.alloc_free().unwrap();
+        t.insert(f, Asid(1), Vpn(7));
+        assert!(!t.take_prefetched(f), "a demand mapping");
+        t.set_prefetched(f);
+        assert!(t.take_prefetched(f));
+        assert!(!t.take_prefetched(f), "taken once");
+        t.set_prefetched(f);
+        t.remove(f);
+        assert!(!t.take_prefetched(f), "unmapped");
+        let g = t.alloc_free().unwrap();
+        assert_eq!(g, f, "the same frame comes back");
+        t.insert(g, Asid(1), Vpn(7));
+        assert!(!t.take_prefetched(g), "a new mapping starts clear");
     }
 
     #[test]

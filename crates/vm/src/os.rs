@@ -12,14 +12,50 @@
 use rampage_cache::PhysAddr;
 use rampage_trace::AccessKind;
 
-/// One reference issued by OS software. Handler references are already
+/// References issued by OS software. Handler references are already
 /// physical (handlers run pinned/untranslated), so they bypass the TLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandlerRef {
-    /// Physical address touched.
-    pub addr: PhysAddr,
-    /// Fetch / read / write.
-    pub kind: AccessKind,
+pub enum HandlerRef {
+    /// `count` straight-line instruction fetches at `start`,
+    /// `start + 4`, ..., all inside the code region (a sequence that
+    /// wraps at the region's end is two runs).
+    Fetches {
+        /// Address of the first fetch.
+        start: PhysAddr,
+        /// Number of fetches, at least 1.
+        count: u32,
+    },
+    /// One data reference.
+    Data {
+        /// Physical address touched.
+        addr: PhysAddr,
+        /// Read or write.
+        kind: AccessKind,
+    },
+}
+
+impl HandlerRef {
+    /// How many references this stands for.
+    pub fn refs(&self) -> u64 {
+        match self {
+            HandlerRef::Fetches { count, .. } => u64::from(*count),
+            HandlerRef::Data { .. } => 1,
+        }
+    }
+
+    fn read(addr: PhysAddr) -> Self {
+        HandlerRef::Data {
+            addr,
+            kind: AccessKind::Read,
+        }
+    }
+
+    fn write(addr: PhysAddr) -> Self {
+        HandlerRef::Data {
+            addr,
+            kind: AccessKind::Write,
+        }
+    }
 }
 
 /// Instruction counts for each software event.
@@ -99,16 +135,22 @@ impl OsModel {
         self.layout
     }
 
-    /// Emit `n` instruction fetches starting at `entry` within the code
-    /// region, wrapping at its end.
+    /// Emit `n` instruction fetches at `base + (entry + 4i) % code_bytes`
+    /// for `i < n`: one run per pass over the code region, since they
+    /// wrap at its end.
     fn emit_code(&self, entry: u64, n: u32, out: &mut Vec<HandlerRef>) {
         let base = self.layout.code_base.0;
         let len = self.layout.code_bytes;
-        for i in 0..n as u64 {
-            out.push(HandlerRef {
-                addr: PhysAddr(base + (entry + i * 4) % len),
-                kind: AccessKind::InstrFetch,
+        let (mut off, mut left) = (entry % len, u64::from(n));
+        while left > 0 {
+            // The fetches `off + 4i` that still fit below the region's end.
+            let count = left.min((len - off).div_ceil(4));
+            out.push(HandlerRef::Fetches {
+                start: PhysAddr(base + off),
+                count: count as u32,
             });
+            left -= count;
+            off = (off + 4 * count) % len;
         }
     }
 
@@ -126,10 +168,7 @@ impl OsModel {
         self.emit_code(0, prologue, out);
         for (i, &p) in probe_addrs.iter().enumerate() {
             self.emit_code((prologue as u64 + i as u64) * 4, 2, out);
-            out.push(HandlerRef {
-                addr: p,
-                kind: AccessKind::Read,
-            });
+            out.push(HandlerRef::read(p));
         }
         let used = prologue + 2 * probe_addrs.len() as u32;
         self.emit_code(used as u64 * 4, n.saturating_sub(used).max(2), out);
@@ -149,28 +188,15 @@ impl OsModel {
         let n = self.costs.fault_handler_instrs;
         // Entry + lookup confirmation.
         self.emit_code(0x400, n / 4, out);
-        for &p in probe_addrs {
-            out.push(HandlerRef {
-                addr: p,
-                kind: AccessKind::Read,
-            });
-        }
+        out.extend(probe_addrs.iter().map(|&p| HandlerRef::read(p)));
         // Clock scan: advance-hand code and a table read per entry.
         for (i, &s) in scan_addrs.iter().enumerate() {
             self.emit_code(0x400 + (n as u64 / 4 + i as u64) * 4, 1, out);
-            out.push(HandlerRef {
-                addr: s,
-                kind: AccessKind::Read,
-            });
+            out.push(HandlerRef::read(s));
         }
         // Table updates (victim unmap, new map, TLB insert): writes.
         self.emit_code(0x800, n / 2, out);
-        for &u in update_addrs {
-            out.push(HandlerRef {
-                addr: u,
-                kind: AccessKind::Write,
-            });
-        }
+        out.extend(update_addrs.iter().map(|&u| HandlerRef::write(u)));
         self.emit_code(0xc00, n / 4, out);
     }
 
@@ -200,17 +226,15 @@ impl OsModel {
                 code_left -= chunk;
             }
             if save_left > 0 {
-                out.push(HandlerRef {
-                    addr: PhysAddr(from_pcb + (off * 4) % self.layout.pcb_stride),
-                    kind: AccessKind::Write,
-                });
+                out.push(HandlerRef::write(PhysAddr(
+                    from_pcb + (off * 4) % self.layout.pcb_stride,
+                )));
                 save_left -= 1;
             }
             if restore_left > 0 {
-                out.push(HandlerRef {
-                    addr: PhysAddr(to_pcb + (off * 4) % self.layout.pcb_stride),
-                    kind: AccessKind::Read,
-                });
+                out.push(HandlerRef::read(PhysAddr(
+                    to_pcb + (off * 4) % self.layout.pcb_stride,
+                )));
                 restore_left -= 1;
             }
             off += 1;
@@ -226,23 +250,216 @@ mod tests {
         OsModel::new(OsCosts::default(), OsLayout::at(PhysAddr(0)))
     }
 
+    /// Instruction fetches the runs in `out` stand for.
+    fn fetches(out: &[HandlerRef]) -> u64 {
+        out.iter()
+            .filter(|r| matches!(r, HandlerRef::Fetches { .. }))
+            .map(HandlerRef::refs)
+            .sum()
+    }
+
+    /// The data references in `out` of one kind, in order.
+    fn data(out: &[HandlerRef], want: AccessKind) -> Vec<PhysAddr> {
+        out.iter()
+            .filter_map(|r| match *r {
+                HandlerRef::Data { addr, kind } if kind == want => Some(addr),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// One `(address, kind)` per reference, runs expanded.
+    fn expand(out: &[HandlerRef]) -> Vec<(PhysAddr, AccessKind)> {
+        let mut refs = Vec::new();
+        for r in out {
+            match *r {
+                HandlerRef::Fetches { start, count } => {
+                    assert!(count > 0, "empty run at {start}");
+                    refs.extend(
+                        (0..u64::from(count))
+                            .map(|i| (PhysAddr(start.0 + 4 * i), AccessKind::InstrFetch)),
+                    );
+                }
+                HandlerRef::Data { addr, kind } => refs.push((addr, kind)),
+            }
+        }
+        refs
+    }
+
+    /// The three handlers written one reference per instruction, fetch
+    /// `i` of a sequence entered at `entry` at
+    /// `base + (entry + 4i) % code_bytes`: the oracle the runs must
+    /// expand to.
+    struct PerInstr(OsModel);
+
+    impl PerInstr {
+        fn code(&self, entry: u64, n: u32, out: &mut Vec<(PhysAddr, AccessKind)>) {
+            let l = self.0.layout;
+            out.extend((0..u64::from(n)).map(|i| {
+                let addr = PhysAddr(l.code_base.0 + (entry + 4 * i) % l.code_bytes);
+                (addr, AccessKind::InstrFetch)
+            }));
+        }
+
+        fn tlb_refill(&self, probes: &[PhysAddr]) -> Vec<(PhysAddr, AccessKind)> {
+            let mut out = Vec::new();
+            let n = self.0.costs.tlb_handler_instrs;
+            let prologue = n / 2;
+            self.code(0, prologue, &mut out);
+            for (i, &p) in probes.iter().enumerate() {
+                self.code((prologue as u64 + i as u64) * 4, 2, &mut out);
+                out.push((p, AccessKind::Read));
+            }
+            let used = prologue + 2 * probes.len() as u32;
+            self.code(used as u64 * 4, n.saturating_sub(used).max(2), &mut out);
+            out
+        }
+
+        fn page_fault(
+            &self,
+            probes: &[PhysAddr],
+            scans: &[PhysAddr],
+            updates: &[PhysAddr],
+        ) -> Vec<(PhysAddr, AccessKind)> {
+            let mut out = Vec::new();
+            let n = self.0.costs.fault_handler_instrs;
+            self.code(0x400, n / 4, &mut out);
+            out.extend(probes.iter().map(|&p| (p, AccessKind::Read)));
+            for (i, &s) in scans.iter().enumerate() {
+                self.code(0x400 + (n as u64 / 4 + i as u64) * 4, 1, &mut out);
+                out.push((s, AccessKind::Read));
+            }
+            self.code(0x800, n / 2, &mut out);
+            out.extend(updates.iter().map(|&u| (u, AccessKind::Write)));
+            self.code(0xc00, n / 4, &mut out);
+            out
+        }
+
+        fn context_switch(&self, from: usize, to: usize) -> Vec<(PhysAddr, AccessKind)> {
+            let mut out = Vec::new();
+            let l = self.0.layout;
+            let total = self.0.costs.switch_total_refs;
+            let (mut save, mut restore) = (total * 2 / 10, total * 2 / 10);
+            let mut code = total - save - restore;
+            let from_pcb = l.pcb_base.0 + from as u64 * l.pcb_stride;
+            let to_pcb = l.pcb_base.0 + to as u64 * l.pcb_stride;
+            let (mut pc, mut off) = (0x1000u64, 0u64);
+            while code > 0 || save > 0 || restore > 0 {
+                if code > 0 {
+                    let chunk = code.min(3);
+                    self.code(pc, chunk, &mut out);
+                    pc += chunk as u64 * 4;
+                    code -= chunk;
+                }
+                if save > 0 {
+                    let addr = PhysAddr(from_pcb + (off * 4) % l.pcb_stride);
+                    out.push((addr, AccessKind::Write));
+                    save -= 1;
+                }
+                if restore > 0 {
+                    let addr = PhysAddr(to_pcb + (off * 4) % l.pcb_stride);
+                    out.push((addr, AccessKind::Read));
+                    restore -= 1;
+                }
+                off += 1;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn runs_expand_to_the_per_instruction_references() {
+        // Budgets big enough that the refill's prologue (4,500 fetches
+        // from 0), the fault handler's scan fetches (from 0x400 + 4 x
+        // 17,500) and the switch code (12,000 fetches from 0x1000) run
+        // past the end of the 16 KiB code region.
+        let big = OsCosts {
+            tlb_handler_instrs: 9_000,
+            fault_handler_instrs: 70_000,
+            switch_total_refs: 20_000,
+        };
+        let chain: Vec<_> = (0..6).map(|i| PhysAddr(0x5000 + i * 16)).collect();
+        let scans: Vec<_> = (0..5_000).map(|i| PhysAddr(0x6000 + i * 16)).collect();
+        let updates = [PhysAddr(0x7000), PhysAddr(0x7010)];
+        let mut wrapped = 0;
+        for costs in [OsCosts::default(), big] {
+            for base in [0, 1 << 40] {
+                let m = OsModel::new(costs, OsLayout::at(PhysAddr(base)));
+                let oracle = PerInstr(m);
+                let code = base..base + m.layout().code_bytes;
+                let mut check = |out: &[HandlerRef], want: Vec<(PhysAddr, AccessKind)>| {
+                    assert_eq!(expand(out), want, "{costs:?} at {base:#x}");
+                    for r in out {
+                        if let HandlerRef::Fetches { start, count } = *r {
+                            let last = start.0 + 4 * (u64::from(count) - 1);
+                            assert!(code.contains(&start.0) && code.contains(&last));
+                            wrapped += usize::from(start.0 == base);
+                        }
+                    }
+                };
+                for k in 0..=chain.len() {
+                    let mut out = Vec::new();
+                    m.tlb_refill(&chain[..k], &mut out);
+                    check(&out, oracle.tlb_refill(&chain[..k]));
+                }
+                for nscan in [0, 5, scans.len()] {
+                    let mut out = Vec::new();
+                    m.page_fault(&chain[..1], &scans[..nscan], &updates, &mut out);
+                    check(
+                        &out,
+                        oracle.page_fault(&chain[..1], &scans[..nscan], &updates),
+                    );
+                }
+                for (from, to) in [(0, 1), (2, 5)] {
+                    let mut out = Vec::new();
+                    m.context_switch(from, to, &mut out);
+                    check(&out, oracle.context_switch(from, to));
+                }
+            }
+        }
+        // Runs that start at the region's base: each refill's prologue,
+        // plus the runs that wrapped there.
+        assert!(
+            wrapped > 4 * 7,
+            "some runs wrapped: {wrapped} start at the base"
+        );
+    }
+
+    #[test]
+    fn a_sequence_past_the_region_end_wraps_into_two_runs() {
+        let m = model();
+        let mut out = Vec::new();
+        // Three fetches before the end of the 16 KiB region, two after.
+        m.emit_code(16 * 1024 - 12, 5, &mut out);
+        assert_eq!(
+            out,
+            [
+                HandlerRef::Fetches {
+                    start: PhysAddr(16 * 1024 - 12),
+                    count: 3
+                },
+                HandlerRef::Fetches {
+                    start: PhysAddr(0),
+                    count: 2
+                },
+            ]
+        );
+    }
+
     #[test]
     fn tlb_refill_includes_every_probe() {
         let m = model();
         let probes = [PhysAddr(0x5000), PhysAddr(0x5010), PhysAddr(0x5020)];
         let mut out = Vec::new();
         m.tlb_refill(&probes, &mut out);
-        let reads: Vec<_> = out
-            .iter()
-            .filter(|r| r.kind == AccessKind::Read)
-            .map(|r| r.addr)
-            .collect();
-        assert_eq!(reads, probes, "probes appear in order");
-        let ifetches = out
-            .iter()
-            .filter(|r| r.kind == AccessKind::InstrFetch)
-            .count();
-        assert!(ifetches >= OsCosts::default().tlb_handler_instrs as usize / 2);
+        assert_eq!(
+            data(&out, AccessKind::Read),
+            probes,
+            "probes appear in order"
+        );
+        assert!(data(&out, AccessKind::Write).is_empty());
+        let ifetches = fetches(&out);
+        assert!(ifetches >= u64::from(OsCosts::default().tlb_handler_instrs / 2));
     }
 
     #[test]
@@ -253,7 +470,8 @@ mod tests {
         let mut long = Vec::new();
         let chain: Vec<_> = (0..6).map(|i| PhysAddr(0x5000 + i * 16)).collect();
         m.tlb_refill(&chain, &mut long);
-        assert!(long.len() > short.len(), "longer chains cost more");
+        let refs = |out: &[HandlerRef]| out.iter().map(HandlerRef::refs).sum::<u64>();
+        assert!(refs(&long) > refs(&short), "longer chains cost more");
     }
 
     #[test]
@@ -261,16 +479,16 @@ mod tests {
         let m = model();
         let mut out = Vec::new();
         m.context_switch(0, 1, &mut out);
-        let n = out.len() as u32;
-        let want = OsCosts::default().switch_total_refs;
+        let n: u64 = out.iter().map(HandlerRef::refs).sum();
+        let want = u64::from(OsCosts::default().switch_total_refs);
         assert!(
             (want - 4..=want + 4).contains(&n),
             "switch refs {n} vs target {want}"
         );
-        let writes = out.iter().filter(|r| r.kind == AccessKind::Write).count();
-        let reads = out.iter().filter(|r| r.kind == AccessKind::Read).count();
-        assert_eq!(writes, (want * 2 / 10) as usize);
-        assert_eq!(reads, (want * 2 / 10) as usize);
+        let writes = data(&out, AccessKind::Write).len() as u64;
+        let reads = data(&out, AccessKind::Read).len() as u64;
+        assert_eq!((writes, reads), (want * 2 / 10, want * 2 / 10));
+        assert_eq!(fetches(&out), n - writes - reads);
     }
 
     #[test]
@@ -281,12 +499,12 @@ mod tests {
         let layout = m.layout();
         let pcb2 = layout.pcb_base.0 + 2 * layout.pcb_stride;
         let pcb5 = layout.pcb_base.0 + 5 * layout.pcb_stride;
-        assert!(out
+        assert!(data(&out, AccessKind::Write)
             .iter()
-            .any(|r| r.kind == AccessKind::Write && r.addr.0 >= pcb2 && r.addr.0 < pcb2 + 512));
-        assert!(out
+            .any(|a| a.0 >= pcb2 && a.0 < pcb2 + 512));
+        assert!(data(&out, AccessKind::Read)
             .iter()
-            .any(|r| r.kind == AccessKind::Read && r.addr.0 >= pcb5 && r.addr.0 < pcb5 + 512));
+            .any(|a| a.0 >= pcb5 && a.0 < pcb5 + 512));
     }
 
     #[test]
@@ -296,19 +514,10 @@ mod tests {
         let scans: Vec<_> = (0..5).map(|i| PhysAddr(0x6000 + i * 16)).collect();
         let updates = [PhysAddr(0x6100), PhysAddr(0x6110)];
         m.page_fault(&[PhysAddr(0x5000)], &scans, &updates, &mut out);
-        let reads = out.iter().filter(|r| r.kind == AccessKind::Read).count();
+        let reads = data(&out, AccessKind::Read).len();
         assert_eq!(reads, 1 + scans.len(), "probe + scan reads");
-        let writes: Vec<_> = out
-            .iter()
-            .filter(|r| r.kind == AccessKind::Write)
-            .map(|r| r.addr)
-            .collect();
-        assert_eq!(writes, updates);
-        let ifetches = out
-            .iter()
-            .filter(|r| r.kind == AccessKind::InstrFetch)
-            .count();
-        assert!(ifetches as u32 >= OsCosts::default().fault_handler_instrs);
+        assert_eq!(data(&out, AccessKind::Write), updates);
+        assert!(fetches(&out) >= u64::from(OsCosts::default().fault_handler_instrs));
     }
 
     #[test]
@@ -317,8 +526,11 @@ mod tests {
         let mut out = Vec::new();
         m.context_switch(0, 17, &mut out);
         m.tlb_refill(&[PhysAddr(0x9000)], &mut out);
-        for r in out.iter().filter(|r| r.kind == AccessKind::InstrFetch) {
-            assert!(r.addr.0 < m.layout().code_bytes, "fetch at {}", r.addr);
+        for (addr, _) in expand(&out)
+            .into_iter()
+            .filter(|r| r.1 == AccessKind::InstrFetch)
+        {
+            assert!(addr.0 < m.layout().code_bytes, "fetch at {addr}");
         }
     }
 }

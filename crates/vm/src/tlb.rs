@@ -90,6 +90,9 @@ pub struct Tlb {
     /// Exact-match index for O(1) lookup: (asid, vpn) → slot.
     index: HashMap<(Asid, Vpn), usize, BuildHasherDefault<IndexHasher>>,
     rng: StdRng,
+    /// Inserts plus successful flushes so far: while it stays put, every
+    /// translation stays as it was.
+    generation: u64,
     stats: TlbStats,
 }
 
@@ -119,6 +122,7 @@ impl Tlb {
             slots: vec![None; sets * ways],
             index: HashMap::default(),
             rng: StdRng::seed_from_u64(seed),
+            generation: 0,
             stats: TlbStats::default(),
         }
     }
@@ -131,6 +135,13 @@ impl Tlb {
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// A counter that moves on every [`insert`](Self::insert) and every
+    /// successful [`flush_page`](Self::flush_page), and on nothing else:
+    /// while it reads the same, every lookup finds what it found before.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     fn set_of(&self, vpn: Vpn) -> usize {
@@ -156,6 +167,14 @@ impl Tlb {
         }
     }
 
+    /// Count one hit, exactly as a [`lookup`](Self::lookup) that finds
+    /// its translation does. For a caller that knows the lookup would
+    /// hit: it repeats one that hit with no change of
+    /// [`generation`](Self::generation) since.
+    pub fn count_hit(&mut self) {
+        self.stats.hits += 1;
+    }
+
     /// Peek without touching statistics (for assertions and tests).
     pub fn peek(&self, asid: Asid, vpn: Vpn) -> Option<FrameId> {
         self.index.get(&(asid, vpn)).map(|&slot| {
@@ -171,6 +190,7 @@ impl Tlb {
     /// Insert a translation (after a handler refill), evicting a random
     /// way of the set if full. Returns the displaced translation, if any.
     pub fn insert(&mut self, asid: Asid, vpn: Vpn, frame: FrameId) -> Option<(Asid, Vpn)> {
+        self.generation += 1;
         // Refresh in place if already present.
         if let Some(&slot) = self.index.get(&(asid, vpn)) {
             self.slots[slot] = Some(Entry { asid, vpn, frame });
@@ -199,6 +219,7 @@ impl Tlb {
             Some(slot) => {
                 self.slots[slot] = None;
                 self.stats.flushes += 1;
+                self.generation += 1;
                 true
             }
             None => false,
@@ -323,6 +344,27 @@ mod tests {
                 assert_eq!(t.peek(keys[i].0, keys[i].1), Some(FrameId(i as u32)));
             }
         }
+    }
+
+    #[test]
+    fn generation_moves_on_inserts_and_flushes_only() {
+        let mut t = Tlb::new(1, 2, 7);
+        assert_eq!(t.generation(), 0);
+        t.insert(a(1), Vpn(1), FrameId(1));
+        t.insert(a(1), Vpn(1), FrameId(9)); // refresh in place
+        t.insert(a(1), Vpn(2), FrameId(2));
+        t.insert(a(1), Vpn(3), FrameId(3)); // evicts
+        assert_eq!(t.generation(), 4, "every insert");
+        let live = (1..=3).find(|&v| t.peek(a(1), Vpn(v)).is_some()).unwrap();
+        t.lookup(a(1), Vpn(live));
+        t.lookup(a(1), Vpn(99));
+        t.count_hit();
+        assert!(!t.flush_page(a(1), Vpn(99)));
+        assert_eq!(t.generation(), 4, "lookups, counted hits, failed flushes");
+        assert!(t.flush_page(a(1), Vpn(live)));
+        assert_eq!(t.generation(), 5);
+        let s = t.stats();
+        assert_eq!((s.hits, s.misses, s.flushes), (2, 1, 1));
     }
 
     #[test]

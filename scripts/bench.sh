@@ -10,6 +10,10 @@
 # first (the parent in odd pairs), saves each side's concatenated output to target/bench/out/, and prints
 # `ledger compare` plus, for every end-to-end metric of BENCHMARK.json,
 # each side's median and quartiles and how many pairs the change won.
+# The same table goes to target/bench/out/<workload>-seed<N>-summary.json
+# as one JSON object on one line, with both revisions (the working tree
+# as `git describe --dirty` names it), `nproc`, `rustc --version` and
+# the run's shape, ready to append to results/bench/<workload>.jsonl.
 # Exits 1 if any run reports `correct: false` or fails. Timing is
 # never a gate here: ledger/README.md § Noise says why.
 set -euo pipefail
@@ -79,21 +83,38 @@ METRICS=$(awk '/"end_to_end"/ { e = 1; next }
   e && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json)
 # A metric's value in each run of one output file, in run order.
 values() { awk -v m="$1" '$1 == m { print $2 }' "$2"; }
-# Median and quartiles (linear interpolation) of the values on stdin.
+# `median q1 q3` (linear interpolation) of the values on stdin; nothing
+# when there are none.
 quartiles() {
   sort -g | awk '{ v[NR] = $1 }
     function q(p,  h, l) { h = 1 + (NR - 1) * p; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-    END { if (NR) printf "%.4g [%.4g, %.4g]", q(0.5), q(0.25), q(0.75) }'
+    END { if (NR) printf "%.8g %.8g %.8g", q(0.5), q(0.25), q(0.75) }'
 }
+# `median [q1, q3]` for the table; the JSON object for the summary.
+table_cell() {
+  if [[ -n "$1" ]]; then printf '%.4g [%.4g, %.4g]' $1; fi
+}
+json_side() {
+  if [[ -n "$1" ]]; then printf '{"median":%s,"q1":%s,"q3":%s}' $1; else printf 'null'; fi
+}
+SUMMARY="${OUT}/${TAG}-summary.json"
+json_metrics=""
 printf '\n%-14s %-34s %-34s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins"
 while read -r metric better; do
-  wins=$(paste <(values "${metric}" "${PARENT_OUT}") <(values "${metric}" "${CHANGE_OUT}") |
+  read -r won paired < <(paste <(values "${metric}" "${PARENT_OUT}") <(values "${metric}" "${CHANGE_OUT}") |
     awk -v b="${better}" '$1 != "" && $2 != "" { n++; if ((b == "higher") ? $2 > $1 : $2 < $1) w++ }
-      END { printf "%d/%d", w, n }')
-  printf '%-14s %-34s %-34s %s\n' "${metric}" \
-    "$(values "${metric}" "${PARENT_OUT}" | quartiles)" \
-    "$(values "${metric}" "${CHANGE_OUT}" | quartiles)" "${wins}"
+      END { printf "%d %d\n", w, n }')
+  parent_q=$(values "${metric}" "${PARENT_OUT}" | quartiles)
+  change_q=$(values "${metric}" "${CHANGE_OUT}" | quartiles)
+  printf '%-14s %-34s %-34s %s\n' "${metric}" "$(table_cell "${parent_q}")" \
+    "$(table_cell "${change_q}")" "${won}/${paired}"
+  json_metrics+="${json_metrics:+,}\"${metric}\":{\"better\":\"${better}\",\"parent\":$(json_side "${parent_q}"),\"change\":$(json_side "${change_q}"),\"change_wins\":${won},\"pairs\":${paired}}"
 done <<<"${METRICS}"
+RUSTC=$(rustc --version | sed 's/[\\"]/\\&/g')
+printf '{"workload":"%s","seed":%s,"pairs":%s,"seconds":%s,"parent":"%s","change":"%s","nproc":%s,"rustc":"%s","metrics":{%s}}\n' \
+  "${WORKLOAD}" "${SEED}" "${PAIRS}" "${SECONDS_PER_RUN}" "${REV}" \
+  "$(git describe --always --dirty --abbrev=40)" "$(nproc)" "${RUSTC}" "${json_metrics}" >"${SUMMARY}"
+echo "summary: ${SUMMARY}"
 
 if [[ "${bad}" -ne 0 ]]; then
   echo "FAIL: a run failed or reported correct: false (see ${OUT}/${TAG}-*.txt)" >&2

@@ -66,14 +66,76 @@ fn cache_matches_lru_model() {
         let mut cache = Cache::new(geo, ReplacementPolicy::Lru);
         let mut model = ModelCache::new(geo);
         let nops = rng.gen_range(1..400usize);
+        let mut read_hits = 0;
         for _ in 0..nops {
             let a = PhysAddr(rng.gen_range(0..4096u64)).align_down(4);
             let write = rng.gen::<bool>();
+            // Now and then, reads of a resident block as counted hits.
+            if let Some(line) = cache
+                .line_of(a)
+                .filter(|_| !write && rng.gen_range(0..3u8) == 0)
+            {
+                let n = rng.gen_range(1..5u64);
+                cache.count_read_hits(line, n);
+                for _ in 0..n {
+                    assert_eq!(
+                        model.access(a, false),
+                        (true, None),
+                        "counted a miss at {a:?}"
+                    );
+                }
+                read_hits += n;
+                continue;
+            }
             let got = cache.access(a, write);
             let (hit, evicted) = model.access(a, write);
+            read_hits += u64::from(hit && !write);
             assert_eq!(got.hit, hit, "hit/miss diverged at {a:?}");
             let got_ev = got.eviction.map(|e| (e.addr, e.dirty));
             assert_eq!(got_ev, evicted, "eviction diverged at {a:?}");
+        }
+        assert_eq!(cache.stats().read_hits, read_hits);
+    }
+}
+
+/// Counted read hits leave every policy where repeated reads would:
+/// a twin cache that only ever calls `access` agrees on every outcome
+/// and every counter, so on every later eviction too.
+#[test]
+fn counted_hits_keep_every_policy_in_step_with_access() {
+    let mut rng = StdRng::seed_from_u64(0x11af);
+    let policies = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ];
+    for _ in 0..64 {
+        let ways = pick(&mut rng, &[1u32, 2, 4]);
+        let geo = Geometry::new(1024, 32, ways);
+        let policy = pick(&mut rng, &policies);
+        let seed = rng.gen::<u64>();
+        let mut counted = Cache::with_seed(geo, policy, seed);
+        let mut accessed = Cache::with_seed(geo, policy, seed);
+        let nops = rng.gen_range(1..400usize);
+        for _ in 0..nops {
+            let a = PhysAddr(rng.gen_range(0..4096u64)).align_down(4);
+            let write = rng.gen_range(0..4u8) == 0;
+            match counted.line_of(a).filter(|_| !write) {
+                Some(line) => {
+                    let n = rng.gen_range(1..5u64);
+                    counted.count_read_hits(line, n);
+                    for _ in 0..n {
+                        assert!(accessed.access(a, false).hit, "{policy:?} {ways}-way");
+                    }
+                }
+                None => assert_eq!(
+                    counted.access(a, write),
+                    accessed.access(a, write),
+                    "{policy:?} {ways}-way at {a:?}"
+                ),
+            }
+            assert_eq!(counted.stats(), accessed.stats(), "{policy:?} {ways}-way");
+            assert_eq!(counted.generation(), accessed.generation());
         }
     }
 }
@@ -420,11 +482,15 @@ fn standby_list_is_fifo_and_bounded() {
 
 // ---------- Whole-engine invariants: time identity and histograms ----------
 
-use rampage::core::{DramKind, Engine, IssueRate, SystemConfig};
+use rampage::core::{
+    DramKind, Engine, HierarchyKind, IssueRate, L1Config, SystemConfig, TlbConfig,
+};
 use rampage_trace::TraceSource;
 
-/// A random valid system: preset × unit size × issue rate × DRAM model.
-/// Combinations the validator rejects are resampled.
+/// A random valid system: preset × unit size × issue rate × DRAM model,
+/// with each ablation knob (2-way L1, victim buffer, finite write
+/// buffer, standby list, prefetch, 1 K-entry TLB, banked DRAM) on now
+/// and then. Combinations the validator rejects are resampled.
 fn random_config(rng: &mut StdRng) -> SystemConfig {
     loop {
         let rate = pick(rng, &[IssueRate::MHZ200, IssueRate::GHZ1, IssueRate::GHZ4]);
@@ -437,8 +503,34 @@ fn random_config(rng: &mut StdRng) -> SystemConfig {
         };
         cfg.dram = pick(
             rng,
-            &[DramKind::Rambus, DramKind::RambusPipelined, DramKind::Sdram],
+            &[
+                DramKind::Rambus,
+                DramKind::RambusPipelined,
+                DramKind::Sdram,
+                DramKind::banked(),
+            ],
         );
+        let mut knob = || rng.gen_range(0..3u8) == 0;
+        if knob() {
+            cfg.l1 = L1Config {
+                ways: 2,
+                ..L1Config::paper_default()
+            };
+        }
+        if knob() {
+            cfg.tlb = TlbConfig::large_2way();
+        }
+        if knob() {
+            cfg.l1_victim_blocks = Some(8);
+        }
+        if knob() {
+            cfg.write_buffer_depth = Some(2);
+        }
+        let (standby, prefetch) = (knob(), knob());
+        if let HierarchyKind::Rampage(ref mut r) = cfg.hierarchy {
+            r.standby_pages = standby.then_some(16);
+            r.prefetch_next = prefetch;
+        }
         if cfg.validate().is_ok() {
             return cfg;
         }
@@ -446,22 +538,28 @@ fn random_config(rng: &mut StdRng) -> SystemConfig {
 }
 
 /// A short synthetic multiprogrammed trace: a few processes, each a mix
-/// of fetches, loads, and stores over a handful of pages.
+/// of fetches, loads, and stores over a handful of pages, with runs of
+/// straight-line fetches that repeat a fetch's page and L1 block.
 fn random_sources(rng: &mut StdRng) -> Vec<Vec<TraceRecord>> {
     let nprocs = rng.gen_range(1..4usize);
     (0..nprocs)
         .map(|_| {
             let n = rng.gen_range(20..300usize);
-            (0..n)
-                .map(|_| {
-                    let addr = rng.gen_range(0..32u64) * 4096 + rng.gen_range(0..1024u64) * 4;
-                    match rng.gen_range(0..3u8) {
-                        0 => TraceRecord::fetch(addr),
-                        1 => TraceRecord::read(addr),
-                        _ => TraceRecord::write(addr),
+            let mut recs = Vec::with_capacity(n + 24);
+            while recs.len() < n {
+                let addr = rng.gen_range(0..32u64) * 4096 + rng.gen_range(0..1024u64) * 4;
+                match rng.gen_range(0..4u8) {
+                    0 => recs.push(TraceRecord::fetch(addr)),
+                    1 => recs.push(TraceRecord::read(addr)),
+                    2 => recs.push(TraceRecord::write(addr)),
+                    _ => {
+                        let len = rng.gen_range(2..24u64);
+                        recs.extend((0..len).map(|i| TraceRecord::fetch(addr + 4 * i)));
                     }
-                })
-                .collect()
+                }
+            }
+            recs.truncate(n);
+            recs
         })
         .collect()
 }
@@ -505,6 +603,15 @@ fn engine_time_identity_and_histogram_counts_hold() {
             cfg.label()
         );
         let (h, c) = (&out.metrics.hist, &out.metrics.counts);
+        // Every user reference looks up the TLB once, and every user or
+        // handler reference accesses one L1 once.
+        assert_eq!(c.tlb.hits + c.tlb.misses, c.user_refs, "{}", cfg.label());
+        assert_eq!(
+            c.l1i.accesses() + c.l1d.accesses(),
+            c.user_refs + c.tlb_handler_refs + c.fault_handler_refs + c.switch_refs,
+            "{}",
+            cfg.label()
+        );
         assert_eq!(h.tlb.count(), c.tlb.misses, "{}", cfg.label());
         assert_eq!(
             h.fault.count(),
