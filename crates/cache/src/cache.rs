@@ -52,8 +52,7 @@ pub struct Cache {
     geo: Geometry,
     lines: Vec<Line>,
     /// One replacement stamp per line, row-major like `lines`: the
-    /// last-touch time under LRU, the fill time under FIFO (random
-    /// replacement ignores them).
+    /// last-touch time under LRU (random replacement ignores them).
     stamps: Vec<u64>,
     policy: ReplacementPolicy,
     rng: StdRng,
@@ -135,7 +134,7 @@ impl Cache {
             return w;
         }
         match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+            ReplacementPolicy::Lru => {
                 let first = self.line_index(set, 0);
                 oldest(&self.stamps[first..first + ways])
             }
@@ -192,7 +191,7 @@ impl Cache {
             dirty: is_write,
         };
         self.generation += 1;
-        // LRU and FIFO both stamp at fill time.
+        // A fill is LRU's most recent touch.
         self.stamps[idx] = self.clock;
         AccessResult {
             hit: false,
@@ -410,17 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_oldest_fill_even_if_touched() {
-        let geo = Geometry::new(128, 32, 2);
-        let mut c = Cache::new(geo, ReplacementPolicy::Fifo);
-        c.access(PhysAddr(0), false);
-        c.access(PhysAddr(128), false);
-        c.access(PhysAddr(0), false); // touch; FIFO ignores it
-        let r = c.access(PhysAddr(256), false);
-        assert_eq!(r.eviction.unwrap().addr, PhysAddr(0));
-    }
-
-    #[test]
     fn random_replacement_is_seeded_deterministic() {
         let geo = Geometry::new(256, 32, 2);
         let mut a = Cache::with_seed(geo, ReplacementPolicy::Random, 42);
@@ -501,11 +489,7 @@ mod tests {
 
     #[test]
     fn counted_read_hits_match_repeated_accesses() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Random] {
             let geo = Geometry::new(128, 32, 2); // 2 sets, 2 ways
             let mut counted = Cache::new(geo, policy);
             let mut accessed = Cache::new(geo, policy);

@@ -6,16 +6,14 @@ use std::fmt;
 ///
 /// The paper's baseline L2 is direct-mapped (policy irrelevant); its 2-way
 /// "more realistic" L2 uses random replacement (§4.7); the TLB in
-/// `rampage-vm` also uses random replacement (§4.3). LRU and FIFO are
-/// provided for ablations.
+/// `rampage-vm` also uses random replacement (§4.3). LRU is provided for
+/// ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used way.
     Lru,
     /// Evict a uniformly random way (paper's choice for 2-way L2 and TLB).
     Random,
-    /// Evict the way filled longest ago.
-    Fifo,
 }
 
 impl fmt::Display for ReplacementPolicy {
@@ -23,13 +21,12 @@ impl fmt::Display for ReplacementPolicy {
         let s = match self {
             ReplacementPolicy::Lru => "LRU",
             ReplacementPolicy::Random => "random",
-            ReplacementPolicy::Fifo => "FIFO",
         };
         f.write_str(s)
     }
 }
 
-/// The way with the smallest stamp in one set's stamps (the LRU or FIFO
+/// The way with the smallest stamp in one set's stamps (the LRU
 /// victim); the first minimum wins ties. [`Geometry`](crate::Geometry)
 /// guarantees at least one way, so the zero-way fallback of 0 is
 /// unreachable in practice.
@@ -54,6 +51,5 @@ mod tests {
     fn display_names() {
         assert_eq!(ReplacementPolicy::Lru.to_string(), "LRU");
         assert_eq!(ReplacementPolicy::Random.to_string(), "random");
-        assert_eq!(ReplacementPolicy::Fifo.to_string(), "FIFO");
     }
 }

@@ -5,7 +5,7 @@ use crate::time::IssueRate;
 use rampage_cache::{Geometry, ReplacementPolicy};
 use rampage_dram::{BankedConfig, DramModel, Picos};
 use rampage_vm::os::OsCosts;
-use rampage_vm::PageSize;
+use rampage_vm::{InvertedPageTable, PageSize};
 
 /// L1 miss penalty to L2 / SRAM main memory, in CPU cycles (§4.3).
 pub const L1_MISS_PENALTY: u64 = 12;
@@ -20,6 +20,10 @@ pub const QUANTUM_REFS: u64 = 500_000;
 pub const DRAM_PAGE_SIZE: u64 = 4096;
 /// The L2 cache / SRAM main memory base capacity: 4 MB (§4.4).
 pub const SRAM_BASE_SIZE: u64 = 4 << 20;
+/// Bytes of OS handler code (16 KB) and process control blocks (16 KB)
+/// that RAMpage pins at SRAM physical 0, ahead of its inverted page
+/// table (§4.5).
+pub(crate) const RAMPAGE_OS_CODE_BYTES: u64 = 32 * 1024;
 /// Bytes of tag the paper's sizing convention grants per L2 block when
 /// computing the RAMpage SRAM bonus (4 B × 32 K blocks = the paper's
 /// "128 Kbytes larger" at 128-byte blocks, §4.5).
@@ -211,6 +215,15 @@ impl RampageConfig {
     pub fn num_frames(&self) -> u32 {
         (self.sram_bytes() / self.page_size.get()) as u32
     }
+
+    /// The OS region pinned at SRAM physical 0 (§4.5) — handler code and
+    /// PCBs, then the inverted page table over every frame — as `(bytes,
+    /// frames)`, the frames being whole pages. Arithmetic only: no table
+    /// is built.
+    pub(crate) fn pinned_region(&self) -> (u64, u64) {
+        let bytes = RAMPAGE_OS_CODE_BYTES + InvertedPageTable::table_bytes_for(self.num_frames());
+        (bytes, bytes.div_ceil(self.page_size.get()))
+    }
 }
 
 /// TLB parameters.
@@ -395,6 +408,13 @@ impl SystemConfig {
                         what: "RAMpage SRAM",
                         block: r.page_size.get(),
                         size: r.sram_bytes(),
+                    });
+                }
+                let (os_bytes, pinned) = r.pinned_region();
+                if pinned >= u64::from(r.num_frames()) {
+                    return Err(ConfigError::NoUserFrames {
+                        os_bytes,
+                        page: r.page_size.get(),
                     });
                 }
                 if r.standby_pages == Some(0) {
@@ -607,6 +627,17 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::ZeroCapacity { .. })
         ));
+
+        // 4 MiB pages: the pinned OS region takes the one SRAM frame;
+        // 2 MiB pages leave a user frame.
+        let cfg = SystemConfig::rampage(IssueRate::GHZ1, 4 << 20);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::NoUserFrames { page, .. }) if page == 4 << 20
+        ));
+        SystemConfig::rampage(IssueRate::GHZ1, 2 << 20)
+            .validate()
+            .expect("2 MiB pages leave a user frame");
     }
 
     #[test]

@@ -105,6 +105,9 @@ pub struct ProcessSummary {
     pub stall_cycles: u64,
     /// Times it blocked on a page fault (switch-on-miss runs).
     pub faults_blocked: u64,
+    /// Why its trace ended short ([`TraceSource::problems`]); empty when
+    /// every record was delivered.
+    pub problems: Vec<String>,
 }
 
 /// Drives interleaved traces through a memory system.
@@ -375,6 +378,7 @@ impl Engine {
                     ifetches: p.ifetches,
                     stall_cycles: p.stall_cycles,
                     faults_blocked: p.faults,
+                    problems: p.source.problems(),
                 })
                 .collect(),
         }

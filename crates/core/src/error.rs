@@ -67,6 +67,14 @@ pub enum ConfigError {
         /// The offending set count.
         sets: usize,
     },
+    /// RAMpage's pinned OS region (handler code, PCBs and the inverted
+    /// page table) takes every SRAM frame at this page size.
+    NoUserFrames {
+        /// The region's size in bytes.
+        os_bytes: u64,
+        /// The page size in bytes.
+        page: u64,
+    },
     /// A RAMpage page size outside the valid range (power of two ≥ 8).
     BadPageSize {
         /// The offending value.
@@ -122,6 +130,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "TLB set count {sets} is not a power of two; \
                  set indexing requires one (use 1 for fully associative)"
+            ),
+            ConfigError::NoUserFrames { os_bytes, page } => write!(
+                f,
+                "RAMpage OS region ({os_bytes} bytes) leaves no user frames at \
+                 page size {page}; use a smaller page (paper: 128–4096)"
             ),
             ConfigError::BadPageSize { value } => write!(
                 f,

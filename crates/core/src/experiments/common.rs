@@ -142,7 +142,9 @@ impl Workload {
     /// every profile of a directory whose manifest does not load, is
     /// synthesized and counted as a fallback. Either way the record
     /// stream is bit-identical, so downstream results do not depend on
-    /// the route.
+    /// the route. A replayed shard that skips a damaged block ends
+    /// short and says so in its [`TraceSource::problems`], which the
+    /// [`SweepRunner`] turns into a failed cell.
     pub fn sources(&self) -> Vec<Box<dyn TraceSource + Send>> {
         let Some(dir) = trace_dir() else {
             return self.profiles().iter().map(|p| self.synth(p)).collect();
@@ -335,7 +337,8 @@ impl Cell {
 /// Run one configuration over a workload and summarize it as a [`Cell`].
 ///
 /// This is the raw, uncached simulation; sweeps should go through a
-/// [`SweepRunner`] instead.
+/// [`SweepRunner`] instead, which also fails a cell whose trace ended
+/// short ([`TraceSource::problems`]). This function does not look.
 pub fn run_config(cfg: &SystemConfig, workload: &Workload) -> Cell {
     #[expect(
         clippy::disallowed_methods,

@@ -25,8 +25,6 @@
 //! for the one variation); [`grids`] lists them for the config lint.
 
 mod common;
-#[cfg(feature = "fault")]
-pub mod fault;
 mod runner;
 
 pub mod ablations;

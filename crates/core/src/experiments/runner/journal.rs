@@ -210,15 +210,6 @@ impl Journal {
         let payload = rec.to_payload();
         let sum = fnv1a(payload.compact().as_bytes());
         let line = obj! { "sum" => sum, "rec" => payload }.compact() + "\n";
-        #[cfg(feature = "fault")]
-        if crate::experiments::fault::take_die_mid_journal_append() {
-            // Simulate a crash mid-append: half the line lands on disk
-            // and the process dies. Resume must truncate this tail.
-            let cut = (line.len() / 2).max(1);
-            let _ = self.file.write_all(&line.as_bytes()[..cut]);
-            let _ = self.file.sync_data();
-            std::process::exit(crate::experiments::fault::INJECTED_CRASH_EXIT);
-        }
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()?;
         Ok(())

@@ -2,10 +2,11 @@
 //! and figure.
 //!
 //! Each paper artifact is a sweep of independent
-//! [`run_config`]`(cfg, workload)` cells, and artifacts overlap: the
-//! Table 5 sweep is exactly the fixed-reference half of the time-slice
-//! study, the ablation study's base row is a Table 4 cell, and Figures
-//! 2–4 are views over Table 3. The [`SweepRunner`] exploits both facts:
+//! [`run_config`](crate::experiments::run_config)`(cfg, workload)`
+//! cells, and artifacts overlap: the Table 5 sweep is exactly the
+//! fixed-reference half of the time-slice study, the ablation study's
+//! base row is a Table 4 cell, and Figures 2–4 are views over Table 3.
+//! The [`SweepRunner`] exploits both facts:
 //!
 //! * **Parallelism** — a batch of [`Job`]s is executed by a pool of
 //!   worker threads (bounded by available cores, overridable via
@@ -19,12 +20,13 @@
 //!   are simulated exactly once per `repro` invocation.
 //! * **Fault tolerance** — each cell runs behind a validation gate and a
 //!   panic boundary. A job whose configuration fails
-//!   [`SystemConfig::validate`], or whose simulation panics, is recorded
-//!   as a [`FailedCell`] and replaced by an inert
-//!   [`Cell::failed_placeholder`]; the rest of the sweep completes. The
-//!   runner installs no panic hook: the standard one prints a panic's
-//!   message and location on stderr (and a backtrace under
-//!   `RUST_BACKTRACE=1`), and the failure record keeps the message.
+//!   [`SystemConfig::validate`], whose simulation panics, or whose trace
+//!   ends short (a damaged corpus shard) is recorded as a [`FailedCell`]
+//!   and replaced by an inert [`Cell::failed_placeholder`]; the rest of
+//!   the sweep completes. The runner installs no panic hook: the
+//!   standard one prints a panic's message and location on stderr (and
+//!   a backtrace under `RUST_BACKTRACE=1`), and the failure record keeps
+//!   the message.
 //! * **Crash safety** — a runner given [`SweepRunner::with_journal`]
 //!   appends every cell it finishes to a durable append-only journal
 //!   ([`journal`] module) as the pool completes it. The journal is the
@@ -46,8 +48,9 @@ pub use journal::{
 };
 
 use crate::config::{DramKind, SystemConfig};
+use crate::engine::Engine;
 use crate::error::CacheIoError;
-use crate::experiments::common::{run_config, Cell, Workload};
+use crate::experiments::common::{Cell, Workload};
 use rampage_json::{obj, Json};
 use rampage_trace::corpus::fnv1a;
 use std::any::Any;
@@ -102,8 +105,9 @@ pub struct FailedCell {
     pub unit_bytes: u64,
     /// The job's issue rate in MHz.
     pub issue_mhz: u32,
-    /// Why it failed: `invalid configuration: …` or `simulation
-    /// invariant violated: …` followed by the panic message.
+    /// Why it failed: `invalid configuration: …`, `simulation
+    /// invariant violated: …` followed by the panic message, or
+    /// `damaged trace: …` followed by what cut a trace short.
     pub error: String,
 }
 
@@ -675,29 +679,37 @@ impl SweepRunner {
     /// a panic boundary. A cell is a deterministic function of its job,
     /// so a panicking cell runs once. The standard panic hook has already
     /// printed the panic's location on stderr; the failure keeps its
-    /// message.
+    /// message. A run whose trace ended short (a corpus block that
+    /// failed its checksum) fails too: its cell would be a result of a
+    /// different workload.
     #[expect(
         clippy::disallowed_methods,
         reason = "the runner is where sweep cells are simulated"
     )]
     fn compute_cell(&self, job: &Job, fp: u64) -> JobOutcome {
+        let failed = |error| JobOutcome::Failed(Box::new(FailedCell::new(job, fp, error)));
         if let Err(e) = job.cfg.validate() {
-            let error = format!("invalid configuration: {e}");
-            return JobOutcome::Failed(Box::new(FailedCell::new(job, fp, error)));
+            return failed(format!("invalid configuration: {e}"));
         }
         let run = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault")]
-            crate::experiments::fault::cell_panic_point(fp);
-            run_config(&job.cfg, &job.workload)
+            Engine::new(&job.cfg, job.workload.sources()).run()
         }));
-        match run {
-            Ok(cell) => JobOutcome::Done(cell),
+        let out = match run {
+            Ok(out) => out,
             Err(payload) => {
                 let msg = panic_message(&*payload);
-                let error = format!("simulation invariant violated: {msg}");
-                JobOutcome::Failed(Box::new(FailedCell::new(job, fp, error)))
+                return failed(format!("simulation invariant violated: {msg}"));
             }
+        };
+        let problems: Vec<&str> = out
+            .per_process
+            .iter()
+            .flat_map(|p| p.problems.iter().map(String::as_str))
+            .collect();
+        if !problems.is_empty() {
+            return failed(format!("damaged trace: {}", problems.join("; ")));
         }
+        JobOutcome::Done(Cell::from_run(&job.cfg, &out))
     }
 
     /// Simulate `pending` on the worker pool; returns `(index, outcome)`

@@ -2,13 +2,14 @@
 //! device (paper §2, §4.5, §4.6).
 
 use super::{Below, FrontEnd, HandlerKind, MemorySystem};
-use crate::config::{RampageConfig, SystemConfig, L1_MISS_PENALTY, RAMPAGE_WRITEBACK_PENALTY};
+use crate::config::{
+    RampageConfig, SystemConfig, L1_MISS_PENALTY, RAMPAGE_OS_CODE_BYTES, RAMPAGE_WRITEBACK_PENALTY,
+};
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventKind, ASID_NONE};
 use rampage_cache::{Eviction, PhysAddr};
 use rampage_dram::Picos;
 use rampage_trace::Asid;
-use rampage_vm::os::OsLayout;
 use rampage_vm::{
     ClockReplacer, FrameId, InvertedPageTable, PageSize, StandbyEntry, StandbyList, Vpn,
 };
@@ -52,8 +53,9 @@ impl Rampage {
     ///
     /// # Panics
     ///
-    /// Panics if the OS pinned region would leave no user frames, or the
-    /// standby list is too large for them.
+    /// Panics if the OS pinned region would leave no user frames (which
+    /// [`SystemConfig::validate`] rejects), or the standby list is too
+    /// large for them.
     pub(super) fn new(cfg: &SystemConfig, rcfg: RampageConfig) -> Self {
         let page = rcfg.page_size;
         let num_frames = rcfg.num_frames();
@@ -61,16 +63,14 @@ impl Rampage {
         // OS residency (§4.5): handler code + PCBs at SRAM physical 0,
         // then the inverted page table; everything rounded up to whole
         // pages and pinned.
-        let os_layout = OsLayout::at(PhysAddr(KERNEL_BASE));
-        let os_code_bytes = os_layout.code_bytes + 16 * 1024; // code + PCB array
-        let table_base = PhysAddr(os_code_bytes);
-        let mut ipt = InvertedPageTable::new(num_frames, table_base);
-        let os_bytes = os_code_bytes + ipt.table_bytes();
-        let pinned_frames = os_bytes.div_ceil(page.get()) as u32;
+        let (os_bytes, pinned) = rcfg.pinned_region();
         assert!(
-            pinned_frames < num_frames,
+            pinned < u64::from(num_frames),
             "OS region ({os_bytes} bytes) leaves no user frames at page size {page}"
         );
+        let pinned_frames = pinned as u32;
+        let table_base = PhysAddr(KERNEL_BASE + RAMPAGE_OS_CODE_BYTES);
+        let mut ipt = InvertedPageTable::new(num_frames, table_base);
         for i in 0..pinned_frames {
             let Some(f) = ipt.alloc_free() else {
                 // The assert above guarantees pinned_frames < num_frames,

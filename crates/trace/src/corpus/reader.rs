@@ -147,7 +147,6 @@ fn push_warning(warnings: &Mutex<Vec<CorpusWarning>>, w: CorpusWarning) {
 fn read_block_into(
     f: &mut File,
     entry: &BlockEntry,
-    block_no: u64,
     data_end: u64,
     payload: &mut Vec<u8>,
     out: &mut Vec<TraceRecord>,
@@ -173,14 +172,6 @@ fn read_block_into(
     payload.resize(len as usize, 0);
     f.read_exact(payload)
         .map_err(|e| format!("payload read failed: {e}"))?;
-    #[cfg(feature = "fault")]
-    if crate::fault::corrupts_block(block_no) {
-        if let Some(b) = payload.first_mut() {
-            *b ^= 0xff;
-        }
-    }
-    #[cfg(not(feature = "fault"))]
-    let _ = block_no;
     if block_checksum(payload) != sum {
         return Err("payload checksum mismatch".to_string());
     }
@@ -201,14 +192,9 @@ fn prefetch(
     let mut payload = Vec::new();
     for (i, entry) in index.blocks.iter().enumerate() {
         let mut records = Vec::new();
-        if let Err(reason) = read_block_into(
-            &mut f,
-            entry,
-            i as u64,
-            index.data_end,
-            &mut payload,
-            &mut records,
-        ) {
+        if let Err(reason) =
+            read_block_into(&mut f, entry, index.data_end, &mut payload, &mut records)
+        {
             push_warning(
                 &warnings,
                 CorpusWarning {
@@ -243,9 +229,10 @@ struct Feed {
 ///
 /// A block that fails its checksum or decode is **skipped**: its records
 /// vanish from the stream, and a [`CorpusWarning`] is recorded
-/// ([`warnings`](Self::warnings)) instead of ending the replay — the
-/// same skip-over-abort policy the sweep journal uses for corrupt
-/// lines.
+/// ([`warnings`](Self::warnings), and one line each in
+/// [`problems`](TraceSource::problems)) instead of ending the replay.
+/// The rest of the shard still replays, and a caller that needs the
+/// whole trace, such as a sweep cell, fails on the problems.
 #[derive(Debug)]
 pub struct CorpusReader {
     name: String,
@@ -348,6 +335,11 @@ impl TraceSource for CorpusReader {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// One line per quarantined block ([`warnings`](Self::warnings)).
+    fn problems(&self) -> Vec<String> {
+        self.warnings().iter().map(ToString::to_string).collect()
     }
 }
 

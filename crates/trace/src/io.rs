@@ -153,6 +153,13 @@ impl<R: BufRead> DinReader<R> {
         }
     }
 
+    /// Rename the source (reports show this instead of `din`).
+    #[must_use]
+    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
+        self
+    }
+
     /// The error that terminated the stream, if any.
     pub fn error(&self) -> Option<&TraceIoError> {
         self.error.as_ref()
@@ -231,6 +238,11 @@ impl<R: BufRead> TraceSource for DinReader<R> {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The [`error`](Self::error) that ended the stream, if any.
+    fn problems(&self) -> Vec<String> {
+        self.error.iter().map(ToString::to_string).collect()
     }
 }
 

@@ -35,8 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
-#[cfg(feature = "fault")]
-pub mod fault;
 pub mod io;
 mod record;
 mod stats;

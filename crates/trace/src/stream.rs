@@ -19,6 +19,14 @@ pub trait TraceSource {
     fn name(&self) -> &str {
         "trace"
     }
+
+    /// Why the stream that ended is not the whole trace: one line per
+    /// problem, empty when every record was delivered. A source cannot
+    /// return an error mid-stream, so readers of files record what cut
+    /// them short, and the caller asks once the stream has ended.
+    fn problems(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// A trace source backed by an in-memory vector of records.
@@ -118,6 +126,10 @@ impl<S: TraceSource> TraceSource for BoundedSource<S> {
     fn name(&self) -> &str {
         self.inner.name()
     }
+
+    fn problems(&self) -> Vec<String> {
+        self.inner.problems()
+    }
 }
 
 impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
@@ -127,6 +139,10 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
 
     fn name(&self) -> &str {
         (**self).name()
+    }
+
+    fn problems(&self) -> Vec<String> {
+        (**self).problems()
     }
 }
 

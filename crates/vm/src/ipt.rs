@@ -318,7 +318,14 @@ impl InvertedPageTable {
     /// OS pins in SRAM (paper §4.5: 6 pages at a 4 KB page size, up to
     /// 5336 pages at 128 bytes).
     pub fn table_bytes(&self) -> u64 {
-        self.hat.len() as u64 * HAT_ENTRY_BYTES + self.slots.len() as u64 * ENTRY_BYTES
+        Self::table_bytes_for(self.num_frames())
+    }
+
+    /// What [`table_bytes`](Self::table_bytes) reports for a table over
+    /// `num_frames` frames, computed without building one.
+    pub fn table_bytes_for(num_frames: u32) -> u64 {
+        let frames = u64::from(num_frames);
+        frames.next_power_of_two() * HAT_ENTRY_BYTES + frames * ENTRY_BYTES
     }
 
     fn bucket_of(&self, asid: Asid, vpn: Vpn) -> usize {

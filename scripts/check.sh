@@ -32,7 +32,7 @@ step cargo fmt --all --check
 # Tests, binaries and examples may call what the root clippy.toml
 # disallows (clocks, the environment, sleeps, direct simulation, hash
 # iteration); the library pass below denies it.
-step cargo clippy --workspace --all-targets --all-features -- \
+step cargo clippy --workspace --all-targets -- \
   -D warnings -A clippy::disallowed_methods
 
 # Library code must not unwrap/expect: every fallible path either
@@ -43,10 +43,9 @@ step cargo clippy --workspace --all-targets --all-features -- \
 # The root clippy.toml's disallowed methods are errors here too, and
 # iter_over_hash_type catches the `for` loops over a HashMap/HashSet
 # that method paths miss (EXPERIMENTS.md § Static analysis).
-# `--all-features` also checks every `#[cfg(feature = "fault")]` block.
 LIB_CLIPPY=(-D warnings -D clippy::unwrap_used -D clippy::expect_used
   -D clippy::print_stdout -D clippy::print_stderr -D clippy::iter_over_hash_type)
-step cargo clippy -q --workspace --lib --all-features -- "${LIB_CLIPPY[@]}"
+step cargo clippy -q --workspace --lib -- "${LIB_CLIPPY[@]}"
 
 # The clippy canary, a workspace of its own, breaks every clippy.toml
 # rule once. Clippy only warns about a path it cannot resolve, so a typo
@@ -110,18 +109,15 @@ step ./target/release/repro lint --quiet
 # SystemConfig::validate(), so a bad preset fails here, not mid-sweep.
 step ./target/release/repro lint --configs
 
-# The root package's tests (observability, snapshot, corpus, resume…)
-# run once in the tier-1 step; the workspace step adds every other
-# crate's, and the fault step reruns the root suite with injection armed.
-# All three run in a fresh TMPDIR: every scratch directory a test makes
-# is named rampage-*, and a passing suite must leave none behind.
+# The root package's tests (observability, snapshot, corpus, resume
+# and its drills…) run once in the tier-1 step; the workspace step adds
+# every other crate's. Both run in a fresh TMPDIR: every scratch
+# directory a test makes is named rampage-*, and a passing suite must
+# leave none behind.
 echo "==> cargo test -q (tier-1)"
 TMPDIR="${TEST_TMP}" step cargo test -q
 
 TMPDIR="${TEST_TMP}" step cargo test -q --workspace --exclude rampage
-
-echo "==> cargo test -q --features fault (fault-injection suite)"
-TMPDIR="${TEST_TMP}" step cargo test -q --features fault
 
 echo "==> no test scratch directory left behind"
 LEFTOVER=$(find "${TEST_TMP}" -mindepth 1 -maxdepth 1 -name 'rampage-*')
@@ -206,9 +202,10 @@ if [[ "${JSONL_EVENTS}" -ne "${CHROME_EVENTS}" ]]; then
 fi
 
 # End-to-end corrupt-block drill through the CLI: record a corpus,
-# verify it clean, smash a byte mid-file, and the verifier must fail;
-# then a manifest naming a shard outside its directory must be refused.
-echo "==> trace corpus CLI drill (record, verify, corrupt, re-verify, escape)"
+# verify it clean, smash 8 bytes mid-file, and the verifier must fail,
+# as must a sweep replaying the damaged shard; then a manifest naming a
+# shard outside its directory must be refused.
+echo "==> trace corpus CLI drill (record, verify, corrupt, re-verify, replay, escape)"
 ./target/release/repro trace record --dir "${CORPUS_TMP}" --scale 20000 --nbench 2 >/dev/null
 ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null
 SHARD=$(ls "${CORPUS_TMP}"/*.rct | head -1)
@@ -217,6 +214,18 @@ printf '\xff\xff\xff\xff\xff\xff\xff\xff' |
   dd of="${SHARD}" bs=1 seek=$((SHARD_BYTES / 2)) conv=notrunc status=none
 if ./target/release/repro trace verify --dir "${CORPUS_TMP}" >/dev/null 2>&1; then
   echo "FAIL: trace verify did not flag a corrupted shard" >&2
+  exit 1
+fi
+# Every table3 cell replays both recorded programs, so each one's replay
+# skips the damaged block and fails: exit 1, never a short result.
+set +e
+timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro --scale 20000 --nbench 2 \
+  --trace-dir "${CORPUS_TMP}" table3 >/dev/null 2>"${CORPUS_TMP}/replay.stderr"
+REPLAY_CODE=$?
+set -e
+if [[ "${REPLAY_CODE}" -ne 1 ]] || ! grep -q "damaged trace" "${CORPUS_TMP}/replay.stderr"; then
+  tail -n 20 "${CORPUS_TMP}/replay.stderr" >&2
+  echo "FAIL: a sweep over a damaged shard exited ${REPLAY_CODE}, expected 1" >&2
   exit 1
 fi
 # A manifest may name only files inside its own directory: point its
@@ -236,25 +245,20 @@ if [[ "${ESCAPE_CODE}" -ne 1 ]] || ! grep -q "corpus manifest" <<<"${ESCAPE_OUT}
   exit 1
 fi
 
-# End-to-end crash drill through the CLI: kill a journaled sweep
-# halfway through its fifth journal append (die-mid-append=5), resume
-# it, and require the resume to truncate the torn tail and the artifact
-# to be bit-identical to an uninterrupted --jobs 1 run. (table3 is the
-# smallest journaled sweep — table1 is analytic and never touches the
-# runner. This rebuilds the release binary with the fault feature, so it
-# runs after every gate that uses the normal one.)
-echo "==> crash drill (die-mid-append → kill → resume → diff vs clean run)"
-step cargo build --release --features fault
-set +e
-timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
-  --scale 20000 --nbench 2 --jobs 2 --out "${DRILL_TMP}/crash" \
-  --fault die-mid-append=5 table3 >/dev/null 2>&1
-CRASH_CODE=$?
-set -e
-if [[ "${CRASH_CODE}" -ne 137 ]]; then
-  echo "FAIL: injected crash exited ${CRASH_CODE}, expected 137" >&2
-  exit 1
-fi
+# End-to-end crash drill through the CLI: cut a finished sweep's journal
+# the way a crash mid-append does (five whole lines, then half of the
+# sixth) and garble its cells.json; the resume must truncate the torn
+# tail, and its artifact must be bit-identical to an uninterrupted
+# --jobs 1 run. (table3 is the smallest journaled sweep — table1 is
+# analytic and never touches the runner.)
+echo "==> crash drill (torn journal tail → resume → diff vs clean run)"
+step ./target/release/repro --scale 20000 --nbench 2 --jobs 2 \
+  --out "${DRILL_TMP}/crash" table3 >/dev/null
+JOURNAL="${DRILL_TMP}/crash/journal.jsonl"
+SIXTH=$(sed -n 6p "${JOURNAL}")
+head -n 5 "${JOURNAL}" >"${DRILL_TMP}/torn.jsonl"
+printf '%s' "${SIXTH:0:${#SIXTH}/2}" >>"${DRILL_TMP}/torn.jsonl"
+mv "${DRILL_TMP}/torn.jsonl" "${JOURNAL}"
 # The journal is the only store a run resumes from; cells.json is a
 # write-only snapshot. Garbage in it must not change the resumed output.
 echo 'not a cell cache' >"${DRILL_TMP}/crash/cells.json"
@@ -262,7 +266,7 @@ if ! timeout --kill-after=30 "${STEP_TIMEOUT}" ./target/release/repro \
   --scale 20000 --nbench 2 --jobs 2 --out "${DRILL_TMP}/crash" --resume table3 \
   >/dev/null 2>"${DRILL_TMP}/resume.stderr"; then
   tail -n 20 "${DRILL_TMP}/resume.stderr" >&2
-  echo "FAIL: resuming the crashed sweep exited non-zero" >&2
+  echo "FAIL: resuming the torn journal exited non-zero" >&2
   exit 1
 fi
 if ! grep -q "torn tail" "${DRILL_TMP}/resume.stderr"; then
@@ -275,7 +279,5 @@ if ! cmp "${DRILL_TMP}/crash/cells.json" "${DRILL_TMP}/clean/cells.json"; then
   echo "FAIL: resumed cells.json differs from the uninterrupted run" >&2
   exit 1
 fi
-# Leave the normal (fault-free) binary in place for anything after us.
-step cargo build --release
 
 echo "All checks passed."

@@ -41,12 +41,14 @@
 //! (see `repro trace record`) instead of regenerating them in memory:
 //! shards whose name, seed, and scale match are streamed from disk
 //! (bit-identical to synthesis, so cells and caches are unaffected);
-//! anything unmatched silently falls back to synthesis.
+//! anything unmatched silently falls back to synthesis. A cell whose
+//! replay skipped a damaged block fails instead of reporting a shorter
+//! trace's numbers.
 //!
-//! Failed cells (invalid configs, simulation panics) do not abort the
-//! run: their table slots hold inert zero cells, a failure report is
-//! printed at the end, and the exit code distinguishes the outcomes
-//! (see below). Failures beyond `--max-cell-failures` (default 0) turn
+//! Failed cells (invalid configs, simulation panics, damaged corpus
+//! shards) do not abort the run: their table slots hold inert zero
+//! cells, a failure report is printed at the end, and the exit code
+//! distinguishes the outcomes (see below). Failures beyond `--max-cell-failures` (default 0) turn
 //! the run into a hard failure, but only after every artifact has
 //! rendered.
 //!
@@ -90,7 +92,6 @@ struct Options {
     trace_cap: usize,
     trace_dir: Option<String>,
     resume: bool,
-    fault_specs: Vec<String>,
     dram_banked: bool,
     artifacts: Vec<String>,
 }
@@ -131,7 +132,6 @@ fn parse_args() -> Result<Options, String> {
         trace_cap: 1 << 18,
         trace_dir: None,
         resume: false,
-        fault_specs: Vec::new(),
         dram_banked: false,
         artifacts: Vec::new(),
     };
@@ -177,10 +177,6 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--resume" => opts.resume = true,
-            "--fault" => {
-                opts.fault_specs
-                    .push(args.next().ok_or("--fault needs a spec")?);
-            }
             "--dram-backend" => {
                 let v = args.next().ok_or("--dram-backend needs flat or banked")?;
                 opts.dram_banked = match v.as_str() {
@@ -217,9 +213,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.resume && opts.out_dir.is_none() {
         return Err("--resume needs --out DIR (the journal lives next to cells.json)".into());
-    }
-    if !opts.fault_specs.is_empty() && !cfg!(feature = "fault") {
-        return Err("--fault requires a build with --features fault".into());
     }
     Ok(opts)
 }
@@ -271,13 +264,6 @@ fn main() {
     if let Some(dir) = &opts.trace_dir {
         rampage_core::experiments::set_trace_dir(Some(dir.into()));
         eprintln!("# trace corpus: replaying matching shards from {dir}");
-    }
-    #[cfg(feature = "fault")]
-    for spec in &opts.fault_specs {
-        if let Err(e) = rampage_core::experiments::fault::arm_from_spec(spec) {
-            eprintln!("bad --fault spec: {e}");
-            std::process::exit(2);
-        }
     }
     install_signal_handlers();
     let workload = Workload {

@@ -16,65 +16,23 @@
 use rampage_core::prelude::*;
 use rampage_trace::corpus::CorpusReader;
 use rampage_trace::io::DinReader;
-use rampage_trace::{TraceRecord, TraceSource};
+use rampage_trace::TraceSource;
 use std::fs::File;
 use std::io::BufReader;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
 
 const USAGE: &str = "usage: simtrace [--system dm|2way|rampage|rampage-switch] \
 [--unit BYTES] [--mhz N] [--quantum N] <trace-file>...";
 
-/// The concrete reader behind one trace file.
-enum Reader {
-    Din(DinReader<BufReader<File>>),
-    Corpus(CorpusReader),
-}
-
-impl Reader {
-    fn open(path: &str) -> Result<Reader, Box<dyn std::error::Error>> {
-        Ok(if path.ends_with(".rct") {
-            Reader::Corpus(CorpusReader::open(path)?)
-        } else {
-            Reader::Din(DinReader::new(BufReader::new(File::open(path)?)))
-        })
-    }
-
-    /// Why an ended stream is not the whole file: the error that cut a
-    /// `.din` short, or each corpus block that was skipped.
-    fn problems(&self) -> Vec<String> {
-        match self {
-            Reader::Din(r) => r.error().map(ToString::to_string).into_iter().collect(),
-            Reader::Corpus(r) => r.warnings().iter().map(ToString::to_string).collect(),
-        }
-    }
-}
-
-/// A trace file as the engine sees it. The engine owns its sources, so
-/// each one copies its reader's problems into a slot the caller keeps
-/// when the stream ends.
-struct NamedSource {
-    reader: Reader,
-    name: String,
-    problems: Arc<OnceLock<Vec<String>>>,
-}
-
-impl TraceSource for NamedSource {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let rec = match &mut self.reader {
-            Reader::Din(r) => r.next_record(),
-            Reader::Corpus(r) => r.next_record(),
-        };
-        if rec.is_none() {
-            // The first end of stream is final; a later call finds it set.
-            let _ = self.problems.set(self.reader.problems());
-        }
-        rec
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
+/// One trace file as a source named after it: a `.rct` corpus shard, or
+/// Dinero `.din` text otherwise.
+fn open(path: &str) -> Result<Box<dyn TraceSource + Send>, Box<dyn std::error::Error>> {
+    let name = path.rsplit('/').next().unwrap_or(path);
+    Ok(if path.ends_with(".rct") {
+        Box::new(CorpusReader::open(path)?.with_name(name))
+    } else {
+        Box::new(DinReader::new(BufReader::new(File::open(path)?)).with_name(name))
+    })
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -148,18 +106,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         usage_error(e);
     }
 
-    let mut slots = Vec::new();
-    let mut sources: Vec<Box<dyn TraceSource + Send>> = Vec::new();
-    for path in &files {
-        let problems = Arc::new(OnceLock::new());
-        slots.push(Arc::clone(&problems));
-        let reader = Reader::open(path).map_err(|e| format!("{path}: {e}"))?;
-        sources.push(Box::new(NamedSource {
-            reader,
-            name: path.rsplit('/').next().unwrap_or(path).to_string(),
-            problems,
-        }));
-    }
+    let sources = files
+        .iter()
+        .map(|path| open(path).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
 
     eprintln!(
         "# {} on {} trace file(s), {} B unit, {}",
@@ -170,9 +120,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     );
     let out = Engine::new(&cfg, sources).run();
 
+    // A file that could not be read to its end fails the run: its
+    // numbers would describe a different trace.
     let mut failed = false;
-    for (path, slot) in files.iter().zip(&slots) {
-        for problem in slot.get().into_iter().flatten() {
+    for (path, p) in files.iter().zip(&out.per_process) {
+        for problem in &p.problems {
             eprintln!("simtrace: {path}: {problem}");
             failed = true;
         }

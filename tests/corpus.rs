@@ -11,7 +11,8 @@
 //! ```
 
 use rampage_core::experiments::{
-    corpus_source_stats, set_trace_dir, CorpusSourceStats, Job, SweepRunner, Workload,
+    corpus_source_stats, scan_journal, set_trace_dir, CorpusSourceStats, Job, JournalOp,
+    LeaseConfig, SweepRunner, Workload,
 };
 use rampage_core::{Engine, IssueRate, SystemConfig};
 use rampage_json::ToJson;
@@ -21,23 +22,12 @@ use rampage_trace::corpus::{
 };
 use rampage_trace::{profiles, TraceRecord, TraceSource};
 use std::path::PathBuf;
-use std::sync::{RwLock, RwLockReadGuard};
 
 /// Quick-workload parameters (kept in sync with [`Workload::quick`] by
 /// an assertion in the sweep test).
 const QUICK_SCALE: u64 = 20_000;
 const QUICK_SEED: u64 = 0x7a9e;
 const QUICK_NBENCH: usize = 4;
-
-/// The armed corpus-block fault (`--features fault`) is process-global,
-/// so every shard reader in this binary would see it. Tests that read
-/// shards hold this lock shared; the one test that arms the fault holds
-/// it exclusively.
-static SHARD_READERS: RwLock<()> = RwLock::new(());
-
-fn reading_shards() -> RwLockReadGuard<'static, ()> {
-    SHARD_READERS.read().unwrap_or_else(|p| p.into_inner())
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rampage-corpus-it-{tag}-{}", std::process::id()))
@@ -53,7 +43,6 @@ fn drain<S: TraceSource>(source: &mut S) -> Vec<TraceRecord> {
 
 #[test]
 fn record_then_replay_is_bit_identical_and_3x_smaller() {
-    let _shards = reading_shards();
     let dir = tmp_dir("roundtrip");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..QUICK_NBENCH];
@@ -89,7 +78,6 @@ fn record_then_replay_is_bit_identical_and_3x_smaller() {
 /// across) storage blocks.
 #[test]
 fn engine_quantum_boundaries_match_synthesis() {
-    let _shards = reading_shards();
     let dir = tmp_dir("quantum");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..QUICK_NBENCH];
@@ -130,12 +118,13 @@ fn engine_quantum_boundaries_match_synthesis() {
 /// persisted JSON) identical to the synthetic sweep, and every source
 /// actually came from disk. Routed to a directory with no manifest, the
 /// same sweep synthesizes every source and counts each as a fallback.
+/// Replaying a shard with a damaged block fails every cell, journaled
+/// `failed` and never cached, and synthesis then recomputes them.
 ///
 /// The trace-dir routing is process-global, so this is the only test in
 /// this binary that touches `set_trace_dir` or `Workload::sources`.
 #[test]
 fn sweep_through_trace_dir_is_bit_identical() {
-    let _shards = reading_shards();
     let dir = tmp_dir("sweep");
     std::fs::remove_dir_all(&dir).ok();
     let w = Workload::quick();
@@ -144,7 +133,7 @@ fn sweep_through_trace_dir_is_bit_identical() {
         (QUICK_NBENCH, QUICK_SCALE, QUICK_SEED),
         "corpus fixture parameters drifted from Workload::quick()"
     );
-    record_profiles(
+    let manifest = record_profiles(
         &dir,
         &profiles::TABLE2[..QUICK_NBENCH],
         QUICK_SCALE,
@@ -198,6 +187,55 @@ fn sweep_through_trace_dir_is_bit_identical() {
         },
         "every source of an unreadable corpus is a counted fallback"
     );
+
+    // Damage the middle of the first shard, which every job replays.
+    let shard = dir.join(&manifest.shards[0].file);
+    let mut bytes = std::fs::read(&shard).expect("read shard");
+    let mid = bytes.len() / 2;
+    for b in &mut bytes[mid..mid + 8] {
+        *b ^= 0xff;
+    }
+    std::fs::write(&shard, &bytes).expect("rewrite shard");
+    let journal = dir.join("journal.jsonl");
+    let journaled = |owner: &str| {
+        SweepRunner::new(2)
+            .with_journal(&journal, LeaseConfig::new(owner.into()))
+            .expect("open journal")
+    };
+    set_trace_dir(Some(dir.clone()));
+    let damaged = journaled("damaged");
+    let damaged_cells = damaged.run_labeled("corpus-damaged", &jobs);
+    set_trace_dir(None);
+    let failures = damaged.failures();
+    assert_eq!(failures.len(), jobs.len(), "{}", damaged.failure_report());
+    for (f, job) in failures.iter().zip(&jobs) {
+        assert_eq!(f.fingerprint, job.fingerprint());
+        assert!(f.error.starts_with("damaged trace: "), "{}", f.error);
+    }
+    assert!(damaged_cells.iter().all(|c| c.seconds == 0.0));
+    assert_eq!(damaged.cache().len(), 0, "failed cells are never cached");
+    let mut failed = Vec::new();
+    for rec in scan_journal(&journal).expect("scan journal") {
+        match rec.op {
+            JournalOp::Open => {}
+            JournalOp::Done { fp, .. } => panic!("cell {fp:#x} journaled done"),
+            JournalOp::Failed { fp, label, .. } => {
+                assert_eq!(label, "corpus-damaged");
+                failed.push(fp);
+            }
+        }
+    }
+    failed.sort_unstable();
+    let mut expect: Vec<u64> = jobs.iter().map(Job::fingerprint).collect();
+    expect.sort_unstable();
+    assert_eq!(failed, expect, "one `failed` record per job");
+
+    // Back on synthesis, the same journal resumes nothing and the
+    // cells come out equal to the synthetic sweep.
+    let healed = journaled("healed");
+    assert_eq!(healed.resumed_cells(), 0);
+    assert_eq!(healed.run_labeled("corpus-healed", &jobs), synth_cells);
+    assert_eq!(healed.failure_count(), 0, "{}", healed.failure_report());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -206,7 +244,6 @@ fn sweep_through_trace_dir_is_bit_identical() {
 /// `verify_dir`, while the rest of the corpus stays usable.
 #[test]
 fn corrupt_block_on_disk_is_quarantined_and_flagged() {
-    let _shards = reading_shards();
     let dir = tmp_dir("corrupt");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..2];
@@ -250,7 +287,6 @@ fn corrupt_block_on_disk_is_quarantined_and_flagged() {
 /// must fail verification.
 #[test]
 fn profile_fidelity_is_checked_against_table2() {
-    let _shards = reading_shards();
     let dir = tmp_dir("fidelity");
     std::fs::remove_dir_all(&dir).ok();
     let suite = &profiles::TABLE2[..3];
@@ -294,7 +330,6 @@ fn profile_fidelity_is_checked_against_table2() {
 /// profiles on every platform.
 #[test]
 fn sample_fixture_verifies_and_replays() {
-    let _shards = reading_shards();
     const FIXTURE_SCALE: u64 = 20_000;
     const FIXTURE_SEED: u64 = 0x0f1d;
     let dir = fixture_dir();
@@ -365,7 +400,6 @@ fn block_checksum(bytes: &[u8]) -> u64 {
 /// count (about 64 GiB) and aborting the process.
 #[test]
 fn block_claiming_more_records_than_bytes_is_quarantined() {
-    let _shards = reading_shards();
     let dir = tmp_dir("count");
     std::fs::create_dir_all(&dir).expect("create dir");
     let path = dir.join("forged.rct");
@@ -396,50 +430,5 @@ fn block_claiming_more_records_than_bytes_is_quarantined() {
     assert_eq!(warnings.len(), 1, "the block is quarantined: {warnings:?}");
     assert_eq!(warnings[0].block, 0);
     assert_eq!(warnings[0].records_lost, u64::from(count));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Fault drill (the check.sh corpus gate runs this under
-/// `--features fault`): an armed corpus-block fault makes every reader
-/// quarantine that block — records skipped, warning recorded, no abort.
-#[cfg(feature = "fault")]
-#[test]
-fn armed_block_fault_is_quarantined() {
-    use rampage_trace::fault;
-
-    let _exclusive = SHARD_READERS.write().unwrap_or_else(|p| p.into_inner());
-    let dir = tmp_dir("fault");
-    std::fs::remove_dir_all(&dir).ok();
-    let p = &profiles::TABLE2[0];
-    let manifest = record_profiles(&dir, &profiles::TABLE2[..1], QUICK_SCALE, QUICK_SEED, 512)
-        .expect("record");
-    let meta = manifest.find(p.name).expect("shard");
-    assert!(meta.blocks > 2, "need a middle block to corrupt");
-    let path = dir.join(&meta.file);
-
-    fault::arm_corrupt_block(1);
-    let mut reader = CorpusReader::open(&path).expect("open");
-    let got = drain(&mut reader);
-    let warnings = reader.warnings();
-    fault::disarm();
-
-    assert_eq!(warnings.len(), 1, "exactly one block quarantined");
-    assert_eq!(warnings[0].block, 1);
-    assert!(
-        warnings[0].reason.contains("checksum"),
-        "{}",
-        warnings[0].reason
-    );
-    assert_eq!(
-        got.len() as u64 + warnings[0].records_lost,
-        meta.records,
-        "stream = all records minus the faulted block"
-    );
-
-    // Disarmed, the same shard replays in full: the file was never the
-    // problem.
-    let mut clean = CorpusReader::open(&path).expect("reopen");
-    assert_eq!(drain(&mut clean).len() as u64, meta.records);
-    assert!(clean.warnings().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,7 +2,8 @@
 //! end-to-end on small workloads.
 
 use rampage::prelude::*;
-use rampage_core::{HierarchyKind, TlbConfig};
+use rampage_core::experiments::Workload;
+use rampage_core::{DramKind, HierarchyKind, TlbConfig};
 
 fn run(cfg: &SystemConfig, nbench: usize, refs: u64) -> RunOutcome {
     Engine::for_suite(cfg, nbench, refs, 1234).run()
@@ -68,6 +69,42 @@ fn issue_rate_scales_simulated_seconds_not_dram_work() {
         fast.metrics.counts.dram_block_fetches,
         slow.metrics.counts.dram_block_fetches
     );
+
+    // More widely: with switch-on-miss and time-based quanta off, no
+    // counter depends on the issue rate or the DRAM device, on any
+    // hierarchy at any unit size.
+    let w = Workload::quick();
+    let systems: [fn(IssueRate, u64) -> SystemConfig; 3] = [
+        SystemConfig::baseline,
+        SystemConfig::two_way,
+        SystemConfig::rampage,
+    ];
+    let drams = [
+        DramKind::Rambus,
+        DramKind::RambusPipelined,
+        DramKind::Sdram,
+        DramKind::banked(),
+    ];
+    for make in systems {
+        for unit in [128, 1024, 4096] {
+            let counts = |rate, dram| {
+                let mut cfg = make(rate, unit);
+                cfg.dram = dram;
+                Engine::new(&cfg, w.sources()).run().metrics.counts
+            };
+            let reference = counts(IssueRate::MHZ200, DramKind::Rambus);
+            for rate in IssueRate::PAPER_SWEEP {
+                for dram in drams {
+                    assert_eq!(
+                        counts(rate, dram),
+                        reference,
+                        "{} at {rate} on {dram:?}",
+                        make(rate, unit).label()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -104,11 +104,7 @@ fn cache_matches_lru_model() {
 #[test]
 fn counted_hits_keep_every_policy_in_step_with_access() {
     let mut rng = StdRng::seed_from_u64(0x11af);
-    let policies = [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Fifo,
-        ReplacementPolicy::Random,
-    ];
+    let policies = [ReplacementPolicy::Lru, ReplacementPolicy::Random];
     for _ in 0..64 {
         let ways = pick(&mut rng, &[1u32, 2, 4]);
         let geo = Geometry::new(1024, 32, ways);

@@ -1,10 +1,13 @@
 //! Crash-safety tests for the durable sweep journal: a journaled run
 //! resumes exactly where it stopped, two owners on one journal (runners
-//! or `repro` processes) each finish with the clean artifact, a `repro`
-//! rerun resumes from the journal alone (never from `cells.json`), and
-//! (under `--features fault`) the `repro` binary survives an injected
-//! crash mid-append, a real SIGKILL and a panicking cell — the resumed
-//! artifact must be bit-identical to an uninterrupted run.
+//! or `repro` processes) each finish with the clean artifact, and a
+//! `repro` rerun resumes from the journal alone (never from
+//! `cells.json`). The `drills` drive the `repro` binary through real
+//! faults: a journal cut inside a record (the file a crash mid-append
+//! leaves), a SIGKILL mid-sweep, and a damaged corpus shard, whose
+//! cells fail. Every resumed or rerun artifact must be bit-identical to
+//! an uninterrupted run. A panicking cell has no CLI trigger; it is
+//! covered in-process by `tests/runner_golden.rs`.
 
 use rampage_core::experiments::{
     scan_journal, table3, Cell, CellCache, JournalOp, LeaseConfig, SweepRunner, Workload,
@@ -323,18 +326,15 @@ fn rerun_resumes_from_the_journal_not_the_cells_json_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Child-process crash drills through the real `repro` binary. These
-/// need the injected crash points, so they only exist under the
-/// `fault` feature (`cargo test --features fault`).
-#[cfg(feature = "fault")]
+/// Child-process drills through the real `repro` binary, each driven by
+/// a real fault: a journal cut inside a record, a SIGKILL, a damaged
+/// corpus shard, and `--resume` on a directory with no journal.
 mod drills {
     use super::{repro, scratch};
     use rampage_core::experiments::{scan_journal, table3, Job, JournalOp, Workload, PAPER_SIZES};
     use rampage_core::IssueRate;
+    use rampage_trace::profiles;
     use std::path::Path;
-
-    /// Exit code of an injected crash (mirrors a real `kill -9`).
-    const CRASH: i32 = 137;
 
     /// `repro table3` on the 2-benchmark grid at `scale` into `out`.
     fn run_scaled(out: &Path, scale: &str, jobs: &str, extra: &[&str]) -> std::process::Output {
@@ -359,33 +359,46 @@ mod drills {
     /// The uninterrupted `--jobs 1` reference artifact.
     fn clean_reference(name: &str) -> Vec<u8> {
         let dir = scratch(name);
-        let mut cmd = repro();
-        cmd.args(["--scale", "20000", "--nbench", "2", "--jobs", "1"])
-            .arg("--out")
-            .arg(&dir)
-            .arg("table3");
-        let out = cmd.output().expect("spawn repro");
+        let out = run_scaled(&dir, "20000", "1", &[]);
         assert!(out.status.success(), "clean run failed: {out:?}");
         let bytes = cells(&dir);
         let _ = std::fs::remove_dir_all(&dir);
         bytes
     }
 
+    /// The file a crash mid-append leaves: a finished run's journal cut
+    /// after five whole lines and half of the sixth, next to a garbled
+    /// snapshot. Resume truncates the torn tail, resumes the four `done`
+    /// records before it, and recomputes the rest into the clean
+    /// artifact.
     #[test]
-    fn die_mid_journal_append_truncates_torn_tail_and_resumes() {
-        let dir = scratch("die-mid-append");
-        let crashed = run_table3(&dir, &["--fault", "die-mid-append=5"]);
-        assert_eq!(crashed.status.code(), Some(CRASH), "{crashed:?}");
+    fn torn_journal_tail_is_truncated_and_resume_is_bit_identical() {
+        let dir = scratch("torn-journal");
+        let first = run_table3(&dir, &[]);
+        assert_eq!(first.status.code(), Some(0), "{first:?}");
+        let jpath = dir.join("journal.jsonl");
+        let journal = std::fs::read(&jpath).expect("read journal");
+        let ends: Vec<usize> = journal
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(ends.len() > 6, "a table3 run journals more than 6 lines");
+        let cut = ends[4] + (ends[5] - ends[4]) / 2;
+        std::fs::write(&jpath, &journal[..cut]).expect("cut journal");
+        std::fs::write(dir.join("cells.json"), "not a cell cache").expect("garble snapshot");
+
         let resumed = run_table3(&dir, &["--resume"]);
         assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
         let stderr = String::from_utf8_lossy(&resumed.stderr);
         assert!(
-            stderr.contains("torn tail"),
-            "resume must report the truncated torn tail: {stderr}"
+            stderr.contains("resumed 4 finished cell(s)") && stderr.contains("torn tail"),
+            "resume must report the four cells and the truncated tail: {stderr}"
         );
         assert_eq!(
             cells(&dir),
-            clean_reference("die-mid-append-clean"),
+            clean_reference("torn-journal-clean"),
             "resumed cells.json differs from an uninterrupted run"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -421,57 +434,79 @@ mod drills {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A cell that panics on every execution: it runs once, the standard
-    /// panic hook reports it once, the journal records it as failed, the
-    /// exit code follows `--max-cell-failures`, and a rerun without the
-    /// fault recomputes it into the clean artifact.
+    /// A corpus shard with a damaged block, replayed through
+    /// `--trace-dir`: every cell that replays it fails once, typed and
+    /// without a panic, journaled `failed` under its artifact; the exit
+    /// code follows `--max-cell-failures`; and a rerun on synthesis
+    /// recomputes the cells into the clean artifact.
     #[test]
-    fn failing_cell_runs_once_and_a_rerun_heals_it() {
+    fn damaged_corpus_shard_fails_its_cells_and_a_rerun_heals_them() {
+        let dir = scratch("damaged-corpus");
+        let corpus = dir.join("corpus");
+        let out = dir.join("out");
+        let record = repro()
+            .args([
+                "trace", "record", "--scale", "20000", "--nbench", "2", "--dir",
+            ])
+            .arg(&corpus)
+            .output()
+            .expect("spawn repro trace record");
+        assert!(record.status.success(), "{record:?}");
+        // Every table3 cell replays the first program's shard.
+        let shard = corpus.join(format!("{}.rct", profiles::TABLE2[0].name));
+        let mut bytes = std::fs::read(&shard).expect("read shard");
+        let mid = bytes.len() / 2;
+        bytes[mid..mid + 8].fill(0xff);
+        std::fs::write(&shard, &bytes).expect("damage shard");
+        let trace_dir = corpus.to_str().expect("utf-8 path");
+
         let w = Workload {
             nbench: 2,
             scale: 20000,
             seed: 0x7a9e,
             solo: None,
         };
-        let cfg = table3::grid(&IssueRate::PAPER_SWEEP, &PAPER_SIZES)[0].1;
-        let fp = Job::new(cfg, w).fingerprint();
-        let fault = format!("cell-panic={fp:#x}");
-        let dir = scratch("cell-panic");
-
-        let tolerated = run_table3(&dir, &["--fault", &fault, "--max-cell-failures", "1"]);
-        assert_eq!(tolerated.status.code(), Some(3), "{tolerated:?}");
-        assert!(String::from_utf8_lossy(&tolerated.stdout).contains("Table 3"));
-        let stderr = String::from_utf8_lossy(&tolerated.stderr);
-        let panics: Vec<&str> = stderr
-            .lines()
-            .filter(|l| l.contains("panicked at"))
+        let grid = table3::grid(&IssueRate::PAPER_SWEEP, &PAPER_SIZES);
+        let mut expect: Vec<u64> = grid
+            .iter()
+            .map(|(_, cfg)| Job::new(*cfg, w).fingerprint())
             .collect();
-        assert_eq!(panics.len(), 1, "one execution, no retry: {stderr}");
-        assert!(panics[0].contains("fault.rs"), "{}", panics[0]);
-        let report = format!("simulation invariant violated: injected fault: cell {fp:#018x}");
-        assert!(stderr.contains(&report), "{stderr}");
-        let failed: Vec<JournalOp> = scan_journal(&dir.join("journal.jsonl"))
-            .expect("scan journal")
-            .into_iter()
-            .map(|r| r.op)
-            .filter(|op| matches!(op, JournalOp::Failed { .. }))
-            .collect();
-        assert!(
-            matches!(failed.as_slice(), [JournalOp::Failed { fp: f, label, .. }]
-                if *f == fp && label == "table3"),
-            "{failed:?}"
-        );
+        expect.sort_unstable();
 
-        let over_budget = run_table3(&dir, &["--fault", &fault]);
+        let over_budget = run_table3(&out, &["--trace-dir", trace_dir]);
         assert_eq!(over_budget.status.code(), Some(1), "{over_budget:?}");
         assert!(String::from_utf8_lossy(&over_budget.stdout).contains("Table 3"));
+        let stderr = String::from_utf8_lossy(&over_budget.stderr);
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        assert!(stderr.contains("damaged trace: shard "), "{stderr}");
+        let mut failed = Vec::new();
+        for rec in scan_journal(&out.join("journal.jsonl")).expect("scan journal") {
+            match rec.op {
+                JournalOp::Open => {}
+                JournalOp::Done { fp, .. } => panic!("cell {fp:#x} journaled done"),
+                JournalOp::Failed { fp, label, .. } => {
+                    assert_eq!(label, "table3");
+                    failed.push(fp);
+                }
+            }
+        }
+        failed.sort_unstable();
+        assert_eq!(failed, expect, "one `failed` record per cell");
 
-        let healed = run_table3(&dir, &[]);
+        let budget = grid.len().to_string();
+        let tolerated = run_table3(
+            &out,
+            &["--trace-dir", trace_dir, "--max-cell-failures", &budget],
+        );
+        assert_eq!(tolerated.status.code(), Some(3), "{tolerated:?}");
+        assert!(String::from_utf8_lossy(&tolerated.stdout).contains("Table 3"));
+
+        let healed = run_table3(&out, &[]);
         assert_eq!(healed.status.code(), Some(0), "{healed:?}");
         assert_eq!(
-            cells(&dir),
-            clean_reference("cell-panic-clean"),
-            "the rerun recomputes the failed cell"
+            cells(&out),
+            clean_reference("damaged-corpus-clean"),
+            "the rerun recomputes the failed cells"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

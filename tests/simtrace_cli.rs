@@ -106,12 +106,17 @@ fn bad_flags_exit_2_without_panicking() {
     let out_dir = dir.join("gen");
     let out_dir = out_dir.to_str().expect("utf-8 path");
 
-    let cases: [(&str, Vec<&str>); 7] = [
+    let cases: [(&str, Vec<&str>); 8] = [
         ("simtrace", vec!["--mhz", "3", trace]),
         ("simtrace", vec!["--mhz", "0", trace]),
         (
             "simtrace",
             vec!["--system", "rampage", "--unit", "100", trace],
+        ),
+        // A valid page size whose pinned OS region takes every frame.
+        (
+            "simtrace",
+            vec!["--system", "rampage", "--unit", "4194304", trace],
         ),
         ("simtrace", vec!["--system", "dm", "--unit", "0", trace]),
         ("simtrace", vec!["--system", "dm", "--unit", "100", trace]),
